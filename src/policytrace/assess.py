@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CaseRecord, Dataset, Policy, Split, Verdict
-from .gateway import ASSESS_PROFILE, ModelHandle, complete
+from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
+from .gateway import ASSESS_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import DemoBlock, TemplateId, render, template_hash
 from .prtgen import AugmentedDataset
 from .select import SelectionResult, Triple, select_random, select_relevant
@@ -52,7 +54,7 @@ TURN_COUNTS = {
 }
 
 _PRT_KINDS = {StrategyKind.FEWSHOT_PRT, StrategyKind.SELFREFINE_PRT}
-_POOL_KINDS = _PRT_KINDS | {StrategyKind.FEWSHOT}
+POOL_KINDS = _PRT_KINDS | {StrategyKind.FEWSHOT}
 
 
 @dataclass(frozen=True)
@@ -98,30 +100,25 @@ class InstanceResult:
     flags: list[str] = field(default_factory=list)
 
 
-_NONCOMPLIANT_VARIANT_RE = re.compile(r"\bNON[-\s]COMPLIANT\b", re.IGNORECASE)
-_TOKEN_RE = re.compile(r"\b(NONCOMPLIANT|COMPLIANT)\b", re.IGNORECASE)
 _MARKER_RE = re.compile(r"final\s+judgment\s*:|final\s+verdict|verdict\s*:", re.IGNORECASE)
 
 
 def parse_verdict(text: str) -> Optional[Verdict]:
     """Extract the decided verdict from model output; None means unparsed.
 
-    Hyphen/space variants are normalized first. The decision is the token
-    after the last labeled marker when one exists, otherwise the last
-    whole-token occurrence anywhere. NONCOMPLIANT is tried before COMPLIANT
-    at every site so the substring is never captured out of the longer token.
+    The decision is the token after the last labeled marker when one exists,
+    otherwise the last whole-token occurrence anywhere.
     """
-    normalized = _NONCOMPLIANT_VARIANT_RE.sub("NONCOMPLIANT", text)
-    tokens = list(_TOKEN_RE.finditer(normalized))
+    tokens = verdict_tokens(text)
     if not tokens:
         return None
 
-    markers = list(_MARKER_RE.finditer(normalized))
+    markers = list(_MARKER_RE.finditer(text))
     for marker in reversed(markers):
-        following = [t for t in tokens if t.start() >= marker.end()]
+        following = [verdict for start, verdict in tokens if start >= marker.end()]
         if following:
-            return Verdict(following[0].group(1).upper())
-    return Verdict(tokens[-1].group(1).upper())
+            return following[0]
+    return tokens[-1][1]
 
 
 def _select_demos(
@@ -173,7 +170,7 @@ def run_instance(
     """Run one test case through a strategy's full turn sequence."""
     if case.split is not Split.TEST:
         raise AssessError(f"case {case.case_id}: assessment runs on test cases only")
-    if strategy.kind in _POOL_KINDS and pool is None:
+    if strategy.kind in POOL_KINDS and pool is None:
         raise AssessError(f"{strategy.kind.value} requires a demonstration pool")
 
     flags: list[str] = []
@@ -251,17 +248,7 @@ def result_to_obj(result: InstanceResult) -> dict:
     return {
         "case_id": result.case_id,
         "strategy": result.strategy,
-        "turns": [
-            {
-                "template_id": t.template_id,
-                "prompt_hash": t.prompt_hash,
-                "response_text": t.response_text,
-                "raw_cot": t.raw_cot,
-                "prompt_tokens": t.prompt_tokens,
-                "completion_tokens": t.completion_tokens,
-            }
-            for t in result.turns
-        ],
+        "turns": [vars(t) for t in result.turns],  # keys in Turn field order
         "parsed_verdict": result.parsed_verdict.value if result.parsed_verdict else None,
         "correct": result.correct,
         "flags": result.flags,
@@ -272,17 +259,7 @@ def result_from_obj(obj: dict) -> InstanceResult:
     return InstanceResult(
         case_id=obj["case_id"],
         strategy=obj["strategy"],
-        turns=[
-            Turn(
-                template_id=t["template_id"],
-                prompt_hash=t["prompt_hash"],
-                response_text=t["response_text"],
-                raw_cot=t.get("raw_cot"),
-                prompt_tokens=t.get("prompt_tokens", 0),
-                completion_tokens=t.get("completion_tokens", 0),
-            )
-            for t in obj["turns"]
-        ],
+        turns=[Turn(**t) for t in obj["turns"]],
         parsed_verdict=Verdict(obj["parsed_verdict"]) if obj.get("parsed_verdict") else None,
         correct=obj.get("correct"),
         flags=obj.get("flags", []),
@@ -305,8 +282,12 @@ class RunSummary:
     skipped: int
     correct: int
     unparsed: int
-    failed_cases: list[str] = field(default_factory=list)
+    failure_reasons: dict[str, str] = field(default_factory=dict)  # case id -> "ExcClass: msg"
     flagged_cases: list[str] = field(default_factory=list)
+
+    @property
+    def failed_cases(self) -> list[str]:
+        return list(self.failure_reasons)
 
     @property
     def accuracy_pct(self) -> float:
@@ -352,7 +333,9 @@ def run_dataset(
     """Assess every test case; resumable and tolerant of per-case failures.
 
     The run manifest is written before any model call. Results append in
-    dataset order even when instances execute in parallel.
+    dataset order even when instances execute in parallel, and each record
+    is flushed as it is written. A resume first cuts off a last record left
+    half-written by a crash.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,12 +349,15 @@ def run_dataset(
 
     done_ids: set[str] = set()
     if results_path.exists():
-        for result in load_results(results_path):
-            done_ids.add(result.case_id)
+        data = results_path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):  # a crash left the last record half-written
+            os.truncate(results_path, end)
+        done_ids = {result.case_id for result in load_results(results_path)}
 
     test_cases = dataset.test
     todo = [c for c in test_cases if c.case_id not in done_ids]
-    failed: list[str] = []
+    failure_reasons: dict[str, str] = {}
     executed = 0
 
     def _run_one(case: CaseRecord) -> InstanceResult:
@@ -379,29 +365,15 @@ def run_dataset(
             case, policy, strategy, learner, pool=pool, judge=judge, seed=seed
         )
 
-    with results_path.open("a", encoding="utf-8") as fh:
-        if concurrency > 1 and len(todo) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=concurrency) as pool_exec:
-                futures = [(case, pool_exec.submit(_run_one, case)) for case in todo]
-                for case, future in futures:
-                    try:
-                        result = future.result()
-                    except Exception as err:
-                        failed.append(case.case_id)
-                        continue
-                    fh.write(json.dumps(result_to_obj(result), ensure_ascii=False) + "\n")
-                    executed += 1
-        else:
-            for case in todo:
-                try:
-                    result = _run_one(case)
-                except Exception:
-                    failed.append(case.case_id)
-                    continue
-                fh.write(json.dumps(result_to_obj(result), ensure_ascii=False) + "\n")
-                executed += 1
+    outcomes = closing(run_ordered(_run_one, todo, concurrency))
+    with results_path.open("a", encoding="utf-8") as fh, outcomes as ordered:
+        for case, result, err in ordered:
+            if err is not None:
+                failure_reasons[case.case_id] = f"{type(err).__name__}: {err}"
+                continue
+            fh.write(json.dumps(result_to_obj(result), ensure_ascii=False) + "\n")
+            fh.flush()
+            executed += 1
 
     results = load_results(results_path)
     summary = RunSummary(
@@ -411,7 +383,7 @@ def run_dataset(
         skipped=len(done_ids),
         correct=sum(1 for r in results if r.correct),
         unparsed=sum(1 for r in results if r.parsed_verdict is None),
-        failed_cases=failed,
+        failure_reasons=failure_reasons,
         flagged_cases=[r.case_id for r in results if r.flags],
     )
     return results_path, summary

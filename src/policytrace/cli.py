@@ -71,8 +71,7 @@ def _load_handles(config: dict) -> dict[str, ModelHandle]:
     return load_provider_config(_resolve(config, "providers_file"), cache_dir=cache_dir)
 
 
-def _handle(config: dict, role: str) -> ModelHandle:
-    handles = _load_handles(config)
+def _handle(handles: dict[str, ModelHandle], config: dict, role: str) -> ModelHandle:
     model_id = config.get(f"{role}_model")
     if not model_id:
         raise CliError(f"config field missing: {role}_model")
@@ -109,9 +108,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _write_manifest(out_dir, "gen.manifest.json", "gen", config)
 
     registry, policy, dataset = _load_corpus(config)
-    expert = _handle(config, "expert")
+    expert = _handle(_load_handles(config), config, "expert")
 
-    aug, quarantine = generate_augmented_dataset(dataset, policy, expert)
+    aug, quarantine = generate_augmented_dataset(dataset, policy, expert, config["concurrency"])
     store_path = out_dir / f"{policy.policy_id}_{expert.model_id}.prts.jsonl"
     write_prt_store(aug, store_path)
 
@@ -151,8 +150,6 @@ def _parse_strategy(args: argparse.Namespace, config: dict) -> Strategy:
     kind = StrategyKind(args.strategy)
     selection = SelectionMode(args.select) if args.select else None
     k = args.k if args.k is not None else config["k"]
-    if k < 1:
-        raise CliError(f"--k must be >= 1, got {k}")
     return Strategy(kind=kind, selection=selection, k=k)
 
 
@@ -162,16 +159,12 @@ def cmd_assess(args: argparse.Namespace) -> int:
     strategy = _parse_strategy(args, config)
 
     registry, policy, dataset = _load_corpus(config)
-    learner = _handle(config, "learner")
-    judge = _handle(config, "judge") if config.get("judge_model") else None
+    handles = _load_handles(config)
+    learner = _handle(handles, config, "learner")
+    judge = _handle(handles, config, "judge") if config.get("judge_model") else None
 
     pool = None
-    needs_pool = strategy.kind in (
-        StrategyKind.FEWSHOT,
-        StrategyKind.FEWSHOT_PRT,
-        StrategyKind.SELFREFINE_PRT,
-    )
-    if needs_pool:
+    if strategy.kind in assess_mod.POOL_KINDS:
         store = args.prt_store or config.get("prt_store")
         if not store:
             raise CliError("--prt-store (or config prt_store) required for this strategy")
@@ -204,6 +197,8 @@ def cmd_assess(args: argparse.Namespace) -> int:
             indent=2,
         )
     )
+    for case_id, reason in summary.failure_reasons.items():
+        print(f"error: case {case_id}: {reason}", file=sys.stderr)
     if summary.failed_cases:
         return 1
     if summary.total and len(summary.flagged_cases) / summary.total > config["flag_threshold"]:
@@ -261,7 +256,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # offline; a judge_model upgrades extraction to the LLM route).
     if all(k in config for k in ("registry_file", "policy_file", "dataset_file")):
         registry, _policy, dataset = _load_corpus(config)
-        judge = _handle(config, "judge") if config.get("judge_model") else None
+        judge = _handle(handles, config, "judge") if config.get("judge_model") else None
         for (manifest, results), row in zip(runs, rows):
             try:
                 rel = clause_relevance(results, dataset, registry, judge)

@@ -44,6 +44,19 @@ class Verdict(str, Enum):
         raise CorpusError(f"unknown verdict label: {label!r}")
 
 
+# NONCOMPLIANT may also be spelled NON-COMPLIANT or NON COMPLIANT; the optional
+# prefix is tried first, so COMPLIANT is never captured out of the longer token.
+_VERDICT_TOKEN_RE = re.compile(r"\b(NON[-\s]?)?COMPLIANT\b", re.IGNORECASE)
+
+
+def verdict_tokens(text: str) -> list[tuple[int, Verdict]]:
+    """(start offset, verdict) of every verdict token in free model text."""
+    return [
+        (m.start(), Verdict.NONCOMPLIANT if m.group(1) else Verdict.COMPLIANT)
+        for m in _VERDICT_TOKEN_RE.finditer(text)
+    ]
+
+
 class Split(str, Enum):
     TRAIN = "train"
     TEST = "test"

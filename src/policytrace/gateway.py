@@ -2,19 +2,21 @@
 
 Handles retries with exponential backoff, per-provider concurrency bounds,
 content-addressed response caching on disk, raw chain-of-thought capture,
-and a deterministic scripted mock provider for offline runs and tests.
+a deterministic scripted mock provider for offline runs and tests, and the
+ordered executor that fans per-case model work out over worker threads.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .tokens import Tokenizer, estimate_tokens
 
@@ -66,7 +68,6 @@ class RetryPolicy:
     base_delay_s: float = 1.0
     factor: float = 2.0
     max_attempts: int = 5
-    timeout_s: float = 120.0
 
 
 @dataclass
@@ -380,6 +381,34 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
     return handles
 
 
-def with_cache_dir(handle: ModelHandle, cache_dir: Optional[Path]) -> ModelHandle:
-    new = replace(handle, cache_dir=cache_dir)
-    return new
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def _settle(fn: Callable[[T], R], item: T) -> tuple[T, Optional[R], Optional[Exception]]:
+    try:
+        return item, fn(item), None
+    except Exception as err:
+        return item, None, err
+
+
+def run_ordered(
+    fn: Callable[[T], R], items: Iterable[T], concurrency: int
+) -> Iterator[tuple[T, Optional[R], Optional[Exception]]]:
+    """Apply fn to every item, yielding (item, result, None) or (item, None, exc)
+    in input order, with at most `concurrency` calls running at once.
+
+    Concurrency 1 runs each call inline on the caller's thread. Closing the
+    generator early cancels the calls that have not started yet.
+    """
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+    settle = functools.partial(_settle, fn)
+    if concurrency == 1:
+        yield from map(settle, items)
+        return
+
+    import concurrent.futures  # only threaded runs pay for the import
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=concurrency) as executor:
+        yield from executor.map(settle, items)

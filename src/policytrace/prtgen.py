@@ -11,18 +11,21 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CaseRecord, Dataset, Policy, Split, Verdict
-from .gateway import PRT_GEN_PROFILE, ModelHandle, complete
+from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
+from .gateway import PRT_GEN_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import TemplateId, render
 
 
 class PRTError(ValueError):
-    pass
+    def __init__(self, message: str, reason: str = "validation_failed") -> None:
+        super().__init__(message)
+        self.reason = reason  # the quarantine reason when generation gives up
 
 
 @dataclass(frozen=True)
@@ -32,32 +35,21 @@ class ValidationFailure:
 
 
 _ENUM_LINE_RE = re.compile(r"^\s*\d+\.\s*\S")
-_NONCOMPLIANT_VARIANT_RE = re.compile(r"\bNON[-\s]COMPLIANT\b", re.IGNORECASE)
-
-
-def _normalize_tokens(text: str) -> str:
-    return _NONCOMPLIANT_VARIANT_RE.sub("NONCOMPLIANT", text)
 
 
 def validate_prt(text: str, gold: Verdict) -> Optional[ValidationFailure]:
-    """Check trace structure and verdict consistency; None means valid.
-
-    NONCOMPLIANT is matched before COMPLIANT so the shorter token is never
-    captured out of the longer one.
-    """
+    """Check trace structure and verdict consistency; None means valid."""
     enum_lines = [line for line in text.splitlines() if _ENUM_LINE_RE.match(line)]
     if len(enum_lines) < 2:
         return ValidationFailure("format", f"found {len(enum_lines)} enumerated lines, need >= 2")
 
-    final_line = _normalize_tokens(enum_lines[-1])
-    has_non = re.search(r"\bNONCOMPLIANT\b", final_line, re.IGNORECASE) is not None
-    has_comp = re.search(r"\bCOMPLIANT\b", final_line, re.IGNORECASE) is not None
-    if has_non and has_comp:
+    stated_verdicts = {verdict for _, verdict in verdict_tokens(enum_lines[-1])}
+    if len(stated_verdicts) > 1:
         return ValidationFailure("ambiguous", "final line contains both verdict tokens")
-    if not has_non and not has_comp:
+    if not stated_verdicts:
         return ValidationFailure("missing_verdict", "final enumerated line states no verdict")
 
-    stated = Verdict.NONCOMPLIANT if has_non else Verdict.COMPLIANT
+    stated = stated_verdicts.pop()
     if stated is not gold:
         return ValidationFailure(
             "verdict_mismatch", f"trace states {stated.value}, gold is {gold.value}"
@@ -173,30 +165,32 @@ def generate_prt(case: CaseRecord, policy: Policy, expert: ModelHandle) -> PRTRe
         last_failure = failure
     assert last_failure is not None
     raise PRTError(
-        f"validation_failed({last_failure.reason}) for case {case.case_id}: {last_failure.detail}"
+        f"validation_failed({last_failure.reason}) for case {case.case_id}: {last_failure.detail}",
+        reason=last_failure.reason,
     )
 
 
 def generate_augmented_dataset(
-    dataset: Dataset, policy: Policy, expert: ModelHandle
+    dataset: Dataset, policy: Policy, expert: ModelHandle, concurrency: int = 1
 ) -> tuple[AugmentedDataset, list[QuarantinedCase]]:
     """Generate traces for every train case; quarantine the irreparable ones.
 
-    Output order follows dataset order regardless of any caller parallelism.
+    Up to `concurrency` cases are generated at once. Output order follows
+    dataset order either way. Errors other than PRTError propagate.
     """
     aug = AugmentedDataset(policy_id=policy.policy_id)
     quarantine: list[QuarantinedCase] = []
-    for case in dataset.train:
-        try:
-            record = generate_prt(case, policy, expert)
-        except PRTError as err:
-            reason = "validation_failed"
-            m = re.match(r"validation_failed\((\w+)\)", str(err))
-            if m:
-                reason = m.group(1)
-            quarantine.append(QuarantinedCase(case.case_id, reason, str(err)))
-            continue
-        aug.triples.append((case, case.gold_verdict, record))
+    outcomes = run_ordered(
+        lambda case: generate_prt(case, policy, expert), dataset.train, concurrency
+    )
+    with closing(outcomes) as ordered:
+        for case, record, err in ordered:
+            if isinstance(err, PRTError):
+                quarantine.append(QuarantinedCase(case.case_id, err.reason, str(err)))
+            elif err is not None:
+                raise err
+            else:
+                aug.triples.append((case, case.gold_verdict, record))
     return aug, quarantine
 
 
@@ -226,16 +220,7 @@ def prt_stats(records: list[PRTRecord]) -> PRTStats:
 
 
 def prt_record_to_obj(record: PRTRecord) -> dict:
-    return {
-        "case_id": record.case_id,
-        "expert_model": record.expert_model,
-        "prt_text": record.prt_text,
-        "echoed_verdict": record.echoed_verdict.value,
-        "word_count": record.word_count,
-        "sentence_count": record.sentence_count,
-        "prompt_hash": record.prompt_hash,
-        "created_at": record.created_at,
-    }
+    return {**vars(record), "echoed_verdict": record.echoed_verdict.value}
 
 
 def write_prt_store(aug: AugmentedDataset, path: str | Path) -> None:
@@ -254,16 +239,7 @@ def load_prt_store(path: str | Path, dataset: Dataset, policy_id: str) -> Augmen
         if not line.strip():
             continue
         obj = json.loads(line)
-        record = PRTRecord(
-            case_id=obj["case_id"],
-            expert_model=obj["expert_model"],
-            prt_text=obj["prt_text"],
-            echoed_verdict=Verdict(obj["echoed_verdict"]),
-            word_count=obj["word_count"],
-            sentence_count=obj["sentence_count"],
-            prompt_hash=obj["prompt_hash"],
-            created_at=obj["created_at"],
-        )
+        record = PRTRecord(**{**obj, "echoed_verdict": Verdict(obj["echoed_verdict"])})
         experts.add(record.expert_model)
         if len(experts) > 1:
             raise PRTError(f"line {lineno}: store mixes expert models: {sorted(experts)}")

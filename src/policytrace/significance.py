@@ -102,9 +102,12 @@ class PairedTResult:
 
 
 def _sample_sd(values: Sequence[float]) -> float:
+    """Sample SD, or 0.0 when it is zero up to float round-off at the values'
+    scale: the SD of [0.1] * 7 comes out near 1e-17, not 0."""
     n = len(values)
     mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    return sd if sd > 1e-12 * max(abs(v) for v in values) else 0.0
 
 
 def paired_t_one_sided(

@@ -239,7 +239,33 @@ def test_run_dataset_collects_failures(tmp_path, dataset, policy):
         dataset, policy, Strategy(StrategyKind.BASE), narrow, tmp_path / "o", seed=42
     )
     assert summary.failed_cases == ["c02", "c03", "c04", "c05", "c06"]
+    assert list(summary.failure_reasons) == summary.failed_cases
+    assert all(
+        reason.startswith("UnmatchedPromptError: no script pattern matches prompt")
+        for reason in summary.failure_reasons.values()
+    )
     assert [r.case_id for r in load_results(results_path)] == ["c01"]
+
+
+@pytest.mark.parametrize("cut_line", [0, 2, 5])
+def test_run_dataset_resumes_after_torn_last_line(
+    tmp_path, dataset, policy, learner_handle, cut_line
+):
+    strategy = Strategy(StrategyKind.BASE)
+    whole_path, _ = run_dataset(dataset, policy, strategy, learner_handle, tmp_path / "a")
+    whole = whole_path.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    # A crash in the middle of appending line `cut_line`.
+    torn_path = tmp_path / "b" / whole_path.name
+    torn_path.parent.mkdir()
+    torn_path.write_bytes(b"".join(lines[:cut_line]) + lines[cut_line][:40])
+    with pytest.raises(json.JSONDecodeError):
+        load_results(torn_path)  # report reads only whole files
+
+    _, summary = run_dataset(dataset, policy, strategy, learner_handle, tmp_path / "b")
+    assert torn_path.read_bytes() == whole
+    assert summary.skipped == cut_line
+    assert summary.executed == len(lines) - cut_line
 
 
 def test_run_dataset_concurrency_matches_sequential(tmp_path, dataset, policy, learner_handle):

@@ -60,6 +60,54 @@ def test_assess_base(workdir, capsys):
     assert payload["failed_cases"] == []
 
 
+def test_assess_reports_each_failed_case_on_stderr(workdir, capsys):
+    corpus, out = workdir
+    providers_path = corpus / "providers.json"
+    providers = json.loads(providers_path.read_text(encoding="utf-8"))
+    providers["script"] = [
+        {"pattern": "A school logged its lawful basis", "text": "Final Judgment: COMPLIANT"}
+    ]
+    providers_path.write_text(json.dumps(providers), encoding="utf-8")
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["failed_cases"] == ["c02", "c03", "c04", "c05", "c06"]
+    errors = captured.err.splitlines()
+    assert [line.split(":")[1].strip() for line in errors] == [
+        "case c02", "case c03", "case c04", "case c05", "case c06"
+    ]
+    assert all("UnmatchedPromptError: no script pattern" in line for line in errors)
+
+
+def test_gen_passes_concurrency(workdir, capsys, monkeypatch):
+    from policytrace import cli
+
+    seen = []
+    real = cli.generate_augmented_dataset
+
+    def spy(dataset, policy, expert, concurrency):
+        seen.append(concurrency)
+        return real(dataset, policy, expert, concurrency)
+
+    monkeypatch.setattr(cli, "generate_augmented_dataset", spy)
+    corpus, out = workdir
+    code = run_cli("--config", corpus / "config.json", "--out-dir", out, "--concurrency", 3, "gen")
+    assert code == 0
+    assert seen == [3]
+
+
+def test_assess_rejects_k_below_one(workdir, capsys):
+    corpus, out = workdir
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "fewshot",
+        "--k", 0,
+    )
+    assert code == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
 def test_assess_prt_strategy_requires_store(workdir, capsys):
     corpus, out = workdir
     code = run_cli(

@@ -16,6 +16,7 @@ from policytrace.gateway import (
     cache_key,
     complete,
     mock_provider,
+    run_ordered,
 )
 
 
@@ -209,3 +210,63 @@ def test_load_provider_config_mock(tmp_path):
     assert response.text == "pong"
     assert response.raw_cot == "why pong"
     assert handles["m1"].price_in_usd_per_1m == 0.4
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_run_ordered_keeps_input_order_and_yields_errors(concurrency):
+    def square(i):
+        threading.Event().wait(0.001 * (10 - i))  # later items finish first
+        if i % 3 == 0:
+            raise ValueError(f"bad {i}")
+        return i * i
+
+    outcomes = list(run_ordered(square, range(10), concurrency))
+    assert [item for item, _, _ in outcomes] == list(range(10))
+    for item, result, err in outcomes:
+        if item % 3 == 0:
+            assert result is None and isinstance(err, ValueError) and str(err) == f"bad {item}"
+        else:
+            assert result == item * item and err is None
+
+
+def test_run_ordered_bounds_calls_in_flight():
+    active = {"now": 0, "peak": 0}
+    lock = threading.Lock()
+
+    def slow(i):
+        with lock:
+            active["now"] += 1
+            active["peak"] = max(active["peak"], active["now"])
+        threading.Event().wait(0.005)
+        with lock:
+            active["now"] -= 1
+        return i
+
+    assert [r for _, r, _ in run_ordered(slow, range(24), 3)] == list(range(24))
+    assert 1 < active["peak"] <= 3
+
+
+def test_run_ordered_runs_inline_at_one_and_rejects_zero():
+    caller = threading.get_ident()
+    assert [r for _, r, _ in run_ordered(lambda _: threading.get_ident(), range(3), 1)] == [
+        caller
+    ] * 3
+    with pytest.raises(ValueError):
+        next(run_ordered(str, [1], 0))
+
+
+def test_run_ordered_close_cancels_queued_calls():
+    started = []
+    release = threading.Event()
+
+    def blocked(i):
+        started.append(i)
+        if i > 0:
+            release.wait(5)
+        return i
+
+    outcomes = run_ordered(blocked, range(100), 2)
+    assert next(outcomes) == (0, 0, None)
+    threading.Timer(0.2, release.set).start()
+    outcomes.close()  # cancels the queued calls, then waits for the two running ones
+    assert release.is_set() and set(started) <= {0, 1, 2}

@@ -3,15 +3,16 @@
 import math
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_dataset, build_registry
 from policytrace.clauses import ClauseId, Scheme, normalize
-from policytrace.corpus import Verdict
-from policytrace.prtgen import AugmentedDataset, PRTRecord, count_words, prt_stats
+from policytrace.assess import parse_verdict
+from policytrace.corpus import Verdict, verdict_tokens
+from policytrace.prtgen import AugmentedDataset, PRTRecord, count_words, prt_stats, validate_prt
 from policytrace.select import select_random
-from policytrace.significance import bonferroni, cohens_d, holm, pareto_frontier
+from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
 from policytrace.significance import CostAccuracyPoint
 
 REGISTRY = build_registry()
@@ -194,6 +195,7 @@ def test_prt_stats_matches_manual_recount(word_counts):
     st.floats(min_value=0.1, max_value=10.0),
     st.floats(min_value=-5.0, max_value=5.0),
 )
+@example(values=[0.0] * 7, scale=1.0, shift=0.1)
 @settings(max_examples=100)
 def test_cohens_d_shift_invariance(values, scale, shift):
     a = [v * scale for v in values]
@@ -201,6 +203,25 @@ def test_cohens_d_shift_invariance(values, scale, shift):
     try:
         d_raw = cohens_d(a, b)
         d_shifted = cohens_d([x + 3.0 for x in a], [x + 3.0 for x in b])
-    except Exception:
+    except StatsError:
         return  # zero pooled variance draws are out of scope
     assert math.isclose(d_raw, d_shifted, rel_tol=1e-9, abs_tol=1e-9)
+
+
+_LINE_WORDS = [
+    "The", "case", "is", "not", "Verdict:", "Final Judgment:", "non", "NON-", "noncompliance",
+    "COMPLIANT", "compliant", "NONCOMPLIANT", "NON-COMPLIANT", "non compliant", "Non-Compliant",
+]
+
+
+@given(
+    st.lists(st.sampled_from(_LINE_WORDS), min_size=1, max_size=8),
+    st.sampled_from([" ", "-", "", ", "]),
+)
+def test_validate_prt_states_the_parsed_verdict(words, sep):
+    final_line = "2. " + sep.join(words)
+    assume(len(verdict_tokens(final_line)) == 1)
+    trace = f"1. Some reasoning.\n{final_line}"
+    stated = parse_verdict(final_line)
+    for gold in Verdict:
+        assert (validate_prt(trace, gold) is None) == (gold is stated)

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import COMPLIANT_TRACE, NONCOMPLIANT_TRACE
 from policytrace.corpus import Verdict
-from policytrace.gateway import MockScriptEntry, mock_provider
+from policytrace.gateway import MockScriptEntry, UnmatchedPromptError, mock_provider
 from policytrace.prtgen import (
     PRTError,
     count_sentences,
@@ -103,18 +103,27 @@ def test_generate_prt_retry_then_quarantine(dataset, policy):
     assert stubborn.provider.call_count == 2  # one retry before giving up
 
 
-def test_generate_augmented_dataset_quarantines(dataset, policy):
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_generate_augmented_dataset_quarantines(dataset, policy, concurrency):
     stubborn = mock_provider({"### OUTPUT:": COMPLIANT_TRACE})
-    aug, quarantine = generate_augmented_dataset(dataset, policy, stubborn)
+    aug, quarantine = generate_augmented_dataset(dataset, policy, stubborn, concurrency)
     assert aug.case_ids() == ["t01", "t03", "t05"]
-    assert sorted(q.case_id for q in quarantine) == ["t02", "t04", "t06"]
+    assert [q.case_id for q in quarantine] == ["t02", "t04", "t06"]
     assert all(q.reason == "verdict_mismatch" for q in quarantine)
 
 
-def test_full_generation_order(dataset, policy, expert_handle):
-    aug, quarantine = generate_augmented_dataset(dataset, policy, expert_handle)
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_full_generation_order(dataset, policy, expert_handle, concurrency):
+    aug, quarantine = generate_augmented_dataset(dataset, policy, expert_handle, concurrency)
     assert quarantine == []
     assert aug.case_ids() == ["t01", "t02", "t03", "t04", "t05", "t06"]
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_generate_augmented_dataset_raises_other_errors(dataset, policy, concurrency):
+    silent = mock_provider({"no prompt contains this": COMPLIANT_TRACE})
+    with pytest.raises(UnmatchedPromptError):
+        generate_augmented_dataset(dataset, policy, silent, concurrency)
 
 
 def test_prt_stats_population_sigma():

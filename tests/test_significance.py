@@ -121,6 +121,14 @@ def test_cohens_d_errors():
         cohens_d([1.0, 1.0], [1.0, 1.0])
 
 
+def test_round_off_variance_is_degenerate():
+    # The SD of [0.1]*7 comes out near 1e-17, not 0; d and t would blow up.
+    with pytest.raises(StatsError):
+        cohens_d([0.1] * 7, [0.0] * 7)
+    with pytest.raises(StatsError):
+        paired_t_one_sided([0.1] * 7, [0.0] * 7, Direction.A_GT_B)
+
+
 def make_result(prompt_tokens, completion_tokens, n_turns=1):
     turns = [
         Turn(
