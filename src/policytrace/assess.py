@@ -295,16 +295,16 @@ class RunSummary:
         return 100.0 * self.correct / done if done else 0.0
 
 
-def _write_manifest(
-    path: Path,
+def _manifest(
     run_id: str,
     policy: Policy,
     strategy: Strategy,
     learner: ModelHandle,
     judge: Optional[ModelHandle],
     seed: int,
-) -> None:
-    manifest = {
+    pool: Optional[AugmentedDataset],
+) -> dict:
+    return {
         "run_id": run_id,
         "policy_id": policy.policy_id,
         "strategy": strategy.label(),
@@ -312,10 +312,10 @@ def _write_manifest(
         "judge_model": judge.model_id if judge else None,
         "seed": seed,
         "k": strategy.k,
+        "pool_hash": pool.content_hash() if pool else None,
         "template_hashes": {t.value: template_hash(t) for t in TemplateId},
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def run_dataset(
@@ -335,7 +335,8 @@ def run_dataset(
     The run manifest is written before any model call. Results append in
     dataset order even when instances execute in parallel, and each record
     is flushed as it is written. A resume first cuts off a last record left
-    half-written by a crash.
+    half-written by a crash, and refuses to mix records made under a
+    different manifest (anything but `started_at`).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,15 +346,26 @@ def run_dataset(
     results_path = out_dir / f"{run_id}.results.jsonl"
     manifest_path = out_dir / f"{run_id}.manifest.json"
 
-    _write_manifest(manifest_path, run_id, policy, strategy, learner, judge, seed)
+    manifest = _manifest(run_id, policy, strategy, learner, judge, seed, pool)
+    data = results_path.read_bytes() if results_path.exists() else b""
+    end = data.rfind(b"\n") + 1
+    if data[:end].strip() and manifest_path.exists():
+        old = json.loads(manifest_path.read_text(encoding="utf-8"))
+        differ = sorted(
+            key
+            for key in manifest.keys() | old.keys()
+            if key != "started_at" and manifest.get(key) != old.get(key)
+        )
+        if differ:
+            raise AssessError(
+                f"cannot resume {results_path.name}: configuration differs from its "
+                f"manifest in {', '.join(differ)}"
+            )
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
-    done_ids: set[str] = set()
-    if results_path.exists():
-        data = results_path.read_bytes()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):  # a crash left the last record half-written
-            os.truncate(results_path, end)
-        done_ids = {result.case_id for result in load_results(results_path)}
+    if end < len(data):  # a crash left the last record half-written
+        os.truncate(results_path, end)
+    done_ids = {result.case_id for result in load_results(results_path)} if end else set()
 
     test_cases = dataset.test
     todo = [c for c in test_cases if c.case_id not in done_ids]

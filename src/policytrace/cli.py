@@ -54,6 +54,8 @@ def _load_config(args: argparse.Namespace) -> dict:
         if value is not None:
             config[flag] = value
     config.setdefault("out_dir", "out")
+    if config["concurrency"] < 1:
+        raise CliError(f"concurrency must be >= 1, got {config['concurrency']}")
     return config
 
 
@@ -259,7 +261,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         judge = _handle(handles, config, "judge") if config.get("judge_model") else None
         for (manifest, results), row in zip(runs, rows):
             try:
-                rel = clause_relevance(results, dataset, registry, judge)
+                rel = clause_relevance(results, dataset, registry, judge, config["concurrency"])
             except Exception as err:
                 row["clause_relevance"] = {"error": str(err)}
                 continue

@@ -1,9 +1,9 @@
 """Uniform access to chat/reasoning model providers.
 
-Handles retries with exponential backoff, per-provider concurrency bounds,
-content-addressed response caching on disk, raw chain-of-thought capture,
-a deterministic scripted mock provider for offline runs and tests, and the
-ordered executor that fans per-case model work out over worker threads.
+Handles retries with exponential backoff, content-addressed response caching
+on disk, raw chain-of-thought capture, a deterministic scripted mock provider
+for offline runs and tests, and the ordered executor that fans per-case model
+work out over worker threads; its concurrency bounds the model calls in flight.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 import os
-import threading
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,15 +99,12 @@ class ModelHandle:
     tokenizer: Tokenizer = estimate_tokens
     cache_dir: Optional[Path] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    max_in_flight: int = 4
-    _semaphore: threading.BoundedSemaphore = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
         if self.price_in_usd_per_1m < 0 or self.price_out_usd_per_1m < 0:
             raise ValueError("prices must be >= 0")
-        self._semaphore = threading.BoundedSemaphore(self.max_in_flight)
 
     def default_config(self) -> SamplingConfig:
         return ASSESS_PROFILE
@@ -131,15 +128,6 @@ def cache_key(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_cache_write_locks: dict[str, threading.Lock] = {}
-_cache_locks_guard = threading.Lock()
-
-
-def _key_lock(key: str) -> threading.Lock:
-    with _cache_locks_guard:
-        return _cache_write_locks.setdefault(key, threading.Lock())
-
-
 def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / key[:2] / f"{key}.json"
 
@@ -160,11 +148,13 @@ def _cache_read(cache_dir: Path, key: str) -> Optional[ModelResponse]:
 
 
 def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
+    # Readers only open <key>.json, and each writer renames its own temp file
+    # onto it, so concurrent writers (threads or processes) never tear an entry.
     path = _cache_path(cache_dir, key)
-    with _key_lock(key):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(
             json.dumps(
                 {
                     "text": response.text,
@@ -174,10 +164,9 @@ def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
                     "latency_ms": response.latency_ms,
                 },
                 ensure_ascii=False,
-            ),
-            encoding="utf-8",
+            )
         )
-        tmp.replace(path)
+    os.replace(tmp, path)
 
 
 def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResponse:
@@ -208,12 +197,11 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
     last_err: Optional[Exception] = None
     for attempt in range(handle.retry.max_attempts):
         try:
-            with handle._semaphore:
-                start = time.monotonic()
-                text, raw_cot, in_tok, out_tok = handle.provider.generate(
-                    handle.model_id, prompt, cfg
-                )
-                latency_ms = int((time.monotonic() - start) * 1000)
+            start = time.monotonic()
+            text, raw_cot, in_tok, out_tok = handle.provider.generate(
+                handle.model_id, prompt, cfg
+            )
+            latency_ms = int((time.monotonic() - start) * 1000)
             if not handle.supports_raw_cot:
                 raw_cot = None
             response = ModelResponse(

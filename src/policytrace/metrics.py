@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
 from .assess import InstanceResult
 from .clauses import ClauseId, ClauseRegistry, extract_cited_clauses
 from .corpus import Dataset
-from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete
+from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete, run_ordered
 from .prompts import TemplateId, render
 
 
@@ -48,11 +49,13 @@ def clause_relevance(
     dataset: Dataset,
     registry: ClauseRegistry,
     judge: Optional[ModelHandle] = None,
+    concurrency: int = 1,
 ) -> ClauseRelevanceReport:
     """Score cited-vs-gold clause agreement over a result set.
 
     Per annotated record with gold set G and cited set C:
     recall = |C∩G|/|G|, exact match = [C == G]; both macro-averaged.
+    Runs up to `concurrency` extractions at once; raises the first error in result order.
     """
     if not results:
         raise MetricsError("empty_input: no results")
@@ -63,19 +66,24 @@ def clause_relevance(
     incorrect: Counter[ClauseId] = Counter()
     fallbacks = 0
 
-    for result in results:
-        record = dataset.by_id(result.case_id)
-        extraction = extract_cited_clauses(result.turns[-1].response_text, registry, judge)
-        if extraction.used_fallback:
-            fallbacks += 1
-        cited = extraction.cited
-        cited_counts.append(len(cited))
-        gold = set(record.gold_clauses)
-        if not gold:
-            continue
-        recalls.append(len(cited & gold) / len(gold))
-        exact.append(1.0 if cited == gold else 0.0)
-        incorrect.update(cited - gold)
+    def _extract(result: InstanceResult):
+        return extract_cited_clauses(result.turns[-1].response_text, registry, judge)
+
+    with closing(run_ordered(_extract, results, concurrency)) as ordered:
+        for result, extraction, err in ordered:
+            record = dataset.by_id(result.case_id)
+            if err is not None:
+                raise err
+            if extraction.used_fallback:
+                fallbacks += 1
+            cited = extraction.cited
+            cited_counts.append(len(cited))
+            gold = set(record.gold_clauses)
+            if not gold:
+                continue
+            recalls.append(len(cited & gold) / len(gold))
+            exact.append(1.0 if cited == gold else 0.0)
+            incorrect.update(cited - gold)
 
     if not recalls:
         raise MetricsError("no_gold_annotations: no record has gold clauses")

@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import policytrace
+from policytrace import cli
 from policytrace.cli import main
 
 
@@ -82,8 +90,6 @@ def test_assess_reports_each_failed_case_on_stderr(workdir, capsys):
 
 
 def test_gen_passes_concurrency(workdir, capsys, monkeypatch):
-    from policytrace import cli
-
     seen = []
     real = cli.generate_augmented_dataset
 
@@ -281,3 +287,126 @@ def test_unknown_model_rejected(workdir, corpus_dir, capsys):
     code = run_cli("--config", bad, "--out-dir", out, "assess", "--strategy", "base")
     assert code == 2
     assert "ghost" in capsys.readouterr().err
+
+
+class _InFlight:
+    """Peak number of model calls in flight across every handle."""
+
+    def __init__(self):
+        self.now = self.peak = 0
+        self.lock = threading.Lock()
+
+    def slow(self, inner):
+        gauge = self
+
+        class Slow:
+            def generate(self, model_id, prompt, cfg):
+                with gauge.lock:
+                    gauge.now += 1
+                    gauge.peak = max(gauge.peak, gauge.now)
+                try:
+                    time.sleep(0.02)
+                    return inner.generate(model_id, prompt, cfg)
+                finally:
+                    with gauge.lock:
+                        gauge.now -= 1
+
+        return Slow()
+
+
+@pytest.fixture
+def in_flight(monkeypatch):
+    gauge = _InFlight()
+    load = cli.load_provider_config
+
+    def load_slow(path, cache_dir=None):
+        handles = load(path, cache_dir=cache_dir)
+        for handle in handles.values():
+            handle.provider = gauge.slow(handle.provider)
+        return handles
+
+    monkeypatch.setattr(cli, "load_provider_config", load_slow)
+    return gauge
+
+
+def test_assess_concurrency_is_the_only_bound_on_calls_in_flight(workdir, capsys, in_flight):
+    corpus, out = workdir
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "--concurrency", 8,
+        "assess", "--strategy", "base",
+    )
+    assert code == 0
+    assert 4 < in_flight.peak <= 8  # six test cases, all at once
+
+
+def test_report_runs_judge_extractions_concurrently(workdir, capsys, in_flight):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    results = sorted(out.glob("*.results.jsonl"))
+    peaks, reports = [], []
+    for concurrency in (1, 4):
+        in_flight.peak = 0
+        report_dir = out / f"report_c{concurrency}"
+        code = run_cli(
+            "--config", config, "--out-dir", report_dir, "--concurrency", concurrency,
+            "report", *results,
+        )
+        assert code == 0
+        peaks.append(in_flight.peak)
+        reports.append((report_dir / "report.json").read_bytes())
+    assert peaks[0] == 1 and peaks[1] > 1
+    assert reports[0] == reports[1]
+    relevance = json.loads(reports[1])["runs"][0]["clause_relevance"]
+    assert "error" not in relevance and relevance["fallback_extractions"] == 0
+
+
+def test_report_rejects_concurrency_below_one(workdir, capsys):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    results = sorted(out.glob("*.results.jsonl"))
+    capsys.readouterr()
+    code = run_cli("--config", config, "--out-dir", out, "--concurrency", 0, "report", *results)
+    assert code == 2
+    assert "concurrency must be >= 1" in capsys.readouterr().err
+
+
+def test_assess_resume_refuses_a_changed_k(workdir, capsys):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    capsys.readouterr()
+    code = run_cli(
+        "--config", config, "--out-dir", out, "assess", "--strategy", "base", "--k", 2
+    )
+    assert code == 2
+    assert capsys.readouterr().err.strip().endswith("configuration differs from its manifest in k")
+
+
+def test_assess_resume_refuses_a_changed_pool_and_resumes_an_identical_one(workdir, capsys):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    store = _gen(corpus, out)
+    other = out / "other.prts.jsonl"
+    other.write_text("".join(store.read_text(encoding="utf-8").splitlines(True)[1:]), "utf-8")
+    assess = ["--config", config, "--out-dir", out, "assess", "--strategy", "fewshot_prt",
+              "--select", "rand", "--prt-store"]
+    assert run_cli(*assess, store) == 0
+    capsys.readouterr()
+    assert run_cli(*assess, other) == 2
+    assert capsys.readouterr().err.strip().endswith("in pool_hash")
+    assert run_cli(*assess, store) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["skipped"] == 6 and payload["executed"] == 0
+
+
+def test_importing_cli_does_not_load_the_thread_pool():
+    src = str(Path(policytrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, policytrace.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,6 @@
+import multiprocessing
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,14 @@ from policytrace.gateway import (
     ContextOverflowError,
     MockScriptEntry,
     ModelHandle,
+    ModelResponse,
     Provider,
     RateLimitedError,
     RetryPolicy,
     SamplingConfig,
     UnmatchedPromptError,
+    _cache_read,
+    _cache_write,
     cache_key,
     complete,
     mock_provider,
@@ -162,32 +167,29 @@ def test_raw_cot_kept_with_support():
     assert complete(handle, "q", ASSESS_PROFILE).raw_cot == "hidden"
 
 
-def test_semaphore_bounds_concurrency():
-    active = {"now": 0, "peak": 0}
-    lock = threading.Lock()
+def _write_entries(cache_dir, key, writer, barrier, n):
+    barrier.wait(60)
+    for i in range(n):
+        _cache_write(Path(cache_dir), key, ModelResponse(text=f"{writer}-{i}"))
 
-    class Slow(Provider):
-        def generate(self, model_id, prompt, cfg):
-            with lock:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            threading.Event().wait(0.02)
-            with lock:
-                active["now"] -= 1
-            return "ok", None, 1, 1
 
-    handle = ModelHandle(
-        provider_id="mock", model_id="m", provider=Slow(), max_in_flight=2
-    )
-    threads = [
-        threading.Thread(target=complete, args=(handle, f"p{i}", ASSESS_PROFILE))
-        for i in range(8)
+def test_cache_write_from_two_processes_leaves_one_whole_entry(tmp_path):
+    # Two runs sharing a cache dir can miss the same key at the same time.
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    key = "ab" + "0" * 62
+    writers = [
+        ctx.Process(target=_write_entries, args=(str(tmp_path), key, w, barrier, 300))
+        for w in "xy"
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert active["peak"] <= 2
+    for proc in writers:
+        proc.start()
+    for proc in writers:
+        proc.join(120)
+    assert [proc.is_alive() for proc in writers] == [False, False]
+    assert [proc.exitcode for proc in writers] == [0, 0]  # no writer raised
+    assert _cache_read(tmp_path, key).text in {"x-299", "y-299"}
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_load_provider_config_mock(tmp_path):

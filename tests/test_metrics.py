@@ -82,6 +82,16 @@ def test_clause_relevance_judge_route(dataset, registry):
     assert report.recall_pct == 100.0
 
 
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_clause_relevance_raises_the_first_error_in_result_order(dataset, registry, concurrency):
+    no_turns = make_result("c02", "x", N, N)
+    no_turns.turns = []  # IndexError
+    no_text = make_result("c03", None, C, C)  # TypeError
+    results = [make_result("c01", "Article 1.", C, C), no_turns, no_text]
+    with pytest.raises(IndexError):
+        clause_relevance(results, dataset, registry, concurrency=concurrency)
+
+
 def test_clause_relevance_no_annotations_errors(dataset, registry):
     results = [make_result("c06", "Cites Article 1.", N, N)]
     with pytest.raises(MetricsError) as err:

@@ -1,6 +1,8 @@
 """Property-based invariants across modules."""
 
 import math
+import statistics
+import sys
 from dataclasses import replace
 
 from hypothesis import assume, example, given, settings
@@ -196,16 +198,27 @@ def test_prt_stats_matches_manual_recount(word_counts):
     st.floats(min_value=-5.0, max_value=5.0),
 )
 @example(values=[0.0] * 7, scale=1.0, shift=0.1)
+@example(values=[0.0, 1e-10], scale=1.0, shift=1.0)
 @settings(max_examples=100)
 def test_cohens_d_shift_invariance(values, scale, shift):
     a = [v * scale for v in values]
     b = [v * scale + shift for v in values]
+    shifted = ([x + 3.0 for x in a], [x + 3.0 for x in b])
     try:
         d_raw = cohens_d(a, b)
-        d_shifted = cohens_d([x + 3.0 for x in a], [x + 3.0 for x in b])
+        d_shifted = cohens_d(*shifted)
     except StatsError:
         return  # zero pooled variance draws are out of scope
-    assert math.isclose(d_raw, d_shifted, rel_tol=1e-9, abs_tol=1e-9)
+    # cohens_d takes an SD at or below 1e-12 * max|value| as round-off zero; a
+    # sample within 10x of that cut-off may cross it when shifted.
+    if any(statistics.stdev(s) <= 1e-11 * max(map(abs, s)) for s in (a, b, *shifted)):
+        return
+    # Adding 3.0 rounds each value by up to eps * (|x| + 3), and n-term sums
+    # add up to n such errors; relative to the pooled SD this bounds how far d
+    # can move. Well-conditioned draws keep the 1e-9 tolerance.
+    roundoff = len(a) * sys.float_info.epsilon * (max(map(abs, a + b)) + 3.0)
+    tol = max(1e-9, 2 * roundoff / statistics.stdev(a))
+    assert math.isclose(d_raw, d_shifted, rel_tol=tol, abs_tol=tol)
 
 
 _LINE_WORDS = [
