@@ -12,7 +12,6 @@ import functools
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,9 +151,9 @@ def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
     # onto it, so concurrent writers (threads or processes) never tear an entry.
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(
+    tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_text(
             json.dumps(
                 {
                     "text": response.text,
@@ -164,9 +163,13 @@ def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
                     "latency_ms": response.latency_ms,
                 },
                 ensure_ascii=False,
-            )
+            ),
+            encoding="utf-8",
         )
-    os.replace(tmp, path)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResponse:

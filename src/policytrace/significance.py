@@ -101,13 +101,16 @@ class PairedTResult:
     df: int
 
 
-def _sample_sd(values: Sequence[float]) -> float:
-    """Sample SD, or 0.0 when it is zero up to float round-off at the values'
-    scale: the SD of [0.1] * 7 comes out near 1e-17, not 0."""
+def _is_roundoff(sd: float, values: Iterable[float]) -> bool:
+    """True when an SD is zero up to float round-off at the values' scale:
+    the SD of [0.1] * 7 comes out near 1e-17, not 0."""
+    return sd <= 1e-12 * max(abs(v) for v in values)
+
+
+def _sample_var(values: Sequence[float]) -> float:
     n = len(values)
     mean = sum(values) / n
-    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-    return sd if sd > 1e-12 * max(abs(v) for v in values) else 0.0
+    return sum((v - mean) ** 2 for v in values) / (n - 1)
 
 
 def paired_t_one_sided(
@@ -120,8 +123,8 @@ def paired_t_one_sided(
     if n < 2:
         raise StatsError("need at least 2 paired observations")
     d = [x - y for x, y in zip(a, b)]
-    sd = _sample_sd(d)
-    if sd == 0.0:
+    sd = math.sqrt(_sample_var(d))
+    if _is_roundoff(sd, d):
         raise StatsError("zero_variance: paired differences are constant")
     mean_d = sum(d) / n
     t = mean_d / (sd / math.sqrt(n))
@@ -161,14 +164,16 @@ def holm(ps: Sequence[float]) -> list[float]:
 
 
 def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
-    """Standardized mean difference with pooled sample standard deviation."""
+    """Standardized mean difference with pooled sample standard deviation.
+
+    The round-off cut-off applies once, to the pooled SD at the scale of both
+    groups: applied per group, a shift could zero one group's SD but not the
+    other's and move d by a factor of about sqrt(2)."""
     if len(a) < 2 or len(b) < 2:
         raise StatsError("each group needs at least 2 observations")
     na, nb = len(a), len(b)
-    sa2 = _sample_sd(a) ** 2
-    sb2 = _sample_sd(b) ** 2
-    pooled = math.sqrt(((na - 1) * sa2 + (nb - 1) * sb2) / (na + nb - 2))
-    if pooled == 0.0:
+    pooled = math.sqrt(((na - 1) * _sample_var(a) + (nb - 1) * _sample_var(b)) / (na + nb - 2))
+    if _is_roundoff(pooled, [*a, *b]):
         raise StatsError("zero pooled variance")
     return (sum(a) / na - sum(b) / nb) / pooled
 

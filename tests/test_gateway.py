@@ -1,4 +1,6 @@
 import multiprocessing
+import os
+import stat
 import threading
 from pathlib import Path
 
@@ -190,6 +192,26 @@ def test_cache_write_from_two_processes_leaves_one_whole_entry(tmp_path):
     assert [proc.exitcode for proc in writers] == [0, 0]  # no writer raised
     assert _cache_read(tmp_path, key).text in {"x-299", "y-299"}
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_cache_write_that_fails_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("policytrace.gateway.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        _cache_write(tmp_path, "ab" + "0" * 62, ModelResponse(text="x"))
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_cache_entry_mode_follows_the_umask(tmp_path):
+    key = "ab" + "0" * 62
+    old = os.umask(0o022)
+    try:
+        _cache_write(tmp_path, key, ModelResponse(text="x"))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(next(tmp_path.rglob("*.json")).stat().st_mode) == 0o644
 
 
 def test_load_provider_config_mock(tmp_path):
