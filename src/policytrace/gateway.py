@@ -3,17 +3,19 @@
 Handles retries with exponential backoff, content-addressed response caching
 on disk, raw chain-of-thought capture, a deterministic scripted mock provider
 for offline runs and tests, and the ordered executor that fans per-case model
-work out over worker threads; its concurrency bounds the model calls in flight.
+work out over worker threads; its concurrency bounds the model calls in flight,
+and it writes the cache entries of those calls on the caller's thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -176,7 +178,8 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
     """Send one prompt, honoring cache, context window, and retry policy.
 
     Context overflow is never retried; rate limiting is retried with
-    exponential backoff up to the configured attempt bound.
+    exponential backoff up to the configured attempt bound. Inside a
+    run_ordered item, the cache entry is left for run_ordered to write.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
@@ -191,7 +194,10 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
         )
 
     key = cache_key(handle, prompt, cfg)
+    entries = _item_entries.get()
     if handle.cache_dir is not None:
+        if entries is not None and (handle.cache_dir, key) in entries:
+            return replace(entries[handle.cache_dir, key], cache_hit=True)
         cached = _cache_read(handle.cache_dir, key)
         if cached is not None:
             return cached
@@ -215,7 +221,10 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
                 latency_ms=latency_ms,
             )
             if handle.cache_dir is not None:
-                _cache_write(handle.cache_dir, key, response)
+                if entries is None:
+                    _cache_write(handle.cache_dir, key, response)
+                else:
+                    entries[handle.cache_dir, key] = response  # run_ordered writes it
             return response
         except RateLimitedError as err:
             last_err = err
@@ -376,11 +385,37 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _settle(fn: Callable[[T], R], item: T) -> tuple[T, Optional[R], Optional[Exception]]:
+# The cache entries of the calls that `complete` makes for the item a
+# run_ordered worker is running, keyed by (cache_dir, key), in call order.
+_item_entries: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "_item_entries", default=None
+)
+
+
+def _settle(
+    fn: Callable[[T], R], item: T
+) -> tuple[T, Optional[R], Optional[Exception], dict]:
+    entries: dict = {}
+    token = _item_entries.set(entries)
     try:
-        return item, fn(item), None
+        return item, fn(item), None, entries
     except Exception as err:
-        return item, None, err
+        return item, None, err, entries
+    finally:
+        _item_entries.reset(token)
+
+
+def _write_entries(
+    outcomes: Iterable[tuple[T, Optional[R], Optional[Exception], dict]],
+) -> Iterator[tuple[T, Optional[R], Optional[Exception]]]:
+    for item, result, err, entries in outcomes:
+        try:
+            for (cache_dir, key), response in entries.items():
+                _cache_write(cache_dir, key, response)
+        except Exception as write_err:  # fails the item, as a write inside fn would
+            if err is None:
+                result, err = None, write_err
+        yield item, result, err
 
 
 def run_ordered(
@@ -389,17 +424,21 @@ def run_ordered(
     """Apply fn to every item, yielding (item, result, None) or (item, None, exc)
     in input order, with at most `concurrency` calls running at once.
 
-    Concurrency 1 runs each call inline on the caller's thread. Closing the
-    generator early cancels the calls that have not started yet.
+    Concurrency 1 runs each call inline on the caller's thread. The cache
+    entries of the model calls fn makes are written on the caller's thread,
+    in call order, before the item is yielded, so disk writes never hold up a
+    worker's next model call; a write that fails fails its item. Closing the
+    generator early cancels the calls that have not started yet, and drops the
+    entries of items that finished but were not yet yielded.
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     settle = functools.partial(_settle, fn)
     if concurrency == 1:
-        yield from map(settle, items)
+        yield from _write_entries(map(settle, items))
         return
 
     import concurrent.futures  # only threaded runs pay for the import
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=concurrency) as executor:
-        yield from executor.map(settle, items)
+        yield from _write_entries(executor.map(settle, items))

@@ -9,6 +9,7 @@ DemoBlock and number the blocks "CASE 1:", "CASE 2:", ... in given order.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -62,7 +63,10 @@ class DemoBlock:
     prt_text: Optional[str] = None
 
 
+@functools.cache
 def _template_text(template_id: TemplateId) -> str:
+    # Templates are package data and do not change while the process runs;
+    # reading them once keeps file I/O out of every render.
     return (
         resources.files("policytrace")
         .joinpath(f"templates/{template_id.value}.txt")

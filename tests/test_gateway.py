@@ -279,6 +279,44 @@ def test_run_ordered_runs_inline_at_one_and_rejects_zero():
         next(run_ordered(str, [1], 0))
 
 
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_run_ordered_writes_cache_entries_on_the_callers_thread(tmp_path, monkeypatch, concurrency):
+    handle = mock_provider({"q": "a"}, cache_dir=tmp_path)
+    writers = []
+
+    def recording_write(*args):
+        writers.append(threading.get_ident())
+        _cache_write(*args)
+
+    monkeypatch.setattr("policytrace.gateway._cache_write", recording_write)
+
+    def ask_twice(i):
+        first = complete(handle, f"q{i}", ASSESS_PROFILE)
+        return first.cache_hit, complete(handle, f"q{i}", ASSESS_PROFILE).cache_hit
+
+    for i, hits, err in run_ordered(ask_twice, range(8), concurrency):
+        assert err is None and hits == (False, True)  # the repeat hits the item's own entry
+        assert _cache_read(tmp_path, cache_key(handle, f"q{i}", ASSESS_PROFILE)).text == "a"
+    assert writers == [threading.get_ident()] * 8
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_run_ordered_fails_the_item_whose_cache_write_fails(tmp_path, monkeypatch, concurrency):
+    handle = mock_provider({"q": "a"}, cache_dir=tmp_path)
+    full = cache_key(handle, "q1", ASSESS_PROFILE)
+
+    def write(cache_dir, key, response):
+        if key == full:
+            raise OSError("disk full")
+        _cache_write(cache_dir, key, response)
+
+    monkeypatch.setattr("policytrace.gateway._cache_write", write)
+    ask = lambda i: complete(handle, f"q{i}", ASSESS_PROFILE).text  # noqa: E731
+    outcomes = list(run_ordered(ask, range(3), concurrency))
+    assert [(i, r) for i, r, _ in outcomes] == [(0, "a"), (1, None), (2, "a")]
+    assert isinstance(outcomes[1][2], OSError) and outcomes[0][2] is outcomes[2][2] is None
+
+
 def test_run_ordered_close_cancels_queued_calls():
     started = []
     release = threading.Event()
