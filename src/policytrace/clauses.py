@@ -243,7 +243,7 @@ def extract_cited_clauses(
     if judge is None:
         return ExtractionResult(cited=_regex_extract(reasoning_text, registry), unknowns=[])
 
-    from .gateway import GatewayError, complete
+    from .gateway import ASSESS_PROFILE, GatewayError, complete
     from .prompts import TemplateId, render
 
     masterlist = ", ".join(c.canonical for c in registry.canonicals())
@@ -254,7 +254,7 @@ def extract_cited_clauses(
 
     for _attempt in range(2):
         try:
-            response = complete(judge, prompt, judge.default_config())
+            response = complete(judge, prompt, ASSESS_PROFILE)
         except GatewayError:
             continue
         ids, unknowns = normalize(response.text, registry)

@@ -352,14 +352,14 @@ def cmd_export_sft(args: argparse.Namespace) -> int:
     out_dir = Path(config["out_dir"])
     _write_manifest(out_dir, "export-sft.manifest.json", "export-sft", config)
 
-    registry, policy, dataset = _load_corpus(config)
+    _registry, policy, dataset = _load_corpus(config)
     store = args.prt_store or config.get("prt_store")
     if not store:
         raise CliError("--prt-store (or config prt_store) required")
     aug = load_prt_store(store, dataset, policy.policy_id)
 
     sft_path = out_dir / "sft.jsonl"
-    summary = export_sft(aug, policy, registry, sft_path)
+    summary = export_sft(aug, policy, sft_path)
 
     result = {
         "records": summary.n_records,

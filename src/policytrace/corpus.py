@@ -67,16 +67,20 @@ class Policy:
     policy_id: str
     title: str
     full_text: str
-    clause_ids: tuple[ClauseId, ...]
+    # (0-based line index, clause) of every clause heading, in document order.
+    headings: tuple[tuple[int, ClauseId], ...]
     approx_token_count: int
 
     def __post_init__(self) -> None:
         if not self.full_text:
             raise CorpusError("empty_policy: policy text must be non-empty")
-        if len(set(self.clause_ids)) != len(self.clause_ids):
-            raise CorpusError("clause_ids must be unique")
         if self.approx_token_count < 0:
             raise CorpusError("approx_token_count must be non-negative")
+
+    @property
+    def clause_ids(self) -> tuple[ClauseId, ...]:
+        """Clauses in document order of first heading."""
+        return tuple(dict.fromkeys(clause for _, clause in self.headings))
 
 
 @dataclass(frozen=True)
@@ -122,18 +126,32 @@ _ARTICLE_HEADING_RE = re.compile(r"^(Article\s*\d+)\b", re.IGNORECASE)
 _SECTION_HEADING_RE = re.compile(r"^(?:Section\s*)?(\d{3}\.\d{3})\b", re.IGNORECASE)
 
 
-def _clause_markers(text: str, scheme: Scheme) -> list[tuple[int, str]]:
-    """Line-leading clause markers with 1-based line numbers, document order."""
-    markers: list[tuple[int, str]] = []
+def _clause_headings(
+    text: str, registry: ClauseRegistry, path: Path
+) -> tuple[tuple[int, ClauseId], ...]:
+    """(0-based line index, clause) of every clause heading, document order.
+
+    Article and section headings are line-leading markers: "Article 3",
+    "Section 164.502" or a bare "164.502"; an unknown one is a path:lineno
+    error. A named section's heading is a line that is its title.
+    """
+    scheme = _registry_scheme(registry)
     pattern = _ARTICLE_HEADING_RE if scheme is Scheme.ARTICLE else _SECTION_HEADING_RE
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = pattern.match(line.strip())
-        if m:
-            mention = m.group(1)
-            if scheme is Scheme.SECTION:
-                mention = f"Section {mention}"
-            markers.append((lineno, mention))
-    return markers
+    headings: list[tuple[int, ClauseId]] = []
+    for index, line in enumerate(text.splitlines()):
+        line = line.strip()
+        if scheme is Scheme.NAMED:
+            headings.extend((index, clause) for clause in normalize(line, registry)[0])
+            continue
+        m = pattern.match(line)
+        if not m:
+            continue
+        mention = m.group(1) if scheme is Scheme.ARTICLE else f"Section {m.group(1)}"
+        clause = registry.resolve(mention)
+        if clause is None:
+            raise CorpusError(f"{path}:{index + 1}: clause marker not in registry: {mention!r}")
+        headings.append((index, clause))
+    return tuple(headings)
 
 
 def _registry_scheme(registry: ClauseRegistry) -> Scheme:
@@ -162,32 +180,11 @@ def load_policy(
     if not text.strip():
         raise CorpusError(f"empty_policy: {path}")
 
-    scheme = _registry_scheme(registry)
-    clause_ids: list[ClauseId] = []
-    seen: set[ClauseId] = set()
-
-    if scheme is Scheme.NAMED:
-        # Named sections are located by title match per line.
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            ids, _ = normalize(line.strip(), registry)
-            for clause in ids:
-                if clause not in seen:
-                    seen.add(clause)
-                    clause_ids.append(clause)
-    else:
-        for lineno, mention in _clause_markers(text, scheme):
-            clause = registry.resolve(mention)
-            if clause is None:
-                raise CorpusError(f"{path}:{lineno}: clause marker not in registry: {mention!r}")
-            if clause not in seen:
-                seen.add(clause)
-                clause_ids.append(clause)
-
     return Policy(
         policy_id=policy_id or registry.policy_id,
         title=title or (policy_id or registry.policy_id),
         full_text=text,
-        clause_ids=tuple(clause_ids),
+        headings=_clause_headings(text, registry, path),
         approx_token_count=tokenizer(text),
     )
 
@@ -221,13 +218,19 @@ def split_disjointness_check(dataset: Dataset) -> DisjointnessReport:
     return report
 
 
-def _record_from_obj(obj: dict, registry: Optional[ClauseRegistry], lineno: int) -> CaseRecord:
+def _record_from_obj(
+    obj: dict, registry: Optional[ClauseRegistry], lineno: int, resolved: dict
+) -> CaseRecord:
     try:
         clause_strings = obj.get("clauses", [])
         if registry is not None:
             gold: set[ClauseId] = set()
             for raw in clause_strings:
-                ids, unknowns = normalize(raw, registry)
+                if not isinstance(raw, str):
+                    raise CorpusError(f"clause entry is not a string: {raw!r}")
+                if raw not in resolved:
+                    resolved[raw] = normalize(raw, registry)
+                ids, unknowns = resolved[raw]
                 if unknowns:
                     raise CorpusError(f"unknown clause {unknowns[0]!r}")
                 gold.update(ids)
@@ -260,6 +263,7 @@ def load_dataset(
 
     records: list[CaseRecord] = []
     seen_ids: set[str] = set()
+    resolved: dict[str, tuple[list[ClauseId], list[str]]] = {}  # normalize() per clause string
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -267,7 +271,7 @@ def load_dataset(
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise CorpusError(f"line {lineno}: invalid JSON: {err}") from err
-        record = _record_from_obj(obj, registry, lineno)
+        record = _record_from_obj(obj, registry, lineno, resolved)
         if record.case_id in seen_ids:
             raise CorpusError(f"line {lineno}: duplicate_id: {record.case_id!r}")
         seen_ids.add(record.case_id)

@@ -107,9 +107,6 @@ class ModelHandle:
         if self.price_in_usd_per_1m < 0 or self.price_out_usd_per_1m < 0:
             raise ValueError("prices must be >= 0")
 
-    def default_config(self) -> SamplingConfig:
-        return ASSESS_PROFILE
-
 
 def cache_key(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> str:
     """Stable content hash over the fields that determine a response."""

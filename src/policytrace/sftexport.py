@@ -2,18 +2,19 @@
 
 Each record carries only the clause texts gold-annotated for its case as
 policy context, keeping finetuning inputs small; cases without annotations
-fall back to the full policy text and are flagged.
+fall back to the full policy text and are flagged. A clause's text is the
+slice of the policy between the clause headings that `load_policy` found;
+this module has no heading rule of its own.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clauses import ClauseId, ClauseRegistry
+from .clauses import ClauseId
 from .corpus import Policy, Split
 from .prtgen import AugmentedDataset
 
@@ -29,48 +30,21 @@ INSTRUCTION = (
 )
 
 
-def clause_text(policy: Policy, clause: ClauseId, registry: ClauseRegistry) -> str:
+def clause_text(policy: Policy, clause: ClauseId) -> str:
     """Slice one clause's text out of the standardized policy document.
 
-    A clause starts at the line carrying its canonical id or title and runs
-    until the next clause heading or end of document.
+    A clause starts at its first heading in `policy.headings` (the headings
+    `load_policy` found) and runs until the next heading of another clause
+    or end of document.
     """
-    meta = registry.entries.get(clause)
-    needles = [clause.canonical]
-    if meta:
-        needles.extend(a for a in meta["aliases"] if a)
-
-    lines = policy.full_text.splitlines()
-    heading_res = [
-        re.compile(r"^\s*" + re.escape(n).replace(r"\ ", r"\s*") + r"\b", re.IGNORECASE)
-        for n in needles
-    ]
-    all_heading_res = []
-    for other in policy.clause_ids:
-        other_needles = [other.canonical]
-        other_meta = registry.entries.get(other)
-        if other_meta:
-            other_needles.extend(a for a in other_meta["aliases"] if a)
-        all_heading_res.extend(
-            re.compile(r"^\s*" + re.escape(n).replace(r"\ ", r"\s*") + r"\b", re.IGNORECASE)
-            for n in other_needles
-        )
-
-    start = None
-    for i, line in enumerate(lines):
-        if any(r.match(line) for r in heading_res):
-            start = i
-            break
+    start = next((index for index, heading in policy.headings if heading == clause), None)
     if start is None:
         raise SFTExportError(f"unresolvable_clause: {clause.canonical!r} not found in policy text")
-
-    end = len(lines)
-    for j in range(start + 1, len(lines)):
-        if any(r.match(lines[j]) for r in all_heading_res) and not any(
-            r.match(lines[j]) for r in heading_res
-        ):
-            end = j
-            break
+    lines = policy.full_text.splitlines()
+    end = next(
+        (index for index, other in policy.headings if index > start and other != clause),
+        len(lines),
+    )
     return "\n".join(lines[start:end]).strip()
 
 
@@ -81,12 +55,7 @@ class ExportSummary:
     flagged_case_ids: list[str] = field(default_factory=list)
 
 
-def export_sft(
-    aug: AugmentedDataset,
-    policy: Policy,
-    registry: ClauseRegistry,
-    out: str | Path,
-) -> ExportSummary:
+def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path) -> ExportSummary:
     """Write one instruction-tuning record per triple, in deterministic case order."""
     records = []
     fallbacks: list[str] = []
@@ -95,10 +64,7 @@ def export_sft(
         if case.split is not Split.TRAIN:
             raise SFTExportError(f"case {case.case_id}: test-split case in export input")
         if case.gold_clauses:
-            parts = [
-                clause_text(policy, clause, registry)
-                for clause in sorted(case.gold_clauses)
-            ]
+            parts = [clause_text(policy, clause) for clause in sorted(case.gold_clauses)]
             policy_context = "\n\n".join(parts)
             flagged = False
         else:

@@ -22,8 +22,9 @@ class StatsError(ValueError):
     pass
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-15) -> float:
+def _betacf(a: float, b: float, x: float, eps: float = 1e-15) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
+    max_iter = 300 + int(math.sqrt(max(a, b)))  # near the mean: 889 terms at a = b = 5e6
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -58,6 +59,33 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-1
     raise StatsError("incomplete beta continued fraction failed to converge")
 
 
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _lgamma_rest(x: float) -> float:
+    """lgamma(x) - (x - 0.5) ln x + x; from x = 10 on, Stirling's series (error < 1e-12)."""
+    if x < 10:
+        return math.lgamma(x) - (x - 0.5) * math.log(x) + x
+    x2 = x * x
+    return _LN_SQRT_2PI + (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x2)) / x2) / x2) / x
+
+
+def _ln_beta(a: float, b: float) -> float:
+    """ln B(a, b) with the large (x - 0.5) ln x parts of its lgamma terms
+    combined first, as R's lbeta does: summing lgamma values near 7e7 loses
+    3e-8 relative at a = b = 5e6."""
+    p, q = min(a, b), max(a, b)
+    s = p + q
+    return (
+        _lgamma_rest(p)
+        + _lgamma_rest(q)
+        - _lgamma_rest(s)
+        + (p - 0.5) * math.log(p / s)
+        + (q - 0.5) * math.log1p(-p / s)
+        - 0.5 * math.log(s)
+    )
+
+
 def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     if not 0.0 <= x <= 1.0:
@@ -66,14 +94,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
@@ -85,8 +106,13 @@ def t_sf(t: float, df: int) -> float:
         raise StatsError(f"df must be >= 1, got {df}")
     if t < 0:
         return 1.0 - t_sf(-t, df)
-    x = df / (df + t * t)
-    return 0.5 * reg_inc_beta(df / 2.0, 0.5, x)
+    a, t2 = df / 2.0, t * t
+    x = df / (df + t2)
+    if x < (a + 1.0) / (a + 2.5):
+        return 0.5 * reg_inc_beta(a, 0.5, x)
+    # x is near 1, where its rounding error dominates: I_x(a, 1/2) is
+    # 1 - I_y(1/2, a) with y = 1 - x = t^2 / (df + t^2), which keeps its digits.
+    return 0.5 - 0.5 * reg_inc_beta(0.5, a, t2 / (df + t2))
 
 
 class Direction(str, Enum):

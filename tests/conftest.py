@@ -30,6 +30,23 @@ _ARTICLE_TITLES = {
     5: "Access Rights",
 }
 
+# The same five clauses under the section scheme. Most headings are bare
+# section numbers, as in the HIPAA text; one is spelled out with "Section",
+# and body lines may cite a section mid-line without heading it.
+SECTION_POLICY_TEXT = """Privacy Rule (excerpt)
+164.502 Lawful Basis
+Processing of personal records requires a documented lawful basis recorded before collection begins.
+164.504 Data Minimization
+Collection is limited to fields that are necessary for the stated purpose under 164.502.
+Section 164.506 Consent Withdrawal
+A subject may withdraw consent at any time and withdrawal must take effect within 72 hours.
+164.508 Breach Notification
+The controller notifies the supervisory authority of a breach within 72 hours of discovery.
+164.510 Access Rights
+A subject may request a copy of all stored records about them once per quarter without charge."""
+
+SECTIONS = {1: "164.502", 2: "164.504", 3: "164.506", 4: "164.508", 5: "164.510"}
+
 COMPLIANT_TRACE = (
     "1. The case shows a documented lawful basis recorded before any collection, "
     "satisfying Article 1.\n"
@@ -153,6 +170,13 @@ def build_registry() -> ClauseRegistry:
     registry = ClauseRegistry(policy_id="synthpol")
     for n, title in _ARTICLE_TITLES.items():
         registry.add(ClauseId(f"Article {n}", Scheme.ARTICLE), title=title)
+    return registry
+
+
+def build_section_registry() -> ClauseRegistry:
+    registry = ClauseRegistry(policy_id="synthpol")
+    for n, title in _ARTICLE_TITLES.items():
+        registry.add(ClauseId(f"Section {SECTIONS[n]}", Scheme.SECTION), title=title)
     return registry
 
 

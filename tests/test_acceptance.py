@@ -368,7 +368,7 @@ def test_10_sft_export_integrity(tmp_path):
     assert quarantine == []
 
     out = tmp_path / "sft.jsonl"
-    summary = export_sft(aug, policy, registry, out)
+    summary = export_sft(aug, policy, out)
     records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
 
     # count conservation: one record per augmented triple, nothing dropped

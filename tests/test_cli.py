@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import policytrace
+from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry, dataset_jsonl_lines
 from policytrace import cli
+from policytrace.clauses import save_registry
 from policytrace.cli import main
 
 
@@ -257,6 +259,34 @@ def test_export_sft_command(workdir, capsys):
     assert (out / "export-sft.manifest.json").exists()
 
 
+def test_export_sft_bare_section_headings(workdir, capsys):
+    """A policy headed "164.502 ..." (no "Section") exports each gold clause."""
+    corpus, out = workdir
+    (corpus / "policy.txt").write_text(SECTION_POLICY_TEXT, encoding="utf-8")
+    save_registry(build_section_registry(), corpus / "registry.json")
+    cases = [json.loads(line) for line in dataset_jsonl_lines()]
+    for case in cases:
+        case["clauses"] = [SECTIONS[int(c.split()[1])] for c in case["clauses"]]
+    (corpus / "cases.jsonl").write_text(
+        "".join(json.dumps(case) + "\n" for case in cases), encoding="utf-8"
+    )
+    store = _gen(corpus, out)
+    capsys.readouterr()
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "export-sft", "--prt-store", store
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["full_policy_fallbacks"] == 0
+    records = {
+        r["case_id"]: r
+        for r in map(json.loads, (out / "sft.jsonl").read_text(encoding="utf-8").splitlines())
+    }
+    assert records["t02"]["policy_context"] == (
+        "164.504 Data Minimization\n"
+        "Collection is limited to fields that are necessary for the stated purpose under 164.502."
+    )
+
+
 def test_flag_overrides_config_seed(workdir, capsys):
     corpus, out = workdir
     code = run_cli(
@@ -410,3 +440,19 @@ def test_importing_cli_does_not_load_the_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_run_mock_experiment_script(tmp_path):
+    """The documented offline walkthrough runs every command to the end."""
+    src = Path(policytrace.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "run_mock_experiment.py"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "out" / "sft.jsonl").read_text(encoding="utf-8").strip()

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from policytrace.clauses import ClauseId, Scheme
+from policytrace import corpus
+from policytrace.clauses import ClauseId, Scheme, normalize
 from policytrace.corpus import (
     CorpusError,
     Split,
@@ -42,6 +43,9 @@ def test_load_policy_clause_order(policy):
     assert [c.canonical for c in policy.clause_ids] == [f"Article {n}" for n in range(1, 6)]
     assert policy.approx_token_count > 0
     assert policy.full_text == POLICY_TEXT
+    assert policy.headings == tuple(
+        (2 * (n - 1), ClauseId(f"Article {n}", Scheme.ARTICLE)) for n in range(1, 6)
+    )
 
 
 def test_load_policy_unknown_marker(tmp_path, registry):
@@ -92,12 +96,41 @@ def test_load_dataset_duplicate_id(tmp_path, registry):
 
 def test_load_dataset_unknown_clause(tmp_path, registry):
     path = tmp_path / "unknown.jsonl"
-    obj = json.loads(dataset_jsonl_lines()[0])
-    obj["clauses"] = ["Article 42"]
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    lines = dataset_jsonl_lines()[:3]
+    obj = json.loads(lines[2])
+    obj["clauses"] = ["Article 1", "Article 42"]  # "Article 1" was resolved on line 1
+    lines[2] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError) as err:
         load_dataset(path, registry=registry)
     assert "Article 42" in str(err.value)
+    assert str(err.value).startswith("line 3:")
+
+
+@pytest.mark.parametrize("entry", [5, ["Article 1"]], ids=["int", "list"])
+def test_load_dataset_non_string_clause(tmp_path, registry, entry):
+    path = tmp_path / "bad_clause.jsonl"
+    obj = json.loads(dataset_jsonl_lines()[0])
+    obj["clauses"] = [entry]
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^line 1: malformed record: clause entry"):
+        load_dataset(path, registry=registry)
+
+
+def test_load_dataset_resolves_each_clause_string_once(tmp_path, registry, monkeypatch):
+    path = tmp_path / "cases.jsonl"
+    path.write_text("\n".join(dataset_jsonl_lines()) + "\n", encoding="utf-8")
+    calls = []
+
+    def counting_normalize(raw, reg):
+        calls.append(raw)
+        return normalize(raw, reg)
+
+    monkeypatch.setattr(corpus, "normalize", counting_normalize)
+    load_dataset(path, registry=registry)
+    strings = [c for line in dataset_jsonl_lines() for c in json.loads(line)["clauses"]]
+    assert len(set(strings)) < len(strings)
+    assert sorted(calls) == sorted(set(strings))
 
 
 def test_split_overlap_detected(tmp_path, registry):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from policytrace.clauses import ClauseId, Scheme
+from conftest import SECTION_POLICY_TEXT, build_section_registry
+from policytrace.clauses import ClauseId, ClauseRegistry, Scheme
+from policytrace.corpus import load_policy
 from policytrace.prtgen import generate_augmented_dataset
 from policytrace.sftexport import SFTExportError, clause_text, export_sft, split_train_val
 
@@ -18,28 +20,92 @@ def aug(dataset, policy, expert_handle):
     return built
 
 
-def test_clause_text_slices_section(policy, registry):
-    text = clause_text(policy, cid(2), registry)
+def test_clause_text_slices_section(policy):
+    text = clause_text(policy, cid(2))
     assert text.startswith("Article 2: Data Minimization")
     assert "necessary for the stated purpose" in text
     assert "Article 3" not in text
     assert text in policy.full_text
 
 
-def test_clause_text_last_section_runs_to_end(policy, registry):
-    text = clause_text(policy, cid(5), registry)
+def test_clause_text_last_section_runs_to_end(policy):
+    text = clause_text(policy, cid(5))
     assert text.startswith("Article 5: Access Rights")
     assert text.endswith("without charge.")
 
 
-def test_clause_text_unresolvable(policy, registry):
+def test_clause_text_unresolvable(policy):
     with pytest.raises(SFTExportError):
-        clause_text(policy, cid(9), registry)
+        clause_text(policy, cid(9))
 
 
-def test_export_records_shape(tmp_path, aug, policy, registry):
+NAMED_POLICY_TEXT = """Assistant conduct rules
+Stay in bounds
+Responses keep to the topic the user asked about.
+Be honest
+Responses never state a guess as fact, and say when they are unsure.
+Respect privacy
+Responses reveal no personal data about private individuals."""
+
+
+def build_named_registry() -> ClauseRegistry:
+    registry = ClauseRegistry(policy_id="conduct")
+    for title in ("Stay in bounds", "Be honest", "Respect privacy"):
+        registry.add(ClauseId(title, Scheme.NAMED), title=title)
+    return registry
+
+
+def _load(tmp_path, text, registry):
+    path = tmp_path / "scheme_policy.txt"
+    path.write_text(text, encoding="utf-8")
+    return load_policy(path, registry)
+
+
+def test_clause_text_bare_section_headings(tmp_path):
+    policy = _load(tmp_path, SECTION_POLICY_TEXT, build_section_registry())
+    assert len(policy.clause_ids) == 5
+    text = clause_text(policy, ClauseId("Section 164.504", Scheme.SECTION))
+    assert text == (
+        "164.504 Data Minimization\n"
+        "Collection is limited to fields that are necessary for the stated purpose under 164.502."
+    )
+    spelled_out = clause_text(policy, ClauseId("Section 164.506", Scheme.SECTION))
+    assert spelled_out.startswith("Section 164.506 Consent Withdrawal\n")
+    assert "164.508" not in spelled_out
+
+
+def test_clause_text_named_headings(tmp_path):
+    policy = _load(tmp_path, NAMED_POLICY_TEXT, build_named_registry())
+    assert [c.canonical for c in policy.clause_ids] == [
+        "Stay in bounds",
+        "Be honest",
+        "Respect privacy",
+    ]
+    assert clause_text(policy, ClauseId("Be honest", Scheme.NAMED)) == (
+        "Be honest\nResponses never state a guess as fact, and say when they are unsure."
+    )
+
+
+@pytest.mark.parametrize("scheme", ["article", "section", "named"])
+def test_every_clause_slices_from_its_heading_line(tmp_path, scheme, policy):
+    if scheme == "section":
+        policy = _load(tmp_path, SECTION_POLICY_TEXT, build_section_registry())
+    elif scheme == "named":
+        policy = _load(tmp_path, NAMED_POLICY_TEXT, build_named_registry())
+    lines = policy.full_text.splitlines()
+    heading_lines = {lines[index].strip() for index, _ in policy.headings}
+    for clause in policy.clause_ids:
+        first = next(index for index, c in policy.headings if c == clause)
+        text = clause_text(policy, clause)
+        assert text.startswith(lines[first].strip())
+        assert text in policy.full_text
+        headed = [l.strip() for l in text.splitlines() if l.strip() in heading_lines]
+        assert headed == [lines[first].strip()]
+
+
+def test_export_records_shape(tmp_path, aug, policy):
     out = tmp_path / "sft.jsonl"
-    summary = export_sft(aug, policy, registry, out)
+    summary = export_sft(aug, policy, out)
     assert summary.n_records == len(aug)
     assert summary.n_full_policy_fallbacks == 0
 
@@ -61,9 +127,9 @@ def test_export_records_shape(tmp_path, aug, policy, registry):
             assert part in policy.full_text
 
 
-def test_export_target_preserves_trace(tmp_path, aug, policy, registry):
+def test_export_target_preserves_trace(tmp_path, aug, policy):
     out = tmp_path / "sft.jsonl"
-    export_sft(aug, policy, registry, out)
+    export_sft(aug, policy, out)
     records = {
         json.loads(l)["case_id"]: json.loads(l)
         for l in out.read_text(encoding="utf-8").splitlines()
@@ -72,13 +138,13 @@ def test_export_target_preserves_trace(tmp_path, aug, policy, registry):
     assert records["t01"]["target"] == f"{prt.prt_text}\nFinal Judgment: {verdict.value}"
 
 
-def test_export_full_policy_fallback(tmp_path, aug, policy, registry):
+def test_export_full_policy_fallback(tmp_path, aug, policy):
     from dataclasses import replace
 
     case, verdict, prt = aug.triples[0]
     aug.triples[0] = (replace(case, gold_clauses=frozenset()), verdict, prt)
     out = tmp_path / "sft.jsonl"
-    summary = export_sft(aug, policy, registry, out)
+    summary = export_sft(aug, policy, out)
     assert summary.n_full_policy_fallbacks == 1
     assert summary.flagged_case_ids == [case.case_id]
     records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
@@ -87,17 +153,17 @@ def test_export_full_policy_fallback(tmp_path, aug, policy, registry):
     assert flagged["policy_context"] == policy.full_text
 
 
-def test_export_rejects_test_split(tmp_path, aug, dataset, policy, registry):
+def test_export_rejects_test_split(tmp_path, aug, dataset, policy):
     c01 = dataset.by_id("c01")
     _, verdict, prt = aug.triples[0]
     aug.triples.append((c01, c01.gold_verdict, prt))
     with pytest.raises(SFTExportError):
-        export_sft(aug, policy, registry, tmp_path / "sft.jsonl")
+        export_sft(aug, policy, tmp_path / "sft.jsonl")
 
 
-def test_split_train_val(tmp_path, aug, policy, registry):
+def test_split_train_val(tmp_path, aug, policy):
     out = tmp_path / "sft.jsonl"
-    export_sft(aug, policy, registry, out)
+    export_sft(aug, policy, out)
     n_train, n_val = split_train_val(
         out, 0.5, seed=3, train_out=tmp_path / "tr.jsonl", val_out=tmp_path / "va.jsonl"
     )
@@ -114,9 +180,9 @@ def test_split_train_val(tmp_path, aug, policy, registry):
     assert train_ids | val_ids == set(aug.case_ids())
 
 
-def test_split_train_val_fraction_bounds(tmp_path, aug, policy, registry):
+def test_split_train_val_fraction_bounds(tmp_path, aug, policy):
     out = tmp_path / "sft.jsonl"
-    export_sft(aug, policy, registry, out)
+    export_sft(aug, policy, out)
     with pytest.raises(SFTExportError):
         split_train_val(out, 1.0, 0, tmp_path / "t", tmp_path / "v")
     with pytest.raises(SFTExportError):

@@ -49,6 +49,45 @@ def test_t_sf_negative_is_complement():
     assert t_sf(-1.5, 4) == pytest.approx(1 - t_sf(1.5, 4), abs=1e-12)
 
 
+# Relative tolerance of the cross-checks against scipy. The continued
+# fraction loses about max(a, b) * 1e-16 relative (5e-10 at a = 5e6, near
+# x = mean); the tolerance leaves a factor of twenty over that.
+SCIPY_RTOL = 1e-8
+DFS = [1, 2, 3, 5, 10, 30, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000]
+# small t puts df / (df + t^2) within rounding of 1; large t is the far tail
+T_VALUES = [
+    -50.0, -3.0, -0.5, 0.0, 1e-3, 0.01, 0.1, 0.5,
+    1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1e3, 1e5,
+]
+
+
+@pytest.mark.parametrize("df", DFS)
+def test_t_sf_matches_scipy(df):
+    stats = pytest.importorskip("scipy.stats")
+    for t in T_VALUES:
+        want = float(stats.t.sf(t, df))
+        assert math.isclose(t_sf(t, df), want, rel_tol=SCIPY_RTOL, abs_tol=1e-300), (t, df)
+
+
+BETA_SHAPES = [0.5, 1.0, 2.5, 10.0, 100.0, 1e4, 1e6, 5e6]
+
+
+@pytest.mark.parametrize("a", BETA_SHAPES)
+def test_reg_inc_beta_matches_scipy(a):
+    special = pytest.importorskip("scipy.special")
+    for b in BETA_SHAPES:
+        mean = a / (a + b)
+        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        # fixed points including both tails, plus the bulk of Beta(a, b),
+        # where the continued fraction needs the most terms
+        xs = [1e-12, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6]
+        xs += [x for x in (mean - 3 * sd, mean - sd, mean, mean + sd) if 0 < x < 1]
+        for x in xs:
+            want = float(special.betainc(a, b, x))
+            got = reg_inc_beta(a, b, x)
+            assert math.isclose(got, want, rel_tol=SCIPY_RTOL, abs_tol=1e-300), (a, b, x)
+
+
 def test_paired_t_known_case():
     # differences are [2, 3, 4]: mean 3, sd 1, t = 3 sqrt 3, df 2
     a = [3.0, 5.0, 7.0]
