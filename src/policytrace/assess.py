@@ -130,7 +130,7 @@ def _select_demos(
     seed: int,
 ) -> tuple[list[Triple], list[str]]:
     # The target case must never appear in its own demonstration pool.
-    if case.case_id in set(pool.case_ids()):
+    if case.case_id in pool.index:
         raise AssessError(f"target case {case.case_id} found in demonstration pool")
 
     if strategy.selection is SelectionMode.REL:
@@ -312,7 +312,7 @@ def _manifest(
         "judge_model": judge.model_id if judge else None,
         "seed": seed,
         "k": strategy.k,
-        "pool_hash": pool.content_hash() if pool else None,
+        "pool_hash": pool.content_hash if pool else None,
         "template_hashes": {t.value: template_hash(t) for t in TemplateId},
         "started_at": datetime.now(timezone.utc).isoformat(),
     }

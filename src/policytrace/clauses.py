@@ -39,11 +39,12 @@ class RegistryError(ValueError):
     pass
 
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT_TABLE = str.maketrans("()", "  ", string.punctuation.replace("(", "").replace(")", ""))
 
 
 def _title_key(s: str) -> str:
-    """Case-insensitive, punctuation-stripped, single-spaced lookup key."""
+    """Case-insensitive, punctuation-stripped, single-spaced lookup key.
+    Parentheses become spaces, so "Article 5(1)" never keys as "Article 51"."""
     return " ".join(s.translate(_PUNCT_TABLE).lower().split())
 
 

@@ -90,7 +90,7 @@ def _load_corpus(config: dict):
         policy_id=config.get("policy_id"),
         title=config.get("policy_title", ""),
     )
-    dataset = load_dataset(_resolve(config, "dataset_file"), policy=policy, registry=registry)
+    dataset = load_dataset(_resolve(config, "dataset_file"), registry)
     return registry, policy, dataset
 
 
@@ -170,7 +170,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
         store = args.prt_store or config.get("prt_store")
         if not store:
             raise CliError("--prt-store (or config prt_store) required for this strategy")
-        pool = load_prt_store(store, dataset, policy.policy_id)
+        pool = load_prt_store(store, dataset)
 
     results_path, summary = assess_mod.run_dataset(
         dataset,
@@ -356,7 +356,7 @@ def cmd_export_sft(args: argparse.Namespace) -> int:
     store = args.prt_store or config.get("prt_store")
     if not store:
         raise CliError("--prt-store (or config prt_store) required")
-    aug = load_prt_store(store, dataset, policy.policy_id)
+    aug = load_prt_store(store, dataset)
 
     sft_path = out_dir / "sft.jsonl"
     summary = export_sft(aug, policy, sft_path)

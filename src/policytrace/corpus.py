@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -98,32 +99,34 @@ class CaseRecord:
             raise CorpusError(f"case {self.case_id}: case_text must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    policy_id: str
-    records: list[CaseRecord]
-    provenance: str = ""
+    """An immutable set of case records; a list passed in is stored as a tuple."""
 
-    def split_records(self, split: Split) -> list[CaseRecord]:
-        return [r for r in self.records if r.split is split]
+    records: tuple[CaseRecord, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", tuple(self.records))
 
     @property
     def train(self) -> list[CaseRecord]:
-        return self.split_records(Split.TRAIN)
+        return [r for r in self.records if r.split is Split.TRAIN]
 
     @property
     def test(self) -> list[CaseRecord]:
-        return self.split_records(Split.TEST)
+        return [r for r in self.records if r.split is Split.TEST]
+
+    @cached_property
+    def _by_id(self) -> dict[str, CaseRecord]:
+        return {r.case_id: r for r in reversed(self.records)}  # the first record wins
 
     def by_id(self, case_id: str) -> CaseRecord:
-        for r in self.records:
-            if r.case_id == case_id:
-                return r
-        raise KeyError(case_id)
+        return self._by_id[case_id]
 
 
-_ARTICLE_HEADING_RE = re.compile(r"^(Article\s*\d+)\b", re.IGNORECASE)
-_SECTION_HEADING_RE = re.compile(r"^(?:Section\s*)?(\d{3}\.\d{3})\b", re.IGNORECASE)
+_SUFFIXES = r"\b((?:\([a-z0-9]+\))*)"
+_ARTICLE_HEADING_RE = re.compile(r"^(Article\s*\d+)" + _SUFFIXES, re.IGNORECASE)
+_SECTION_HEADING_RE = re.compile(r"^(?:Section\s*)?(\d{3}\.\d{3})" + _SUFFIXES, re.IGNORECASE)
 
 
 def _clause_headings(
@@ -132,8 +135,9 @@ def _clause_headings(
     """(0-based line index, clause) of every clause heading, document order.
 
     Article and section headings are line-leading markers: "Article 3",
-    "Section 164.502" or a bare "164.502"; an unknown one is a path:lineno
-    error. A named section's heading is a line that is its title.
+    "Section 164.502" or a bare "164.502", maybe with subsections "(a)" that
+    resolve in full first, then by bare number; an unknown one is a
+    path:lineno error. A named section's heading is a line that is its title.
     """
     scheme = _registry_scheme(registry)
     pattern = _ARTICLE_HEADING_RE if scheme is Scheme.ARTICLE else _SECTION_HEADING_RE
@@ -146,8 +150,9 @@ def _clause_headings(
         m = pattern.match(line)
         if not m:
             continue
-        mention = m.group(1) if scheme is Scheme.ARTICLE else f"Section {m.group(1)}"
-        clause = registry.resolve(mention)
+        number = m.group(1) if scheme is Scheme.ARTICLE else f"Section {m.group(1)}"
+        mention = number + m.group(2)
+        clause = registry.resolve(mention) or registry.resolve(number)
         if clause is None:
             raise CorpusError(f"{path}:{index + 1}: clause marker not in registry: {mention!r}")
         headings.append((index, clause))
@@ -219,43 +224,31 @@ def split_disjointness_check(dataset: Dataset) -> DisjointnessReport:
 
 
 def _record_from_obj(
-    obj: dict, registry: Optional[ClauseRegistry], lineno: int, resolved: dict
+    obj: dict, registry: ClauseRegistry, lineno: int, resolved: dict
 ) -> CaseRecord:
     try:
-        clause_strings = obj.get("clauses", [])
-        if registry is not None:
-            gold: set[ClauseId] = set()
-            for raw in clause_strings:
-                if not isinstance(raw, str):
-                    raise CorpusError(f"clause entry is not a string: {raw!r}")
-                if raw not in resolved:
-                    resolved[raw] = normalize(raw, registry)
-                ids, unknowns = resolved[raw]
-                if unknowns:
-                    raise CorpusError(f"unknown clause {unknowns[0]!r}")
-                gold.update(ids)
-            gold_clauses = frozenset(gold)
-        else:
-            gold_clauses = frozenset(
-                ClauseId(canonical=c, scheme=Scheme.NAMED) for c in clause_strings
-            )
+        gold: set[ClauseId] = set()
+        for raw in obj.get("clauses", []):
+            if not isinstance(raw, str):
+                raise CorpusError(f"clause entry is not a string: {raw!r}")
+            if raw not in resolved:
+                resolved[raw] = normalize(raw, registry)
+            ids, unknowns = resolved[raw]
+            if unknowns:
+                raise CorpusError(f"unknown clause {unknowns[0]!r}")
+            gold.update(ids)
         return CaseRecord(
             case_id=obj["case_id"],
             case_text=obj["case_text"],
             gold_verdict=Verdict.parse(obj["verdict"]),
-            gold_clauses=gold_clauses,
+            gold_clauses=frozenset(gold),
             split=Split(obj["split"]),
         )
     except (KeyError, ValueError) as err:
         raise CorpusError(f"line {lineno}: malformed record: {err}") from err
 
 
-def load_dataset(
-    path: str | Path,
-    policy: Optional[Policy] = None,
-    registry: Optional[ClauseRegistry] = None,
-    provenance: str = "",
-) -> Dataset:
+def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
     """Load and validate a newline-delimited case record file."""
     path = Path(path)
     if not path.exists():
@@ -277,11 +270,7 @@ def load_dataset(
         seen_ids.add(record.case_id)
         records.append(record)
 
-    dataset = Dataset(
-        policy_id=policy.policy_id if policy else (registry.policy_id if registry else ""),
-        records=records,
-        provenance=provenance or f"loaded from {path.name}",
-    )
+    dataset = Dataset(tuple(records))
     report = split_disjointness_check(dataset)
     if not report.ok:
         raise CorpusError(

@@ -12,9 +12,11 @@ import hashlib
 import json
 import re
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
@@ -81,7 +83,7 @@ def count_sentences(text: str) -> int:
     return max(total, 1) if text.strip() else 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PRTRecord:
     case_id: str
     expert_model: str
@@ -99,6 +101,9 @@ class PRTRecord:
             raise PRTError("counts must be >= 1")
 
 
+Triple = tuple[CaseRecord, Verdict, PRTRecord]
+
+
 @dataclass
 class QuarantinedCase:
     case_id: str
@@ -106,10 +111,14 @@ class QuarantinedCase:
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentedDataset:
-    policy_id: str
-    triples: list[tuple[CaseRecord, Verdict, PRTRecord]] = field(default_factory=list)
+    """An immutable pool, one trace per case; `index` and `content_hash` are built once."""
+
+    triples: tuple[Triple, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "triples", tuple(self.triples))
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -117,6 +126,11 @@ class AugmentedDataset:
     def case_ids(self) -> list[str]:
         return [case.case_id for case, _, _ in self.triples]
 
+    @cached_property
+    def index(self) -> MappingProxyType[str, int]:
+        return MappingProxyType({case.case_id: i for i, (case, _, _) in enumerate(self.triples)})
+
+    @cached_property
     def content_hash(self) -> str:
         h = hashlib.sha256()
         for case, verdict, prt in self.triples:
@@ -178,7 +192,7 @@ def generate_augmented_dataset(
     Up to `concurrency` cases are generated at once. Output order follows
     dataset order either way. Errors other than PRTError propagate.
     """
-    aug = AugmentedDataset(policy_id=policy.policy_id)
+    triples: list[Triple] = []
     quarantine: list[QuarantinedCase] = []
     outcomes = run_ordered(
         lambda case: generate_prt(case, policy, expert), dataset.train, concurrency
@@ -190,8 +204,8 @@ def generate_augmented_dataset(
             elif err is not None:
                 raise err
             else:
-                aug.triples.append((case, case.gold_verdict, record))
-    return aug, quarantine
+                triples.append((case, case.gold_verdict, record))
+    return AugmentedDataset(tuple(triples)), quarantine
 
 
 @dataclass
@@ -228,12 +242,12 @@ def write_prt_store(aug: AugmentedDataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_prt_store(path: str | Path, dataset: Dataset, policy_id: str) -> AugmentedDataset:
+def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
     """Rebuild an augmented dataset from a trace store, re-running validation.
 
     Exactly one expert model per store file; every case must be a train case.
     """
-    aug = AugmentedDataset(policy_id=policy_id)
+    triples: dict[str, Triple] = {}  # by case id
     experts: set[str] = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -243,7 +257,10 @@ def load_prt_store(path: str | Path, dataset: Dataset, policy_id: str) -> Augmen
         experts.add(record.expert_model)
         if len(experts) > 1:
             raise PRTError(f"line {lineno}: store mixes expert models: {sorted(experts)}")
-        case = dataset.by_id(record.case_id)
+        try:
+            case = dataset.by_id(record.case_id)
+        except KeyError:
+            raise PRTError(f"line {lineno}: case {record.case_id} is not in the dataset") from None
         if case.split is not Split.TRAIN:
             raise PRTError(f"line {lineno}: case {record.case_id} is not in the train split")
         failure = validate_prt(record.prt_text, case.gold_verdict)
@@ -251,7 +268,7 @@ def load_prt_store(path: str | Path, dataset: Dataset, policy_id: str) -> Augmen
             raise PRTError(
                 f"line {lineno}: stored trace fails validation ({failure.reason}): {failure.detail}"
             )
-        if record.case_id in set(aug.case_ids()):
+        if record.case_id in triples:
             raise PRTError(f"line {lineno}: duplicate trace for case {record.case_id}")
-        aug.triples.append((case, case.gold_verdict, record))
-    return aug
+        triples[record.case_id] = (case, case.gold_verdict, record)
+    return AugmentedDataset(tuple(triples.values()))

@@ -13,12 +13,10 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .corpus import CaseRecord, Verdict
+from .corpus import CaseRecord
 from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete
 from .prompts import TemplateId, render
-from .prtgen import AugmentedDataset, PRTRecord
-
-Triple = tuple[CaseRecord, Verdict, PRTRecord]
+from .prtgen import AugmentedDataset, Triple
 
 
 class SelectionError(ValueError):
@@ -47,7 +45,7 @@ def select_random(pool: AugmentedDataset, k: int, seed: int) -> list[Triple]:
     a pure function of pool content, not of object identity or platform.
     """
     _check_k(pool, k)
-    digest = hashlib.sha256(f"{pool.content_hash()}|{k}|{seed}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{pool.content_hash}|{k}|{seed}".encode("utf-8")).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     indices = list(range(len(pool)))
     picked: list[int] = []
@@ -151,9 +149,7 @@ def _select_from_window(
             return _top_up(indices, len(pool), k), flags
     # parse_failed after retry: fall back to seeded random, flagged.
     flags.append("fallback_random")
-    fallback = select_random(pool, k, seed)
-    index_of = {id(t): i for i, t in enumerate(pool.triples)}
-    return [index_of[id(t)] for t in fallback], flags
+    return [pool.index[case.case_id] for case, _, _ in select_random(pool, k, seed)], flags
 
 
 def select_relevant(
@@ -181,17 +177,13 @@ def select_relevant(
     winner_indices: list[int] = []
     flags: list[str] = []
     for start in range(0, len(pool), window_size):
-        window = AugmentedDataset(
-            policy_id=pool.policy_id, triples=pool.triples[start : start + window_size]
-        )
+        window = AugmentedDataset(pool.triples[start : start + window_size])
         take = min(k, len(window))
         local, window_flags = _select_from_window(target, window, take, judge, policy_name, seed)
         winner_indices.extend(start + i for i in local)
         flags.extend(window_flags)
 
-    playoff = AugmentedDataset(
-        policy_id=pool.policy_id, triples=[pool.triples[i] for i in winner_indices]
-    )
+    playoff = AugmentedDataset(tuple(pool.triples[i] for i in winner_indices))
     final_local, final_flags = _select_from_window(target, playoff, k, judge, policy_name, seed)
     flags.extend(final_flags)
     return SelectionResult(

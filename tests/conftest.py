@@ -193,7 +193,7 @@ def build_dataset(registry: ClauseRegistry) -> Dataset:
                 split=Split(split),
             )
         )
-    return Dataset(policy_id="synthpol", records=records)
+    return Dataset(tuple(records))
 
 
 def dataset_jsonl_lines() -> list[str]:

@@ -325,7 +325,7 @@ def _pool_of(n):
         triples.append((case, case.gold_verdict, prt))
     from policytrace.prtgen import AugmentedDataset
 
-    return AugmentedDataset(policy_id="synthpol", triples=triples), dataset
+    return AugmentedDataset(tuple(triples)), dataset
 
 
 def test_09_selection_determinism_and_repair():
@@ -357,7 +357,7 @@ def test_10_sft_export_integrity(tmp_path):
         case_id="c99",
         case_text=train_text + "!",
     )
-    dataset.records.append(near_dup)
+    dataset = replace(dataset, records=dataset.records + (near_dup,))
 
     policy_path = tmp_path / "policy.txt"
     policy_path.write_text(POLICY_TEXT, encoding="utf-8")

@@ -158,9 +158,9 @@ def test_pool_required_for_fewshot(dataset, policy, learner_handle):
 def test_target_never_in_own_pool(dataset, policy, learner_handle, pool):
     from dataclasses import replace
 
-    leaky = pool
     case = dataset.by_id("c01")
-    leaky.triples.append((replace(pool.triples[0][0], case_id="c01"), C, pool.triples[0][2]))
+    leak = (replace(pool.triples[0][0], case_id="c01"), C, pool.triples[0][2])
+    leaky = replace(pool, triples=pool.triples + (leak,))
     with pytest.raises(AssessError):
         run_instance(
             case,
@@ -287,3 +287,24 @@ def test_run_dataset_concurrency_matches_sequential(tmp_path, dataset, policy, l
         concurrency=4,
     )
     assert seq_path.read_bytes() == par_path.read_bytes()
+
+
+def test_run_dataset_hashes_the_pool_once(tmp_path, monkeypatch, dataset, policy, learner_handle, pool):
+    """The pool's content hash names the run and seeds every draw; it is computed once."""
+    import hashlib
+
+    from policytrace import prtgen
+
+    calls = []
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+    monkeypatch.setattr(prtgen, "hashlib", CountingHashlib)
+    strategy = Strategy(StrategyKind.FEWSHOT_PRT, SelectionMode.RAND, k=3)
+    _, summary = run_dataset(dataset, policy, strategy, learner_handle, tmp_path, pool=pool)
+    assert summary.executed == len(dataset.test) == 6
+    assert len(calls) == 1

@@ -38,6 +38,15 @@ def test_named_scheme_title_is_alias():
     assert registry.resolve("Stay, in bounds") == clause  # punctuation stripped
 
 
+def test_subsection_never_keys_as_a_longer_number():
+    registry = ClauseRegistry(policy_id="p")
+    registry.add(ClauseId("Article 5(1)", Scheme.ARTICLE))
+    registry.add(cid(51))  # same key as "Article 5(1)" when parentheses were dropped
+    assert registry.resolve("Article 5(1)") == ClauseId("Article 5(1)", Scheme.ARTICLE)
+    assert registry.resolve("Article 51") == cid(51)
+    assert normalize("Article 5(2)", registry) == ([], ["Article 5(2)"])
+
+
 def test_registry_round_trip(registry, tmp_path):
     path = tmp_path / "reg.json"
     save_registry(registry, path)

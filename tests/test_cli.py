@@ -456,3 +456,19 @@ def test_run_mock_experiment_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (tmp_path / "out" / "sft.jsonl").read_text(encoding="utf-8").strip()
+
+
+@pytest.mark.parametrize("command", ["assess", "export-sft"])
+def test_store_naming_an_unknown_case_is_an_error(workdir, capsys, command):
+    corpus, out = workdir
+    store = _gen(corpus, out)
+    lines = store.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"case_id": "t03"', '"case_id": "zz99"')
+    store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    tail = ["--strategy", "fewshot_prt", "--select", "rand"] if command == "assess" else []
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, command, "--prt-store", store, *tail
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 3: case zz99 is not in the dataset\n"

@@ -57,10 +57,10 @@ def test_load_policy_unknown_marker(tmp_path, registry):
     assert ":11:" in str(err.value)
 
 
-def test_load_dataset_round_trip(tmp_path, registry, policy, dataset):
+def test_load_dataset_round_trip(tmp_path, registry, dataset):
     path = tmp_path / "cases.jsonl"
     path.write_text("\n".join(dataset_jsonl_lines()) + "\n", encoding="utf-8")
-    loaded = load_dataset(path, policy=policy, registry=registry)
+    loaded = load_dataset(path, registry)
     assert split_counts(loaded) == {"train": 6, "test": 6}
     assert loaded.by_id("c01").gold_clauses == frozenset(
         {ClauseId("Article 1", Scheme.ARTICLE), ClauseId("Article 3", Scheme.ARTICLE)}
@@ -68,7 +68,7 @@ def test_load_dataset_round_trip(tmp_path, registry, policy, dataset):
 
     out = tmp_path / "rewritten.jsonl"
     write_dataset(loaded, out)
-    reloaded = load_dataset(out, policy=policy, registry=registry)
+    reloaded = load_dataset(out, registry)
     assert [record_to_obj(r) for r in reloaded.records] == [
         record_to_obj(r) for r in loaded.records
     ]
@@ -157,9 +157,91 @@ def test_disjointness_flags_shared_text(dataset):
 
     from policytrace.corpus import Dataset
 
-    leaky = dataset.records + [
-        replace(dataset.records[0], case_id="leak", split=Split.TEST)
-    ]
-    report = split_disjointness_check(Dataset(policy_id="synthpol", records=leaky))
+    leaky = dataset.records + (replace(dataset.records[0], case_id="leak", split=Split.TEST),)
+    report = split_disjointness_check(Dataset(leaky))
     assert not report.ok
     assert any("leak" in pair for pair in report.shared_text_hashes)
+
+
+def test_dataset_is_a_value(dataset):
+    from dataclasses import FrozenInstanceError
+
+    from policytrace.corpus import Dataset
+
+    with pytest.raises(FrozenInstanceError):
+        dataset.records = ()
+    with pytest.raises(AttributeError):
+        dataset.records.append(dataset.records[0])
+
+    rebuilt = Dataset(list(dataset.records))
+    assert isinstance(rebuilt.records, tuple)
+    assert rebuilt == dataset
+    assert rebuilt.by_id("c03") is dataset.records[8]
+    with pytest.raises(KeyError):
+        rebuilt.by_id("zz99")
+
+
+def test_dataset_by_id_returns_the_first_record_of_an_id(dataset):
+    from dataclasses import replace
+
+    from policytrace.corpus import Dataset
+
+    clash = replace(dataset.records[0], case_text="A later record under the same id.")
+    assert Dataset(dataset.records + (clash,)).by_id("t01") is dataset.records[0]
+
+
+def _registry_of(*canonicals):
+    from policytrace.clauses import ClauseRegistry
+
+    registry = ClauseRegistry(policy_id="p")
+    for canonical in canonicals:
+        scheme = Scheme.ARTICLE if canonical.startswith("Article") else Scheme.SECTION
+        registry.add(ClauseId(canonical, scheme))
+    return registry
+
+
+def _headed(tmp_path, text, registry):
+    path = tmp_path / "policy.txt"
+    path.write_text(text, encoding="utf-8")
+    return [(index, clause.canonical) for index, clause in load_policy(path, registry).headings]
+
+
+def test_subsection_headings_resolve_to_subsection_clauses(tmp_path):
+    registry = _registry_of("Section 164.502(a)", "Section 164.502(b)")
+    text = "164.502(a) Permitted uses\nBody a.\nSection 164.502(b) Minimum necessary\nBody b."
+    assert _headed(tmp_path, text, registry) == [
+        (0, "Section 164.502(a)"),
+        (2, "Section 164.502(b)"),
+    ]
+
+
+def test_subsection_article_headings_resolve_to_subsection_clauses(tmp_path):
+    registry = _registry_of("Article 5(1)", "Article 5(2)")
+    text = "Article 5(1) Principles\nBody one.\nArticle 5(2) Accountability\nBody two."
+    assert _headed(tmp_path, text, registry) == [(0, "Article 5(1)"), (2, "Article 5(2)")]
+
+
+def test_subsection_headings_fall_back_to_whole_clauses(tmp_path):
+    registry = _registry_of("Section 164.502", "Section 164.504")
+    text = "164.502 Uses\nBody.\n164.502(a) Permitted uses\nBody a.\n164.504(b) Other\nBody."
+    assert _headed(tmp_path, text, registry) == [
+        (0, "Section 164.502"),
+        (2, "Section 164.502"),
+        (4, "Section 164.504"),
+    ]
+
+
+def test_article_subsection_heading_never_reads_as_a_longer_article_number(tmp_path):
+    registry = _registry_of("Article 5", "Article 51")
+    text = "Article 5 Principles\nArticle 5(1) Lawfulness\nArticle 51 Supervisory authority"
+    assert _headed(tmp_path, text, registry) == [
+        (0, "Article 5"),
+        (1, "Article 5"),
+        (2, "Article 51"),
+    ]
+
+
+def test_unknown_subsection_heading_is_reported_in_full(tmp_path):
+    with pytest.raises(CorpusError) as err:
+        _headed(tmp_path, "Section 164.502\n164.506(c) Other", _registry_of("Section 164.502"))
+    assert str(err.value).endswith(":2: clause marker not in registry: 'Section 164.506(c)'")

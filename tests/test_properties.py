@@ -122,7 +122,7 @@ def _toy_pool(n):
             created_at="t",
         )
         triples.append((case, case.gold_verdict, prt))
-    return AugmentedDataset(policy_id="synthpol", triples=triples)
+    return AugmentedDataset(tuple(triples))
 
 
 @given(

@@ -159,9 +159,9 @@ def test_store_round_trip(tmp_path, dataset, policy, expert_handle):
     aug, _ = generate_augmented_dataset(dataset, policy, expert_handle)
     path = tmp_path / "store.jsonl"
     write_prt_store(aug, path)
-    loaded = load_prt_store(path, dataset, "synthpol")
+    loaded = load_prt_store(path, dataset)
     assert loaded.case_ids() == aug.case_ids()
-    assert loaded.content_hash() == aug.content_hash()
+    assert loaded.content_hash == aug.content_hash
 
 
 def test_store_rejects_tampered_trace(tmp_path, dataset, policy, expert_handle):
@@ -173,7 +173,7 @@ def test_store_rejects_tampered_trace(tmp_path, dataset, policy, expert_handle):
     )
     path.write_text(tampered, encoding="utf-8")
     with pytest.raises(PRTError):
-        load_prt_store(path, dataset, "synthpol")
+        load_prt_store(path, dataset)
 
 
 def test_store_rejects_mixed_experts(tmp_path, dataset, policy, expert_handle):
@@ -188,5 +188,38 @@ def test_store_rejects_mixed_experts(tmp_path, dataset, policy, expert_handle):
     lines[1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(PRTError) as err:
-        load_prt_store(path, dataset, "synthpol")
+        load_prt_store(path, dataset)
     assert "expert" in str(err.value)
+
+
+def test_store_rejects_duplicate_case(tmp_path, dataset, policy, expert_handle):
+    aug, _ = generate_augmented_dataset(dataset, policy, expert_handle)
+    path = tmp_path / "store.jsonl"
+    write_prt_store(aug, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    with pytest.raises(PRTError) as err:
+        load_prt_store(path, dataset)
+    assert str(err.value) == f"line {len(lines) + 1}: duplicate trace for case t02"
+
+
+def test_augmented_dataset_is_a_value(dataset, policy, expert_handle):
+    from dataclasses import FrozenInstanceError
+
+    from policytrace.prtgen import AugmentedDataset
+
+    aug, _ = generate_augmented_dataset(dataset, policy, expert_handle)
+    with pytest.raises(FrozenInstanceError):
+        aug.triples = ()
+    with pytest.raises(AttributeError):
+        aug.triples.append(aug.triples[0])
+    with pytest.raises(FrozenInstanceError):
+        aug.triples[0][2].prt_text = "1. a\n2. COMPLIANT"
+
+    rebuilt = AugmentedDataset(list(aug.triples))
+    assert isinstance(rebuilt.triples, tuple)
+    assert rebuilt == aug
+    assert rebuilt.content_hash == aug.content_hash
+    assert dict(rebuilt.index) == {case.case_id: i for i, (case, _, _) in enumerate(aug.triples)}
+    with pytest.raises(TypeError):
+        rebuilt.index["t01"] = 5

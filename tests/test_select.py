@@ -67,7 +67,7 @@ def test_select_relevant_clean_reply(pool, dataset, judge_handle):
 def test_select_relevant_singleton_pool(pool, dataset, judge_handle):
     from policytrace.prtgen import AugmentedDataset
 
-    single = AugmentedDataset(policy_id=pool.policy_id, triples=pool.triples[:1])
+    single = AugmentedDataset(pool.triples[:1])
     result = select_relevant(dataset.by_id("c01"), single, 1, judge_handle)
     assert [c.case_id for c, _, _ in result.triples] == ["t01"]
     assert judge_handle.provider.call_count == 0
@@ -125,7 +125,7 @@ def test_select_relevant_windowed_playoff(pool, dataset):
     for i in range(120):
         case, verdict, prt = pool.triples[i % len(pool)]
         triples.append((replace(case, case_id=f"x{i:03d}"), verdict, prt))
-    big = AugmentedDataset(policy_id=pool.policy_id, triples=triples)
+    big = AugmentedDataset(tuple(triples))
 
     judge = mock_provider({"compares written case examples": "0,1,2"})
     result = select_relevant(dataset.by_id("c01"), big, 3, judge, window_size=100)

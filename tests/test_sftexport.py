@@ -142,7 +142,8 @@ def test_export_full_policy_fallback(tmp_path, aug, policy):
     from dataclasses import replace
 
     case, verdict, prt = aug.triples[0]
-    aug.triples[0] = (replace(case, gold_clauses=frozenset()), verdict, prt)
+    unannotated = (replace(case, gold_clauses=frozenset()), verdict, prt)
+    aug = replace(aug, triples=(unannotated,) + aug.triples[1:])
     out = tmp_path / "sft.jsonl"
     summary = export_sft(aug, policy, out)
     assert summary.n_full_policy_fallbacks == 1
@@ -154,9 +155,11 @@ def test_export_full_policy_fallback(tmp_path, aug, policy):
 
 
 def test_export_rejects_test_split(tmp_path, aug, dataset, policy):
+    from dataclasses import replace
+
     c01 = dataset.by_id("c01")
     _, verdict, prt = aug.triples[0]
-    aug.triples.append((c01, c01.gold_verdict, prt))
+    aug = replace(aug, triples=aug.triples + ((c01, c01.gold_verdict, prt),))
     with pytest.raises(SFTExportError):
         export_sft(aug, policy, tmp_path / "sft.jsonl")
 
