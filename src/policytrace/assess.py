@@ -336,7 +336,9 @@ def run_dataset(
     dataset order even when instances execute in parallel, and each record
     is flushed as it is written. A resume first cuts off a last record left
     half-written by a crash, and refuses to mix records made under a
-    different manifest (anything but `started_at`).
+    different manifest (anything but `started_at`). The results file is
+    read once, on resume only; the summary counts the records it held plus
+    each record written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,7 +367,8 @@ def run_dataset(
 
     if end < len(data):  # a crash left the last record half-written
         os.truncate(results_path, end)
-    done_ids = {result.case_id for result in load_results(results_path)} if end else set()
+    results = load_results(results_path) if end else []
+    done_ids = {result.case_id for result in results}
 
     test_cases = dataset.test
     todo = [c for c in test_cases if c.case_id not in done_ids]
@@ -385,9 +388,9 @@ def run_dataset(
                 continue
             fh.write(json.dumps(result_to_obj(result), ensure_ascii=False) + "\n")
             fh.flush()
+            results.append(result)
             executed += 1
 
-    results = load_results(results_path)
     summary = RunSummary(
         run_id=run_id,
         total=len(test_cases),

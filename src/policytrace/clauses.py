@@ -67,6 +67,7 @@ _SECTION_RE = re.compile(
     re.IGNORECASE,
 )
 _SECTION_ITEM_RE = re.compile(r"\d{3}\.\d{3}(?:\([a-z0-9]+\))*", re.IGNORECASE)
+_TRAILING_GROUP_RE = re.compile(r"\s*\([^()]*\)\s*$")
 
 
 @dataclass
@@ -94,7 +95,15 @@ class ClauseRegistry:
             self._alias_index[_title_key(alias)] = clause
 
     def resolve(self, mention: str) -> Optional[ClauseId]:
-        return self._alias_index.get(_title_key(mention))
+        """The mention in full, else with trailing "(…)" groups stripped one at
+        a time: "Article 5(1)(f)" names "Article 5(1)", else "Article 5"."""
+        while True:
+            clause = self._alias_index.get(_title_key(mention))
+            if clause is not None:
+                return clause
+            mention, stripped = _TRAILING_GROUP_RE.subn("", mention)
+            if not stripped:
+                return None
 
     def canonicals(self) -> list[ClauseId]:
         return list(self.entries)
@@ -138,31 +147,23 @@ def save_registry(registry: ClauseRegistry, path: str | Path) -> None:
 
 
 def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:
-    """Expand article/section mentions; return (mentions, text with them removed)."""
+    """Expand article/section mentions; return (mentions, text with them removed).
+
+    Articles are found and blanked first, so the section scan never reads them.
+    """
     mentions: list[str] = []
-    spans: list[tuple[int, int]] = []
-
-    for m in _ARTICLE_RE.finditer(text):
-        for item in _ARTICLE_ITEM_RE.findall(m.group(1)):
-            mentions.append(f"Article {item}")
-        spans.append(m.span())
-
-    masked = list(text)
-    for start, end in spans:
-        for i in range(start, end):
-            masked[i] = " "
-    masked_text = "".join(masked)
-
-    for m in _SECTION_RE.finditer(masked_text):
-        for item in _SECTION_ITEM_RE.findall(m.group(1)):
-            mentions.append(f"Section {item}")
-        spans.append(m.span())
-
-    remainder = list(masked_text)
-    for start, end in spans:
-        for i in range(start, min(end, len(remainder))):
-            remainder[i] = " "
-    return mentions, "".join(remainder)
+    for pattern, item_re, label in (
+        (_ARTICLE_RE, _ARTICLE_ITEM_RE, "Article"),
+        (_SECTION_RE, _SECTION_ITEM_RE, "Section"),
+    ):
+        parts: list[str] = []
+        pos = 0
+        for m in pattern.finditer(text):
+            mentions.extend(f"{label} {item}" for item in item_re.findall(m.group(1)))
+            parts += (text[pos : m.start()], " " * (m.end() - m.start()))
+            pos = m.end()
+        text = "".join(parts) + text[pos:]
+    return mentions, text
 
 
 def normalize(raw: str, registry: ClauseRegistry) -> tuple[list[ClauseId], list[str]]:

@@ -136,8 +136,8 @@ def _clause_headings(
 
     Article and section headings are line-leading markers: "Article 3",
     "Section 164.502" or a bare "164.502", maybe with subsections "(a)" that
-    resolve in full first, then by bare number; an unknown one is a
-    path:lineno error. A named section's heading is a line that is its title.
+    `resolve` tries in full, then shorn of trailing groups; an unknown one is
+    a path:lineno error. A named section's heading is a line that is its title.
     """
     scheme = _registry_scheme(registry)
     pattern = _ARTICLE_HEADING_RE if scheme is Scheme.ARTICLE else _SECTION_HEADING_RE
@@ -152,7 +152,7 @@ def _clause_headings(
             continue
         number = m.group(1) if scheme is Scheme.ARTICLE else f"Section {m.group(1)}"
         mention = number + m.group(2)
-        clause = registry.resolve(mention) or registry.resolve(number)
+        clause = registry.resolve(mention)
         if clause is None:
             raise CorpusError(f"{path}:{index + 1}: clause marker not in registry: {mention!r}")
         headings.append((index, clause))

@@ -175,8 +175,9 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
     """Send one prompt, honoring cache, context window, and retry policy.
 
     Context overflow is never retried; rate limiting is retried with
-    exponential backoff up to the configured attempt bound. Inside a
-    run_ordered item, the cache entry is left for run_ordered to write.
+    exponential backoff up to the configured attempt bound. No cache key is
+    computed for a handle without a cache_dir. Inside a run_ordered item,
+    the cache entry is left for run_ordered to write.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
@@ -190,9 +191,9 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
             f"exceeds context window ({handle.context_window})"
         )
 
-    key = cache_key(handle, prompt, cfg)
-    entries = _item_entries.get()
     if handle.cache_dir is not None:
+        key = cache_key(handle, prompt, cfg)
+        entries = _item_entries.get()
         if entries is not None and (handle.cache_dir, key) in entries:
             return replace(entries[handle.cache_dir, key], cache_hit=True)
         cached = _cache_read(handle.cache_dir, key)

@@ -8,6 +8,7 @@ deterministically, flagging any record that needed repair or fallback.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import random
 import re
@@ -39,7 +40,7 @@ def _check_k(pool: AugmentedDataset, k: int) -> None:
 
 
 def select_random(pool: AugmentedDataset, k: int, seed: int) -> list[Triple]:
-    """Draw k distinct triples; order is draw order.
+    """Draw k distinct triples in O(k) per draw; order is draw order.
 
     The RNG is seeded from sha256(pool content hash, k, seed) so the draw is
     a pure function of pool content, not of object identity or platform.
@@ -47,11 +48,18 @@ def select_random(pool: AugmentedDataset, k: int, seed: int) -> list[Triple]:
     _check_k(pool, k)
     digest = hashlib.sha256(f"{pool.content_hash}|{k}|{seed}".encode("utf-8")).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
-    indices = list(range(len(pool)))
+    # j counts free positions: step it past each taken one at or below it, so
+    # the draw is the one popping j from a list of the free positions makes.
+    taken: list[int] = []
     picked: list[int] = []
-    for _ in range(k):
-        j = rng.randrange(len(indices))
-        picked.append(indices.pop(j))
+    for i in range(k):
+        j = rng.randrange(len(pool) - i)
+        for t in taken:
+            if t > j:
+                break
+            j += 1
+        bisect.insort(taken, j)
+        picked.append(j)
     return [pool.triples[i] for i in picked]
 
 

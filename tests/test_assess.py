@@ -268,6 +268,32 @@ def test_run_dataset_resumes_after_torn_last_line(
     assert summary.executed == len(lines) - cut_line
 
 
+@pytest.mark.parametrize("cut_line", [0, 1, 4])
+def test_run_dataset_resumed_summary_counts_match_an_uninterrupted_run(
+    tmp_path, dataset, policy, cut_line
+):
+    # Mixed outcomes: right, wrong and unparsed (flagged) verdicts.
+    replies = ["Final Judgment: COMPLIANT", "Final Judgment: NONCOMPLIANT", "No verdict."]
+    learner = mock_provider(
+        {case.case_text: replies[i % 3] for i, case in enumerate(dataset.test)}
+    )
+    strategy = Strategy(StrategyKind.BASE)
+    whole_path, whole = run_dataset(dataset, policy, strategy, learner, tmp_path / "a")
+    lines = whole_path.read_bytes().splitlines(keepends=True)
+    torn_path = tmp_path / "b" / whole_path.name
+    torn_path.parent.mkdir()
+    torn_path.write_bytes(b"".join(lines[:cut_line]) + lines[cut_line][:40])
+
+    _, resumed = run_dataset(dataset, policy, strategy, learner, tmp_path / "b")
+    assert whole.unparsed == 2 and 0 < whole.correct < 4
+    assert whole.flagged_cases == [dataset.test[i].case_id for i in (2, 5)]
+    assert (resumed.correct, resumed.unparsed, resumed.flagged_cases) == (
+        whole.correct, whole.unparsed, whole.flagged_cases
+    )
+    assert (resumed.skipped, resumed.executed) == (cut_line, whole.executed - cut_line)
+    assert whole.skipped == 0 and resumed.failed_cases == whole.failed_cases == []
+
+
 def test_run_dataset_concurrency_matches_sequential(tmp_path, dataset, policy, learner_handle):
     strategy = Strategy(StrategyKind.FEWSHOT_PRT, SelectionMode.RAND, k=3)
     expert = mock_provider(EXPERT_SCRIPT)

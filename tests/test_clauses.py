@@ -47,6 +47,55 @@ def test_subsection_never_keys_as_a_longer_number():
     assert normalize("Article 5(2)", registry) == ([], ["Article 5(2)"])
 
 
+def _numbered_registry(*canonicals: str) -> ClauseRegistry:
+    registry = ClauseRegistry(policy_id="p")
+    for canonical in canonicals:
+        scheme = Scheme.ARTICLE if canonical.startswith("Article") else Scheme.SECTION
+        registry.add(ClauseId(canonical, scheme))
+    return registry
+
+
+@pytest.mark.parametrize(
+    "whole,mention",
+    [("Article 5", "Article 5(1)"), ("Section 164.502", "164.502(a)(1)")],
+)
+def test_subsection_mention_resolves_to_whole_clause(whole, mention):
+    registry = _numbered_registry(whole)
+    clause = registry.resolve(whole)
+    assert normalize(mention, registry) == ([clause], [])
+    assert extract_cited_clauses(f"This falls under {mention}.", registry).cited == {clause}
+
+
+@pytest.mark.parametrize(
+    "canonicals,mention,expected",
+    [
+        # The full mention wins when it is registered.
+        (("Article 5", "Article 5(1)", "Article 5(2)"), "Article 5(1)", "Article 5(1)"),
+        (("Section 164.502", "Section 164.502(a)"), "164.502(a)", "Section 164.502(a)"),
+        # Groups are stripped one at a time: the nearest registered parent wins.
+        (("Article 5", "Article 5(1)"), "Article 5(1)(f)", "Article 5(1)"),
+        (("Section 164.502", "Section 164.502(a)"), "164.502(a)(1)", "Section 164.502(a)"),
+        (("Section 164.502", "Section 164.502(a)"), "164.502(b)", "Section 164.502"),
+    ],
+)
+def test_registered_subsection_wins_over_its_parent(canonicals, mention, expected):
+    registry = _numbered_registry(*canonicals)
+    assert [c.canonical for c in normalize(mention, registry)[0]] == [expected]
+
+
+@pytest.mark.parametrize(
+    "canonicals,mention",
+    [
+        (("Article 5(1)", "Article 5(2)"), "Article 5(3)"),
+        (("Section 164.502(a)", "Section 164.502(b)"), "164.502(c)(1)"),
+    ],
+)
+def test_unregistered_subsection_of_a_subsection_registry_stays_unknown(canonicals, mention):
+    registry = _numbered_registry(*canonicals)
+    resolved, unknowns = normalize(mention, registry)
+    assert resolved == [] and len(unknowns) == 1
+
+
 def test_registry_round_trip(registry, tmp_path):
     path = tmp_path / "reg.json"
     save_registry(registry, path)
@@ -98,9 +147,10 @@ def test_section_scheme_expansion():
     resolved, unknowns = normalize("Sections 164.502 and 164.512(a)", registry)
     assert resolved == [s1, s2]
     assert unknowns == []
-    resolved, _ = normalize("164.502(b)", registry)
-    # Subparagraph is a distinct mention; parent gets no credit.
-    assert resolved == []
+    # An unregistered subparagraph names its registered parent...
+    assert normalize("164.502(b)", registry) == ([s1], [])
+    # ...but never a registered sibling: 164.512 itself is not registered.
+    assert normalize("164.512(b)", registry) == ([], ["Section 164.512(b)"])
 
 
 def test_regex_extraction_without_judge(registry):

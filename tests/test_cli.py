@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -320,25 +319,32 @@ def test_unknown_model_rejected(workdir, corpus_dir, capsys):
 
 
 class _InFlight:
-    """Peak number of model calls in flight across every handle."""
+    """Peak number of model calls in flight across every handle.
+
+    Each call waits (up to 2 s) until the peak has reached `target`, so a
+    run that may hold `target` calls in flight does so however the threads
+    are scheduled; set it to min(concurrency, items) before each run.
+    """
 
     def __init__(self):
         self.now = self.peak = 0
-        self.lock = threading.Lock()
+        self.target = 1
+        self.cond = threading.Condition()
 
     def slow(self, inner):
         gauge = self
 
         class Slow:
             def generate(self, model_id, prompt, cfg):
-                with gauge.lock:
+                with gauge.cond:
                     gauge.now += 1
                     gauge.peak = max(gauge.peak, gauge.now)
+                    gauge.cond.notify_all()
+                    gauge.cond.wait_for(lambda: gauge.peak >= gauge.target, timeout=2.0)
                 try:
-                    time.sleep(0.02)
                     return inner.generate(model_id, prompt, cfg)
                 finally:
-                    with gauge.lock:
+                    with gauge.cond:
                         gauge.now -= 1
 
         return Slow()
@@ -361,6 +367,7 @@ def in_flight(monkeypatch):
 
 def test_assess_concurrency_is_the_only_bound_on_calls_in_flight(workdir, capsys, in_flight):
     corpus, out = workdir
+    in_flight.target = 6  # min(concurrency 8, six test cases)
     code = run_cli(
         "--config", corpus / "config.json", "--out-dir", out, "--concurrency", 8,
         "assess", "--strategy", "base",
@@ -377,6 +384,7 @@ def test_report_runs_judge_extractions_concurrently(workdir, capsys, in_flight):
     peaks, reports = [], []
     for concurrency in (1, 4):
         in_flight.peak = 0
+        in_flight.target = concurrency  # six results to extract from
         report_dir = out / f"report_c{concurrency}"
         code = run_cli(
             "--config", config, "--out-dir", report_dir, "--concurrency", concurrency,

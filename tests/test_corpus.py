@@ -107,6 +107,15 @@ def test_load_dataset_unknown_clause(tmp_path, registry):
     assert str(err.value).startswith("line 3:")
 
 
+def test_load_dataset_credits_a_subsection_citation_to_its_whole_article(tmp_path, registry):
+    path = tmp_path / "subsection.jsonl"
+    obj = json.loads(dataset_jsonl_lines()[0])
+    obj["clauses"] = ["Article 3(1)(b)"]  # the registry holds whole articles only
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    (record,) = load_dataset(path, registry=registry).records
+    assert [c.canonical for c in record.gold_clauses] == ["Article 3"]
+
+
 @pytest.mark.parametrize("entry", [5, ["Article 1"]], ids=["int", "list"])
 def test_load_dataset_non_string_clause(tmp_path, registry, entry):
     path = tmp_path / "bad_clause.jsonl"

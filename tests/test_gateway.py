@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from policytrace import gateway
 from policytrace.gateway import (
     ASSESS_PROFILE,
     PRT_GEN_PROFILE,
@@ -129,6 +130,32 @@ def test_cache_key_sensitivity():
     assert cache_key(handle, "other", ASSESS_PROFILE) != base
     assert cache_key(handle, "prompt", SamplingConfig(temperature=0.1)) != base
     assert cache_key(handle, "prompt", SamplingConfig(seed=7)) != base
+
+
+def test_cache_key_golden():
+    # Pins the on-disk cache: a changed key orphans every stored entry.
+    handle = mock_provider({"": "x"})
+    prompt = "Assess Article 5(1) — naïve prompt"
+    assert cache_key(handle, prompt, ASSESS_PROFILE) == (
+        "8fe3385dae20310afd84c0b2697499021ae0e89474cab1d4cc7c2ffacf789af4"
+    )
+    cfg = SamplingConfig(temperature=0.0, top_p=0.5, max_new_tokens=16, seed=7)
+    assert cache_key(handle, prompt, cfg) == (
+        "24473e76bac203fc019e02d7c4c082684fbbadb71f6ec6cc58017cb075f65a46"
+    )
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_complete_without_cache_dir_computes_no_key(monkeypatch, concurrency):
+    def no_key(*args):
+        raise AssertionError("cache_key called without a cache_dir")
+
+    monkeypatch.setattr(gateway, "cache_key", no_key)
+    handle = mock_provider({"": "x"})
+    assert complete(handle, "ping", ASSESS_PROFILE).text == "x"
+    call = lambda prompt: complete(handle, prompt, ASSESS_PROFILE).text  # noqa: E731
+    outcomes = list(run_ordered(call, ["a", "b", "c"], concurrency))
+    assert outcomes == [("a", "x", None), ("b", "x", None), ("c", "x", None)]
 
 
 def test_disk_cache_round_trip(tmp_path):

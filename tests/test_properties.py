@@ -1,15 +1,26 @@
 """Property-based invariants across modules."""
 
+import hashlib
 import math
+import random
 import statistics
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_dataset, build_registry
-from policytrace.clauses import ClauseId, Scheme, normalize
+from policytrace.clauses import (
+    _ARTICLE_ITEM_RE,
+    _ARTICLE_RE,
+    _SECTION_ITEM_RE,
+    _SECTION_RE,
+    ClauseId,
+    Scheme,
+    _expand_numbered_mentions,
+    normalize,
+)
 from policytrace.assess import parse_verdict
 from policytrace.corpus import Verdict, verdict_tokens
 from policytrace.prtgen import AugmentedDataset, PRTRecord, count_words, prt_stats, validate_prt
@@ -138,6 +149,83 @@ def test_select_random_is_content_function(n, seed):
     ids_b = [c.case_id for c, _, _ in select_random(pool_b, k, seed)]
     assert ids_a == ids_b
     assert len(set(ids_a)) == k
+
+
+@dataclass(frozen=True)
+class _IndexPool:
+    """Stands in for a pool of n triples: select_random reads only its
+    content hash, its length and its triples, here the indices themselves."""
+
+    n: int
+    content_hash: str = "c0ffee"
+
+    def __len__(self):
+        return self.n
+
+    @property
+    def triples(self):
+        return range(self.n)
+
+
+def _list_pop_draws(pool, k, seed):
+    digest = hashlib.sha256(f"{pool.content_hash}|{k}|{seed}".encode("utf-8")).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    free = list(range(len(pool)))
+    return [free.pop(rng.randrange(len(free))) for _ in range(k)]
+
+
+@given(st.integers(1, 4000), st.integers(1, 12), st.integers(0, 2**32))
+@example(n=1, k=1, seed=0)
+@example(n=4000, k=12, seed=5)
+@settings(max_examples=200)
+def test_select_random_draws_match_list_pop(n, k, seed):
+    k = min(k, n)
+    pool = _IndexPool(n)
+    assert select_random(pool, k, seed) == _list_pop_draws(pool, k, seed)
+
+
+def test_select_random_draws_match_list_pop_on_a_real_pool():
+    pool = _toy_pool(12)
+    for seed in range(50):
+        drawn = [pool.index[c.case_id] for c, _, _ in select_random(pool, 5, seed)]
+        assert drawn == _list_pop_draws(pool, 5, seed)
+
+
+def _per_char_expand(text):
+    """The character-by-character masking that _expand_numbered_mentions replaced."""
+    mentions, spans = [], []
+    for m in _ARTICLE_RE.finditer(text):
+        mentions += [f"Article {item}" for item in _ARTICLE_ITEM_RE.findall(m.group(1))]
+        spans.append(m.span())
+    masked = list(text)
+    for start, end in spans:
+        for i in range(start, end):
+            masked[i] = " "
+    masked_text = "".join(masked)
+    for m in _SECTION_RE.finditer(masked_text):
+        mentions += [f"Section {item}" for item in _SECTION_ITEM_RE.findall(m.group(1))]
+        spans.append(m.span())
+    remainder = list(masked_text)
+    for start, end in spans:
+        for i in range(start, min(end, len(remainder))):
+            remainder[i] = " "
+    return mentions, "".join(remainder)
+
+
+_MENTION_PIECES = [
+    "Article 5", "Articles 1, 2 and 3", "article5(1)(f)", "Article 1,3,4", "Art 2",
+    "Section 164.502", "Sections 164.502 and 164.512(a)", "164.506(c)(1)", "§ 164.508",
+    "section", "Article ", "164.", "(b)", " ", ", ", " and ", "&", "Stay in bounds", "é",
+]
+
+
+@given(st.lists(st.sampled_from(_MENTION_PIECES), max_size=12))
+@example(["section ", "Article 5 ", "164.502"])  # a section span over a blanked article
+@example(["Article 5", "164.502(a)"])  # both kinds of span end at the end of the text
+@settings(max_examples=300)
+def test_expand_numbered_mentions_matches_per_char_masking(pieces):
+    text = "".join(pieces)
+    assert _expand_numbered_mentions(text) == _per_char_expand(text)
 
 
 @given(
