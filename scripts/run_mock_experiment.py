@@ -1,69 +1,18 @@
 #!/usr/bin/env python3
 """Run the full pipeline offline against the scripted mock provider.
 
-Builds a synthetic corpus on disk, generates a trace store, assesses the test
+Writes the mock corpus of `mock_corpus.py` to disk, generates a trace store, assesses the test
 split with every strategy, and prints the metrics/significance report. Useful
 as a smoke test and as a template for wiring a real provider config.
 
 Usage: python scripts/run_mock_experiment.py [out_dir]
 """
 
-import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-from conftest import (  # noqa: E402
-    EXPERT_SCRIPT,
-    JUDGE_SCRIPT,
-    LEARNER_SCRIPT,
-    POLICY_TEXT,
-    build_registry,
-    dataset_jsonl_lines,
-    script_to_config,
-)
-from policytrace.clauses import save_registry  # noqa: E402
-from policytrace.cli import main  # noqa: E402
-
-
-def build_corpus(root: Path) -> Path:
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "policy.txt").write_text(POLICY_TEXT, encoding="utf-8")
-    save_registry(build_registry(), root / "registry.json")
-    (root / "cases.jsonl").write_text("\n".join(dataset_jsonl_lines()) + "\n", encoding="utf-8")
-
-    providers = {
-        "provider_id": "mock",
-        "script": script_to_config(EXPERT_SCRIPT + JUDGE_SCRIPT + LEARNER_SCRIPT),
-        "models": [
-            {"model_id": "mock-expert"},
-            {"model_id": "mock-judge"},
-            {
-                "model_id": "mock-learner",
-                "supports_raw_cot": True,
-                "price_in_usd_per_1m": 0.40,
-                "price_out_usd_per_1m": 1.75,
-            },
-        ],
-    }
-    (root / "providers.json").write_text(json.dumps(providers, indent=2), encoding="utf-8")
-
-    config = {
-        "policy_id": "synthpol",
-        "policy_title": "Data Handling Policy",
-        "policy_file": "policy.txt",
-        "registry_file": "registry.json",
-        "dataset_file": "cases.jsonl",
-        "providers_file": "providers.json",
-        "expert_model": "mock-expert",
-        "learner_model": "mock-learner",
-        "judge_model": "mock-judge",
-        "seed": 42,
-    }
-    config_path = root / "config.json"
-    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
-    return config_path
+from mock_corpus import build_corpus
+from policytrace.cli import main
 
 
 def run(out_dir: Path) -> int:

@@ -268,9 +268,13 @@ def result_from_obj(obj: dict) -> InstanceResult:
 
 def load_results(path: str | Path) -> list[InstanceResult]:
     results = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
             results.append(result_from_obj(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as err:
+            raise AssessError(f"{path}:{lineno}: malformed record: {err}") from err
     return results
 
 

@@ -1,9 +1,9 @@
-"""Clause identifier canonicalization, expansion, and citation extraction.
+"""Clause syntax, owned here alone: one grammar reads clause numbers in policy
+headings, case records and model citations. Also canonical ids and extraction.
 
-Three citation schemes are supported: numbered articles ("Article 5"),
-dotted regulation sections ("Section 164.512(a)"), and named sections
-matched by title ("Stay in bounds"). Contracted mentions such as
-"Article 1,3,4" or "Articles 5 and 6" expand to individual identifiers.
+Schemes: numbered articles ("Article 5"), dotted sections ("Section 164.512(a)",
+"§ 164.502", a bare "164.502") and named sections matched by title. A number is
+a whole token; "Article 1,3,4" or "Articles 5 and 6" expand to one id each.
 """
 
 from __future__ import annotations
@@ -48,25 +48,21 @@ def _title_key(s: str) -> str:
     return " ".join(s.translate(_PUNCT_TABLE).lower().split())
 
 
-# "Article 1,3,4", "Articles 5 and 6", "Article5(1)(f)"
-_ARTICLE_RE = re.compile(
-    r"\barticles?\s*("
-    r"\d+(?:\([a-z0-9]+\))*"
-    r"(?:\s*(?:,|and|&)\s*\d+(?:\([a-z0-9]+\))*)*"
-    r")",
-    re.IGNORECASE,
-)
-_ARTICLE_ITEM_RE = re.compile(r"\d+(?:\([a-z0-9]+\))*", re.IGNORECASE)
+def _numbered(prefix: str, number: str) -> tuple[re.Pattern, re.Pattern]:
+    """(mention, item) patterns. An item is a number and all its "(…)" groups as
+    a whole token: no digit or "." before it, no letter, digit or "_" after it."""
+    group = r"\([a-z0-9]+\)"
+    item = rf"(?<![\d.]){number}(?:{group})*(?!\w|{group})"
+    mention = rf"{prefix}({item}(?:\s*(?:,|and|&)\s*{item})*)"
+    return re.compile(mention, re.IGNORECASE), re.compile(item, re.IGNORECASE)
 
-# "Section 164.512(a)", bare "164.502(b)", "Sections 164.502, 164.506"
-_SECTION_RE = re.compile(
-    r"(?:\bsections?\s*|§\s*)?("
-    r"\d{3}\.\d{3}(?:\([a-z0-9]+\))*"
-    r"(?:\s*(?:,|and|&)\s*\d{3}\.\d{3}(?:\([a-z0-9]+\))*)*"
-    r")",
-    re.IGNORECASE,
-)
-_SECTION_ITEM_RE = re.compile(r"\d{3}\.\d{3}(?:\([a-z0-9]+\))*", re.IGNORECASE)
+
+# scheme -> (mention, item, label), articles first: "Article 1,3,4", "Articles 5 and 6",
+# "Article5(1)(f)"; "Section 164.512(a)", "164.502(b)", "§ 164.508", "Sections 164.502, 164.506"
+_NUMBERED = {
+    Scheme.ARTICLE: (*_numbered(r"\barticles?\s*", r"\d+"), "Article"),
+    Scheme.SECTION: (*_numbered(r"(?:\bsections?\s*|§\s*)?", r"\d{3}\.\d{3}"), "Section"),
+}
 _TRAILING_GROUP_RE = re.compile(r"\s*\([^()]*\)\s*$")
 
 
@@ -152,10 +148,7 @@ def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:
     Articles are found and blanked first, so the section scan never reads them.
     """
     mentions: list[str] = []
-    for pattern, item_re, label in (
-        (_ARTICLE_RE, _ARTICLE_ITEM_RE, "Article"),
-        (_SECTION_RE, _SECTION_ITEM_RE, "Section"),
-    ):
+    for pattern, item_re, label in _NUMBERED.values():
         parts: list[str] = []
         pos = 0
         for m in pattern.finditer(text):
@@ -164,6 +157,15 @@ def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:
             pos = m.end()
         text = "".join(parts) + text[pos:]
     return mentions, text
+
+
+def heading_mention(line: str, scheme: Scheme) -> Optional[str]:
+    """The one numbered mention a heading line starts with ("§ 164.502 Uses" gives
+    "Section 164.502"); None for none or a list ("Articles 5 and 6 ...")."""
+    pattern, item_re, label = _NUMBERED[scheme]
+    m = pattern.match(line)
+    items = item_re.findall(m.group(1)) if m else []
+    return f"{label} {items[0]}" if len(items) == 1 else None
 
 
 def normalize(raw: str, registry: ClauseRegistry) -> tuple[list[ClauseId], list[str]]:
@@ -254,9 +256,9 @@ def extract_cited_clauses(
         {"policy_section_masterlist": masterlist, "reasoning_text": reasoning_text},
     )
 
-    for _attempt in range(2):
+    for attempt in range(2):
         try:
-            response = complete(judge, prompt, ASSESS_PROFILE)
+            response = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt))
         except GatewayError:
             continue
         ids, unknowns = normalize(response.text, registry)

@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .clauses import ClauseId, ClauseRegistry, Scheme, normalize
+from .clauses import ClauseId, ClauseRegistry, Scheme, heading_mention, normalize
 from .tokens import Tokenizer, estimate_tokens
 
 
@@ -124,34 +124,26 @@ class Dataset:
         return self._by_id[case_id]
 
 
-_SUFFIXES = r"\b((?:\([a-z0-9]+\))*)"
-_ARTICLE_HEADING_RE = re.compile(r"^(Article\s*\d+)" + _SUFFIXES, re.IGNORECASE)
-_SECTION_HEADING_RE = re.compile(r"^(?:Section\s*)?(\d{3}\.\d{3})" + _SUFFIXES, re.IGNORECASE)
-
-
 def _clause_headings(
     text: str, registry: ClauseRegistry, path: Path
 ) -> tuple[tuple[int, ClauseId], ...]:
     """(0-based line index, clause) of every clause heading, document order.
 
-    Article and section headings are line-leading markers: "Article 3",
-    "Section 164.502" or a bare "164.502", maybe with subsections "(a)" that
+    An article or section heading is a line that starts with one mention
+    (`heading_mention`: "Article 3", "§ 164.502", "164.502(a)", ...) that
     `resolve` tries in full, then shorn of trailing groups; an unknown one is
     a path:lineno error. A named section's heading is a line that is its title.
     """
     scheme = _registry_scheme(registry)
-    pattern = _ARTICLE_HEADING_RE if scheme is Scheme.ARTICLE else _SECTION_HEADING_RE
     headings: list[tuple[int, ClauseId]] = []
     for index, line in enumerate(text.splitlines()):
         line = line.strip()
         if scheme is Scheme.NAMED:
             headings.extend((index, clause) for clause in normalize(line, registry)[0])
             continue
-        m = pattern.match(line)
-        if not m:
+        mention = heading_mention(line, scheme)
+        if mention is None:
             continue
-        number = m.group(1) if scheme is Scheme.ARTICLE else f"Section {m.group(1)}"
-        mention = number + m.group(2)
         clause = registry.resolve(mention)
         if clause is None:
             raise CorpusError(f"{path}:{index + 1}: clause marker not in registry: {mention!r}")
@@ -244,7 +236,7 @@ def _record_from_obj(
             gold_clauses=frozenset(gold),
             split=Split(obj["split"]),
         )
-    except (KeyError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CorpusError(f"line {lineno}: malformed record: {err}") from err
 
 
@@ -278,22 +270,6 @@ def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
             f"text_hashes={[h for h, _, _ in report.shared_text_hashes]}"
         )
     return dataset
-
-
-def record_to_obj(record: CaseRecord) -> dict:
-    return {
-        "case_id": record.case_id,
-        "case_text": record.case_text,
-        "verdict": record.gold_verdict.value,
-        "clauses": sorted(c.canonical for c in record.gold_clauses),
-        "split": record.split.value,
-    }
-
-
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Canonical serialization: fixed field order, sorted clause lists."""
-    lines = [json.dumps(record_to_obj(r), ensure_ascii=False) for r in dataset.records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def split_counts(dataset: Dataset) -> dict[str, int]:

@@ -57,6 +57,12 @@ class SamplingConfig:
         if self.max_new_tokens <= 0:
             raise ValueError(f"max_new_tokens must be positive: {self.max_new_tokens}")
 
+    def for_attempt(self, attempt: int) -> "SamplingConfig":
+        """This config for a caller's 0-based attempt at one request. A retry
+        gets another seed, so its cache key differs and it reaches the model
+        instead of replaying the cached reply; attempt 0's key is unchanged."""
+        return self if attempt == 0 else replace(self, seed=(self.seed or 0) + attempt)
+
 
 # Named sampling profiles: trace generation is capped at 2048 new tokens to
 # avoid runaway traces; every other call gets the full 8192 budget.

@@ -121,9 +121,9 @@ def _count_references(raw_cot: str, judge: ModelHandle) -> tuple[int, bool]:
     """Ask the judge for a reference count; non-integer reply retried once,
     then counted as 0 and flagged."""
     prompt = render(TemplateId.UTILIZATION_COUNT, {"reasoning_text": raw_cot})
-    for _attempt in range(2):
+    for attempt in range(2):
         try:
-            reply = complete(judge, prompt, ASSESS_PROFILE).text
+            reply = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt)).text
         except GatewayError:
             continue
         m = _INT_REPLY_RE.search(reply)

@@ -8,14 +8,12 @@ DemoBlock and number the blocks "CASE 1:", "CASE 2:", ... in given order.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import Optional
 
 from .corpus import Verdict
@@ -82,21 +80,6 @@ def template_hash(template_id: TemplateId) -> str:
     return hashlib.sha256(_template_text(template_id).encode("utf-8")).hexdigest()
 
 
-def check_template_sources() -> None:
-    """Static check at load: every template file parses and its placeholder
-    set is non-empty and well-formed (lowercase identifiers only)."""
-    for template_id in TemplateId:
-        text = _template_text(template_id)
-        if not text:
-            raise PromptError(f"template {template_id.value} is empty")
-        names = placeholders(template_id)
-        if not names:
-            raise PromptError(f"template {template_id.value} has no placeholders")
-        stray = re.findall(r"\{[^a-z_][^}]*\}", text)
-        if stray:
-            raise PromptError(f"template {template_id.value}: malformed placeholder {stray[0]!r}")
-
-
 def format_demos(template_id: TemplateId, demos: list[DemoBlock]) -> str:
     if not demos:
         raise DemoCountMismatchError("at least one demonstration is required")
@@ -148,27 +131,3 @@ def render(template_id: TemplateId, bindings: dict, k: Optional[int] = None) -> 
         return str(values[match.group(1)])
 
     return _PLACEHOLDER_RE.sub(_sub, text)
-
-
-def golden_check(
-    template_id: TemplateId, fixture_bindings: dict, golden_dir: str | Path
-) -> tuple[bool, str]:
-    """Render with fixture bindings and compare byte-for-byte to the golden.
-
-    Returns (passed, diff); diff is empty on pass.
-    """
-    rendered = render(template_id, fixture_bindings)
-    golden_path = Path(golden_dir) / f"{template_id.value}.golden.txt"
-    golden = golden_path.read_text(encoding="utf-8")
-    if rendered == golden:
-        return True, ""
-    diff = "\n".join(
-        difflib.unified_diff(
-            golden.splitlines(),
-            rendered.splitlines(),
-            fromfile=str(golden_path),
-            tofile=f"render({template_id.value})",
-            lineterm="",
-        )
-    )
-    return False, diff

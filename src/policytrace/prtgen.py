@@ -171,8 +171,8 @@ def generate_prt(case: CaseRecord, policy: Policy, expert: ModelHandle) -> PRTRe
     prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
     last_failure: Optional[ValidationFailure] = None
-    for _attempt in range(2):
-        response = complete(expert, prompt, PRT_GEN_PROFILE)
+    for attempt in range(2):
+        response = complete(expert, prompt, PRT_GEN_PROFILE.for_attempt(attempt))
         failure = validate_prt(response.text, case.gold_verdict)
         if failure is None:
             return _build_record(case, expert.model_id, response.text, prompt_hash)
@@ -252,8 +252,11 @@ def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        record = PRTRecord(**{**obj, "echoed_verdict": Verdict(obj["echoed_verdict"])})
+        try:
+            obj = json.loads(line)
+            record = PRTRecord(**{**obj, "echoed_verdict": Verdict(obj["echoed_verdict"])})
+        except (KeyError, TypeError, ValueError) as err:
+            raise PRTError(f"line {lineno}: malformed record: {err}") from err
         experts.add(record.expert_model)
         if len(experts) > 1:
             raise PRTError(f"line {lineno}: store mixes expert models: {sorted(experts)}")

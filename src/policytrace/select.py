@@ -109,7 +109,12 @@ def format_candidates(pool: AugmentedDataset) -> str:
 
 
 def _query_judge(
-    target: CaseRecord, pool: AugmentedDataset, k: int, judge: ModelHandle, policy_name: str
+    target: CaseRecord,
+    pool: AugmentedDataset,
+    k: int,
+    judge: ModelHandle,
+    policy_name: str,
+    attempt: int,
 ) -> str:
     target_clauses = sorted(c.canonical for c in target.gold_clauses)
     prompt = render(
@@ -123,7 +128,7 @@ def _query_judge(
             "candidates": format_candidates(pool),
         },
     )
-    return complete(judge, prompt, ASSESS_PROFILE).text
+    return complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt)).text
 
 
 def _select_from_window(
@@ -138,7 +143,7 @@ def _select_from_window(
     unreachable = 0
     for attempt in range(2):
         try:
-            reply = _query_judge(target, pool, k, judge, policy_name)
+            reply = _query_judge(target, pool, k, judge, policy_name, attempt)
         except GatewayError:
             unreachable += 1
             if unreachable == 2:

@@ -1,7 +1,11 @@
-"""Fixed bindings used to render every template against its golden file."""
+"""Fixed bindings used to render every template against its golden file,
+and the byte-exact comparison of a render with its golden."""
+
+import difflib
+from pathlib import Path
 
 from policytrace.corpus import Verdict
-from policytrace.prompts import DemoBlock, TemplateId
+from policytrace.prompts import DemoBlock, TemplateId, render
 
 POLICY = "Article 1: Lawful Basis\nProcessing requires a documented lawful basis."
 CASE = "A clinic recorded its lawful basis register before enrolling new patients."
@@ -77,3 +81,27 @@ GOLDEN_BINDINGS = {
     TemplateId.UTILIZATION_COUNT: {"reasoning_text": REASONING},
     TemplateId.POLICY_SUMMARIZE: {"policy": POLICY},
 }
+
+
+def golden_check(
+    template_id: TemplateId, fixture_bindings: dict, golden_dir: str | Path
+) -> tuple[bool, str]:
+    """Render with fixture bindings and compare byte-for-byte to the golden.
+
+    Returns (passed, diff); diff is empty on pass.
+    """
+    rendered = render(template_id, fixture_bindings)
+    golden_path = Path(golden_dir) / f"{template_id.value}.golden.txt"
+    golden = golden_path.read_text(encoding="utf-8")
+    if rendered == golden:
+        return True, ""
+    diff = "\n".join(
+        difflib.unified_diff(
+            golden.splitlines(),
+            rendered.splitlines(),
+            fromfile=str(golden_path),
+            tofile=f"render({template_id.value})",
+            lineterm="",
+        )
+    )
+    return False, diff

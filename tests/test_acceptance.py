@@ -17,7 +17,7 @@ from conftest import (
     build_dataset,
     build_registry,
 )
-from golden_bindings import GOLDEN_BINDINGS
+from golden_bindings import GOLDEN_BINDINGS, golden_check
 from policytrace.assess import (
     TURN_COUNTS,
     SelectionMode,
@@ -30,7 +30,7 @@ from policytrace.clauses import ClauseId, Scheme, extract_cited_clauses
 from policytrace.corpus import Split, Verdict, load_policy
 from policytrace.gateway import mock_provider
 from policytrace.metrics import accuracy, clause_relevance
-from policytrace.prompts import TemplateId, golden_check
+from policytrace.prompts import TemplateId
 from policytrace.prtgen import (
     PRTRecord,
     count_sentences,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -259,7 +260,8 @@ def test_run_dataset_resumes_after_torn_last_line(
     torn_path = tmp_path / "b" / whole_path.name
     torn_path.parent.mkdir()
     torn_path.write_bytes(b"".join(lines[:cut_line]) + lines[cut_line][:40])
-    with pytest.raises(json.JSONDecodeError):
+    torn = rf"^{re.escape(str(torn_path))}:{cut_line + 1}: malformed record: "
+    with pytest.raises(AssessError, match=torn):
         load_results(torn_path)  # report reads only whole files
 
     _, summary = run_dataset(dataset, policy, strategy, learner_handle, tmp_path / "b")

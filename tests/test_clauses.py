@@ -96,6 +96,21 @@ def test_unregistered_subsection_of_a_subsection_registry_stays_unknown(canonica
     assert resolved == [] and len(unknowns) == 1
 
 
+@pytest.mark.parametrize(
+    "canonical,text",
+    [
+        ("Section 164.502", "164.5021"),
+        ("Section 164.502", "1164.502"),
+        ("Section 164.502", "Section 164.502b"),
+        ("Article 5", "Article 5a"),
+        ("Article 5", "Article 5(1)x"),
+    ],
+)
+def test_a_citation_names_a_clause_only_by_its_whole_number(canonical, text):
+    registry = _numbered_registry(canonical)
+    assert extract_cited_clauses(f"This falls under {text}.", registry).cited == set()
+
+
 def test_registry_round_trip(registry, tmp_path):
     path = tmp_path / "reg.json"
     save_registry(registry, path)
@@ -167,11 +182,14 @@ def test_judge_extraction_primary(registry):
     assert not result.used_fallback
 
 
-def test_judge_garbage_falls_back_to_regex(registry):
-    judge = mock_provider({"extract all policy sections": "no clauses here whatsoever"})
-    result = extract_cited_clauses("the reasoning leans on Article 5 alone", registry, judge)
-    assert result.cited == {cid(5)}
-    assert result.used_fallback
+def test_judge_garbage_falls_back_to_regex(registry, tmp_path):
+    for cache_dir in (None, tmp_path / "cache"):  # the retry is never a cache replay
+        reply = {"extract all policy sections": "no clauses here whatsoever"}
+        judge = mock_provider(reply, cache_dir=cache_dir)
+        result = extract_cited_clauses("the reasoning leans on Article 5 alone", registry, judge)
+        assert result.cited == {cid(5)}
+        assert result.used_fallback
+        assert judge.provider.call_count == 2
 
 
 def test_judge_empty_reply_means_no_citations(registry):

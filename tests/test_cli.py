@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -258,10 +259,9 @@ def test_export_sft_command(workdir, capsys):
     assert (out / "export-sft.manifest.json").exists()
 
 
-def test_export_sft_bare_section_headings(workdir, capsys):
-    """A policy headed "164.502 ..." (no "Section") exports each gold clause."""
-    corpus, out = workdir
-    (corpus / "policy.txt").write_text(SECTION_POLICY_TEXT, encoding="utf-8")
+def _section_corpus(corpus, policy_text):
+    """The corpus's cases under the section scheme, citing bare "164.502"."""
+    (corpus / "policy.txt").write_text(policy_text, encoding="utf-8")
     save_registry(build_section_registry(), corpus / "registry.json")
     cases = [json.loads(line) for line in dataset_jsonl_lines()]
     for case in cases:
@@ -269,6 +269,12 @@ def test_export_sft_bare_section_headings(workdir, capsys):
     (corpus / "cases.jsonl").write_text(
         "".join(json.dumps(case) + "\n" for case in cases), encoding="utf-8"
     )
+
+
+def test_export_sft_bare_section_headings(workdir, capsys):
+    """A policy headed "164.502 ..." (no "Section") exports each gold clause."""
+    corpus, out = workdir
+    _section_corpus(corpus, SECTION_POLICY_TEXT)
     store = _gen(corpus, out)
     capsys.readouterr()
     code = run_cli(
@@ -284,6 +290,21 @@ def test_export_sft_bare_section_headings(workdir, capsys):
         "164.504 Data Minimization\n"
         "Collection is limited to fields that are necessary for the stated purpose under 164.502."
     )
+
+
+def test_section_sign_headings_validate_and_export(workdir, capsys):
+    """A policy headed "§ 164.502 ..." finds every clause and exports each one."""
+    corpus, out = workdir
+    _section_corpus(corpus, SECTION_POLICY_TEXT.replace("\n164.", "\n§ 164."))
+    assert run_cli("--config", corpus / "config.json", "validate") == 0
+    assert json.loads(capsys.readouterr().out)["clauses"] == 5
+    store = _gen(corpus, out)
+    capsys.readouterr()
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "export-sft", "--prt-store", store
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["full_policy_fallbacks"] == 0
 
 
 def test_flag_overrides_config_seed(workdir, capsys):
@@ -451,12 +472,13 @@ def test_importing_cli_does_not_load_the_thread_pool():
 
 
 def test_run_mock_experiment_script(tmp_path):
-    """The documented offline walkthrough runs every command to the end."""
+    """The documented offline walkthrough runs every command to the end, from
+    a copy of scripts/ with no tests/ beside it."""
     src = Path(policytrace.__file__).resolve().parents[1]
-    script = src.parent / "scripts" / "run_mock_experiment.py"
+    scripts = shutil.copytree(src.parent / "scripts", tmp_path / "checkout" / "scripts")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, str(script), str(tmp_path)],
+        [sys.executable, str(scripts / "run_mock_experiment.py"), str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,
@@ -480,3 +502,46 @@ def test_store_naming_an_unknown_case_is_an_error(workdir, capsys, command):
     )
     assert code == 2
     assert capsys.readouterr().err == "error: line 3: case zz99 is not in the dataset\n"
+
+
+def _drop_verdict(line):
+    obj = json.loads(line)
+    del obj["echoed_verdict"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("command", ["assess", "export-sft"])
+@pytest.mark.parametrize(
+    "damage,detail",
+    [(_drop_verdict, "'echoed_verdict'"), (lambda line: line[:12], "Expecting value")],
+    ids=["missing-field", "bad-json"],
+)
+def test_malformed_store_record_is_an_error(workdir, capsys, command, damage, detail):
+    corpus, out = workdir
+    store = _gen(corpus, out)
+    lines = store.read_text(encoding="utf-8").splitlines()
+    lines[1] = damage(lines[1])
+    store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    tail = ["--strategy", "fewshot_prt", "--select", "rand"] if command == "assess" else []
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, command, "--prt-store", store, *tail
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: malformed record: {detail}"), err
+
+
+def test_report_names_the_file_and_line_of_a_torn_record(workdir, capsys):
+    corpus, out = workdir
+    assert run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
+    ) == 0
+    (results,) = out.glob("*.results.jsonl")
+    with results.open("a", encoding="utf-8") as fh:
+        fh.write('{"case_id": "c0')
+    capsys.readouterr()
+    code = run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}:7: malformed record: Unterminated string"), err

@@ -10,12 +10,26 @@ from policytrace.corpus import (
     Verdict,
     load_dataset,
     load_policy,
-    record_to_obj,
     split_counts,
     split_disjointness_check,
-    write_dataset,
 )
 from conftest import POLICY_TEXT, dataset_jsonl_lines
+
+
+def record_to_obj(record):
+    return {
+        "case_id": record.case_id,
+        "case_text": record.case_text,
+        "verdict": record.gold_verdict.value,
+        "clauses": sorted(c.canonical for c in record.gold_clauses),
+        "split": record.split.value,
+    }
+
+
+def write_dataset(dataset, path):
+    """Canonical serialization: fixed field order, sorted clause lists."""
+    lines = [json.dumps(record_to_obj(r), ensure_ascii=False) for r in dataset.records]
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -105,6 +119,34 @@ def test_load_dataset_unknown_clause(tmp_path, registry):
         load_dataset(path, registry=registry)
     assert "Article 42" in str(err.value)
     assert str(err.value).startswith("line 3:")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1]",
+        '{"case_id": "x", "case_text": "t", "verdict": 5, "clauses": [], "split": "test"}',
+        '{"case_id": "x", "case_text": "t", "verdict": "good", "clauses": 5, "split": "test"}',
+    ],
+    ids=["not-an-object", "verdict-not-a-string", "clauses-not-a-list"],
+)
+def test_load_dataset_wrong_field_types_are_malformed_records(tmp_path, registry, line):
+    path = tmp_path / "types.jsonl"
+    path.write_text("\n".join(dataset_jsonl_lines()[:2] + [line]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^line 3: malformed record: "):
+        load_dataset(path, registry=registry)
+
+
+@pytest.mark.parametrize("raw", ["Article 5a", "Article 51", "164.5021"])
+def test_load_dataset_reports_a_longer_clause_number_whole(tmp_path, registry, raw):
+    path = tmp_path / "longer.jsonl"
+    obj = json.loads(dataset_jsonl_lines()[0])
+    obj["clauses"] = [raw]  # "Article 5" and "Section 164.502" alone would resolve
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    registry.add(ClauseId("Section 164.502", Scheme.SECTION))
+    with pytest.raises(CorpusError) as err:
+        load_dataset(path, registry=registry)
+    assert str(err.value) == f"line 1: malformed record: unknown clause {raw!r}"
 
 
 def test_load_dataset_credits_a_subsection_citation_to_its_whole_article(tmp_path, registry):
@@ -254,3 +296,26 @@ def test_unknown_subsection_heading_is_reported_in_full(tmp_path):
     with pytest.raises(CorpusError) as err:
         _headed(tmp_path, "Section 164.502\n164.506(c) Other", _registry_of("Section 164.502"))
     assert str(err.value).endswith(":2: clause marker not in registry: 'Section 164.506(c)'")
+
+
+def test_section_sign_headings_resolve(tmp_path):
+    registry = _registry_of("Section 164.502", "Section 164.504")
+    text = "§ 164.502 Uses\nBody.\n§164.504(a): Other\nBody."
+    assert _headed(tmp_path, text, registry) == [(0, "Section 164.502"), (2, "Section 164.504")]
+
+
+def test_article_heading_without_a_space_resolves(tmp_path):
+    registry = _registry_of("Article 5", "Article 6")
+    text = "Article5 Lawfulness\nBody.\nARTICLE6(1): Consent\nBody."
+    assert _headed(tmp_path, text, registry) == [(0, "Article 5"), (2, "Article 6")]
+
+
+def test_a_heading_is_one_whole_clause_number(tmp_path):
+    registry = _registry_of("Article 5", "Article 6")
+    text = (
+        "Article 5 Principles\n"
+        "Articles 5 and 6 apply together.\n"  # a list heads nothing
+        "Article 5a Annex\n"  # nor does a longer number
+        "Article 6 Consent"
+    )
+    assert _headed(tmp_path, text, registry) == [(0, "Article 5"), (3, "Article 6")]

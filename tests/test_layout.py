@@ -1,0 +1,26 @@
+"""Layout rules of the repository: the program never depends on its tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+
+
+def test_no_program_file_imports_the_test_suite():
+    test_modules = {"tests"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
+    offenders = [
+        f"{path.relative_to(ROOT)}: {module}"
+        for tree in ("src", "scripts")
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        for module in _imported_modules(path)
+        if module.split(".")[0] in test_modules
+    ]
+    assert offenders == []

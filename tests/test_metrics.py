@@ -133,12 +133,14 @@ def test_utilization_mixed_counts():
     assert report.pct_util == 50.0
 
 
-def test_utilization_non_integer_flagged():
-    judge = mock_provider({"precise text analyzer": "several references"})
+def test_utilization_non_integer_flagged(tmp_path):
     results = [make_result("c01", "x", C, C, raw_cot="trace")]
-    report = utilization(results, judge)
-    assert report.mu_ref == 0.0
-    assert report.n_flagged == 1
+    for cache_dir in (None, tmp_path / "cache"):  # the retry is never a cache replay
+        judge = mock_provider({"precise text analyzer": "several references"}, cache_dir=cache_dir)
+        report = utilization(results, judge)
+        assert report.mu_ref == 0.0
+        assert report.n_flagged == 1
+        assert judge.provider.call_count == 2
 
 
 def test_utilization_requires_raw_cot():

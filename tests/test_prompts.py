@@ -1,9 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import LEARNER_SCRIPT
-from golden_bindings import DEMOS_PLAIN, DEMOS_PRT, GOLDEN_BINDINGS
+from golden_bindings import DEMOS_PLAIN, DEMOS_PRT, GOLDEN_BINDINGS, golden_check
 from policytrace.corpus import Verdict
 from policytrace.prompts import (
     DemoBlock,
@@ -11,9 +12,8 @@ from policytrace.prompts import (
     MissingBindingError,
     PromptError,
     TemplateId,
-    check_template_sources,
+    _template_text,
     format_demos,
-    golden_check,
     placeholders,
     render,
     template_hash,
@@ -27,7 +27,14 @@ def test_thirteen_templates():
 
 
 def test_template_sources_load():
-    check_template_sources()
+    """Every template file is non-empty and has placeholders, all of them
+    well-formed (lowercase identifiers only)."""
+    for template_id in TemplateId:
+        text = _template_text(template_id)
+        assert text, f"template {template_id.value} is empty"
+        assert placeholders(template_id), f"template {template_id.value} has no placeholders"
+        stray = re.findall(r"\{[^a-z_][^}]*\}", text)
+        assert not stray, f"template {template_id.value}: malformed placeholder {stray[0]!r}"
 
 
 @pytest.mark.parametrize("template_id", list(TemplateId))

@@ -6,23 +6,23 @@ import random
 import statistics
 import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_dataset, build_registry
 from policytrace.clauses import (
-    _ARTICLE_ITEM_RE,
-    _ARTICLE_RE,
-    _SECTION_ITEM_RE,
-    _SECTION_RE,
+    _NUMBERED,
     ClauseId,
+    ClauseRegistry,
     Scheme,
     _expand_numbered_mentions,
+    extract_cited_clauses,
     normalize,
 )
 from policytrace.assess import parse_verdict
-from policytrace.corpus import Verdict, verdict_tokens
+from policytrace.corpus import Verdict, _clause_headings, _record_from_obj, verdict_tokens
 from policytrace.prtgen import AugmentedDataset, PRTRecord, count_words, prt_stats, validate_prt
 from policytrace.select import select_random
 from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
@@ -191,6 +191,10 @@ def test_select_random_draws_match_list_pop_on_a_real_pool():
         assert drawn == _list_pop_draws(pool, 5, seed)
 
 
+_ARTICLE_RE, _ARTICLE_ITEM_RE, _ = _NUMBERED[Scheme.ARTICLE]
+_SECTION_RE, _SECTION_ITEM_RE, _ = _NUMBERED[Scheme.SECTION]
+
+
 def _per_char_expand(text):
     """The character-by-character masking that _expand_numbered_mentions replaced."""
     mentions, spans = [], []
@@ -226,6 +230,61 @@ _MENTION_PIECES = [
 def test_expand_numbered_mentions_matches_per_char_masking(pieces):
     text = "".join(pieces)
     assert _expand_numbered_mentions(text) == _per_char_expand(text)
+
+
+# No title is a substring of another, so a citation names one title only.
+_TITLES = ["Lawful Basis", "Data Minimization", "Consent Withdrawal", "Breach Notice", "Access"]
+_PREFIXES = {
+    Scheme.ARTICLE: ["Article ", "article", "ARTICLE  "],
+    Scheme.SECTION: ["", "Section ", "section", "§ ", "§"],
+}
+
+
+@st.composite
+def _clause_corpora(draw):
+    """A registry of one scheme, and per clause: its heading line, its clause
+    string in a case record and a model citation of it. A numbered registry
+    holds whole clauses ("Article 5") or subsections ("Article 5(a)"); a
+    mention may carry more "(…)" groups than its clause."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    titles = _TITLES[: draw(st.integers(1, len(_TITLES)))]
+    registry = ClauseRegistry(policy_id="p")
+    rows = []
+    if scheme is Scheme.NAMED:
+        for title in titles:
+            clause = ClauseId(title, scheme)
+            registry.add(clause, title=title)
+            spelled = draw(st.sampled_from([title, title.upper(), title.lower(), f"{title}."]))
+            rows.append((clause, spelled, spelled, f"The reply fails to heed {spelled} here."))
+        return registry, rows
+    n = len(titles)
+    numbers = draw(st.lists(st.integers(1, 999), min_size=n, max_size=n, unique=True))
+    subsection = draw(st.sampled_from(["", "(a)"]))
+    for title, number in zip(titles, numbers):
+        if scheme is Scheme.ARTICLE:
+            label, digits = "Article", str(number)
+        else:
+            label, digits = "Section", f"164.{number:03d}"
+        clause = ClauseId(f"{label} {digits}{subsection}", scheme)
+        registry.add(clause, title=title)
+        suffix = draw(st.sampled_from(["", "(1)", "(b)(2)"]))
+        mention = draw(st.sampled_from(_PREFIXES[scheme])) + digits + subsection + suffix
+        heading = mention + draw(st.sampled_from([" ", ": ", ". "])) + title
+        rows.append((clause, heading, mention, f"This falls under {mention}, as argued."))
+    return registry, rows
+
+
+@given(_clause_corpora())
+def test_heading_case_clause_and_citation_resolve_to_the_same_clause(corpus):
+    registry, rows = corpus
+    text = "".join(f"{heading}\nBody text of this part.\n" for _, heading, _, _ in rows)
+    headings = _clause_headings(text, registry, Path("policy.txt"))
+    assert [clause for _, clause in headings] == [clause for clause, *_ in rows]
+    for clause, _, raw, citation in rows:
+        obj = {"case_id": "c", "case_text": "t", "verdict": "COMPLIANT", "clauses": [raw],
+               "split": "test"}
+        assert _record_from_obj(obj, registry, 1, {}).gold_clauses == {clause}
+        assert extract_cited_clauses(citation, registry).cited == {clause}
 
 
 @given(

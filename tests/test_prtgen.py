@@ -94,13 +94,15 @@ def test_generate_prt_rejects_test_split(dataset, policy, expert_handle):
         generate_prt(dataset.by_id("c01"), policy, expert_handle)
 
 
-def test_generate_prt_retry_then_quarantine(dataset, policy):
+def test_generate_prt_retry_then_quarantine(dataset, policy, tmp_path):
     # Expert always states COMPLIANT; a NONCOMPLIANT gold case can never pass.
-    stubborn = mock_provider({"### OUTPUT:": COMPLIANT_TRACE})
-    with pytest.raises(PRTError) as err:
-        generate_prt(dataset.by_id("t02"), policy, stubborn)
-    assert "verdict_mismatch" in str(err.value)
-    assert stubborn.provider.call_count == 2  # one retry before giving up
+    # With a cache the retry still reaches the model, not the cached reply.
+    for cache_dir in (None, tmp_path / "cache"):
+        stubborn = mock_provider({"### OUTPUT:": COMPLIANT_TRACE}, cache_dir=cache_dir)
+        with pytest.raises(PRTError) as err:
+            generate_prt(dataset.by_id("t02"), policy, stubborn)
+        assert "verdict_mismatch" in str(err.value)
+        assert stubborn.provider.call_count == 2  # one retry before giving up
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])

@@ -89,9 +89,12 @@ def test_select_relevant_out_of_range_trimmed(pool, dataset):
     assert "indices_repaired" in result.flags
 
 
-def test_select_relevant_nonsense_falls_back(pool, dataset):
-    judge = mock_provider({"compares written case examples": "no numbers, sorry"})
-    result = select_relevant(dataset.by_id("c01"), pool, 3, judge, seed=5)
+def test_select_relevant_nonsense_falls_back(pool, dataset, tmp_path):
+    for cache_dir in (None, tmp_path / "cache"):  # the retry is never a cache replay
+        reply = {"compares written case examples": "no numbers, sorry"}
+        judge = mock_provider(reply, cache_dir=cache_dir)
+        result = select_relevant(dataset.by_id("c01"), pool, 3, judge, seed=5)
+        assert judge.provider.call_count == 2
     assert "fallback_random" in result.flags
     expected = select_random(pool, 3, seed=5)
     assert [c.case_id for c, _, _ in result.triples] == [
