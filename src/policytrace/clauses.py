@@ -161,10 +161,13 @@ def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:
 
 def heading_mention(line: str, scheme: Scheme) -> Optional[str]:
     """The one numbered mention a heading line starts with ("§ 164.502 Uses" gives
-    "Section 164.502"); None for none or a list ("Articles 5 and 6 ...")."""
+    "Section 164.502"); None for none, a list ("Articles 5 and 6 ...") or a plural
+    prefix ("Sections 164.502 through 164.514 ...")."""
     pattern, item_re, label = _NUMBERED[scheme]
     m = pattern.match(line)
-    items = item_re.findall(m.group(1)) if m else []
+    if m is None or line[: m.start(1)].rstrip().lower().endswith("s"):
+        return None
+    items = item_re.findall(m.group(1))
     return f"{label} {items[0]}" if len(items) == 1 else None
 
 

@@ -219,8 +219,13 @@ def _record_from_obj(
     obj: dict, registry: ClauseRegistry, lineno: int, resolved: dict
 ) -> CaseRecord:
     try:
+        if not isinstance(obj, dict):
+            raise CorpusError(f"not a JSON object: {obj!r}")
+        verdict, clauses = obj.get("verdict", ""), obj.get("clauses", [])
+        if not isinstance(verdict, str) or not isinstance(clauses, list):
+            raise CorpusError("verdict must be a string and clauses a list")
         gold: set[ClauseId] = set()
-        for raw in obj.get("clauses", []):
+        for raw in clauses:
             if not isinstance(raw, str):
                 raise CorpusError(f"clause entry is not a string: {raw!r}")
             if raw not in resolved:
@@ -236,7 +241,7 @@ def _record_from_obj(
             gold_clauses=frozenset(gold),
             split=Split(obj["split"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (KeyError, ValueError) as err:
         raise CorpusError(f"line {lineno}: malformed record: {err}") from err
 
 

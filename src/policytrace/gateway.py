@@ -59,9 +59,10 @@ class SamplingConfig:
 
     def for_attempt(self, attempt: int) -> "SamplingConfig":
         """This config for a caller's 0-based attempt at one request. A retry
-        gets another seed, so its cache key differs and it reaches the model
-        instead of replaying the cached reply; attempt 0's key is unchanged."""
-        return self if attempt == 0 else replace(self, seed=(self.seed or 0) + attempt)
+        is seeded with its attempt number, so its cache key differs and it
+        reaches the model instead of replaying the cached reply; attempt 0's
+        key is unchanged."""
+        return self if attempt == 0 else replace(self, seed=attempt)
 
 
 # Named sampling profiles: trace generation is capped at 2048 new tokens to

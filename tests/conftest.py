@@ -6,19 +6,16 @@ from __future__ import annotations
 
 import pytest
 
-from mock_corpus import (  # noqa: F401  (re-exported to the test modules)
+from mock_corpus import (
     ARTICLE_TITLES,
     CASE_TABLE,
     CASE_TEXTS,
-    COMPLIANT_TRACE,
     EXPERT_SCRIPT,
     JUDGE_SCRIPT,
     LEARNER_SCRIPT,
-    NONCOMPLIANT_TRACE,
     POLICY_TEXT,
     build_corpus,
     build_registry,
-    dataset_jsonl_lines,
 )
 from policytrace.clauses import ClauseId, ClauseRegistry, Scheme
 from policytrace.corpus import CaseRecord, Dataset, Split, Verdict, load_policy

@@ -9,15 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (
-    EXPERT_SCRIPT,
-    JUDGE_SCRIPT,
-    LEARNER_SCRIPT,
-    POLICY_TEXT,
-    build_dataset,
-    build_registry,
-)
+from conftest import build_dataset
 from golden_bindings import GOLDEN_BINDINGS, golden_check
+from mock_corpus import EXPERT_SCRIPT, JUDGE_SCRIPT, LEARNER_SCRIPT, POLICY_TEXT, build_registry
 from policytrace.assess import (
     TURN_COUNTS,
     SelectionMode,

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import EXPERT_SCRIPT
+from mock_corpus import EXPERT_SCRIPT
 
 from policytrace.assess import (
     TURN_COUNTS,

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import policytrace
-from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry, dataset_jsonl_lines
+from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry
+from mock_corpus import dataset_jsonl_lines
 from policytrace import cli
 from policytrace.clauses import save_registry
 from policytrace.cli import main

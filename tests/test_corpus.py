@@ -13,7 +13,7 @@ from policytrace.corpus import (
     split_counts,
     split_disjointness_check,
 )
-from conftest import POLICY_TEXT, dataset_jsonl_lines
+from mock_corpus import POLICY_TEXT, dataset_jsonl_lines
 
 
 def record_to_obj(record):
@@ -316,6 +316,13 @@ def test_a_heading_is_one_whole_clause_number(tmp_path):
         "Article 5 Principles\n"
         "Articles 5 and 6 apply together.\n"  # a list heads nothing
         "Article 5a Annex\n"  # nor does a longer number
+        "Articles 5 to 9 apply to processors.\n"  # nor does a plural prefix
         "Article 6 Consent"
     )
-    assert _headed(tmp_path, text, registry) == [(0, "Article 5"), (3, "Article 6")]
+    assert _headed(tmp_path, text, registry) == [(0, "Article 5"), (4, "Article 6")]
+    registry = _registry_of("Section 164.502", "Section 164.510")
+    text = "164.502 Uses\nSections 164.502 through 164.510 apply.\nSections 164.506 lists.\n"
+    assert _headed(tmp_path, text + "§ 164.510 Access", registry) == [
+        (0, "Section 164.502"),
+        (3, "Section 164.510"),
+    ]

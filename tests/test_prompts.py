@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LEARNER_SCRIPT
+from mock_corpus import LEARNER_SCRIPT
 from golden_bindings import DEMOS_PLAIN, DEMOS_PRT, GOLDEN_BINDINGS, golden_check
 from policytrace.corpus import Verdict
 from policytrace.prompts import (

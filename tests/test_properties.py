@@ -11,7 +11,8 @@ from pathlib import Path
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_dataset, build_registry
+from conftest import build_dataset
+from mock_corpus import build_registry
 from policytrace.clauses import (
     _NUMBERED,
     ClauseId,

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import COMPLIANT_TRACE, NONCOMPLIANT_TRACE
+from mock_corpus import COMPLIANT_TRACE, NONCOMPLIANT_TRACE
 from policytrace.corpus import Verdict
 from policytrace.gateway import MockScriptEntry, UnmatchedPromptError, mock_provider
 from policytrace.prtgen import (

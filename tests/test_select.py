@@ -95,11 +95,11 @@ def test_select_relevant_nonsense_falls_back(pool, dataset, tmp_path):
         judge = mock_provider(reply, cache_dir=cache_dir)
         result = select_relevant(dataset.by_id("c01"), pool, 3, judge, seed=5)
         assert judge.provider.call_count == 2
-    assert "fallback_random" in result.flags
-    expected = select_random(pool, 3, seed=5)
-    assert [c.case_id for c, _, _ in result.triples] == [
-        c.case_id for c, _, _ in expected
-    ]
+        assert "fallback_random" in result.flags
+        expected = select_random(pool, 3, seed=5)
+        assert [c.case_id for c, _, _ in result.triples] == [
+            c.case_id for c, _, _ in expected
+        ]
 
 
 def test_select_relevant_judge_unreachable(pool, dataset):
