@@ -1,9 +1,6 @@
 """Assessment strategy execution: prompt flows, verdict parsing, resumable runs.
 
-Five strategy kinds with fixed turn structures:
-  base, fewshot, fewshot_prt  -> 1 turn
-  selfrefine                  -> 3 turns (initial, critique, judgment)
-  selfrefine_prt              -> 2 turns (initial, combined critique+judgment)
+`TURNS` maps each strategy kind to the templates its turns render, in order.
 Results persist as one JSON object per line; reruns skip already-recorded
 case ids, so an interrupted run resumes with only the missing cases.
 """
@@ -23,7 +20,9 @@ from typing import Optional
 
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
 from .gateway import ASSESS_PROFILE, ModelHandle, complete, run_ordered
-from .prompts import DemoBlock, TemplateId, render, template_hash
+from .prompts import (
+    DEMO_TEMPLATES, PRT_DEMO_TEMPLATES, DemoBlock, TemplateId, render, template_hash
+)
 from .prtgen import AugmentedDataset
 from .select import SelectionResult, Triple, select_random, select_relevant
 
@@ -45,16 +44,24 @@ class SelectionMode(str, Enum):
     REL = "rel"
 
 
-TURN_COUNTS = {
-    StrategyKind.BASE: 1,
-    StrategyKind.FEWSHOT: 1,
-    StrategyKind.FEWSHOT_PRT: 1,
-    StrategyKind.SELFREFINE: 3,
-    StrategyKind.SELFREFINE_PRT: 2,
+# Each turn renders its template with the policy, the case, the replies so far
+# (the first as `initial_reasoning`, the second as `critique`) and, where the
+# template takes `{demos}`, the case's demos, with traces for PRT_DEMO_TEMPLATES.
+TURNS: dict[StrategyKind, tuple[TemplateId, ...]] = {
+    StrategyKind.BASE: (TemplateId.BASE,),
+    StrategyKind.FEWSHOT: (TemplateId.FEWSHOT,),
+    StrategyKind.FEWSHOT_PRT: (TemplateId.FEWSHOT_PRT,),
+    StrategyKind.SELFREFINE: (
+        TemplateId.SELFREFINE_INITIAL,
+        TemplateId.SELFREFINE_CRITIQUE,
+        TemplateId.SELFREFINE_JUDGMENT,
+    ),
+    StrategyKind.SELFREFINE_PRT: (
+        TemplateId.SELFREFINE_PRT_INITIAL,
+        TemplateId.SELFREFINE_PRT_CRITIQUE_JUDGMENT,
+    ),
 }
-
-_PRT_KINDS = {StrategyKind.FEWSHOT_PRT, StrategyKind.SELFREFINE_PRT}
-POOL_KINDS = _PRT_KINDS | {StrategyKind.FEWSHOT}
+_REPLY_NAMES = ("initial_reasoning", "critique")
 
 
 @dataclass(frozen=True)
@@ -66,16 +73,21 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise AssessError(f"k must be >= 1, got {self.k}")
-        if self.kind in _PRT_KINDS:
+        # Trace demos are chosen by a selection mode; plain demos are drawn at random.
+        if not PRT_DEMO_TEMPLATES.isdisjoint(TURNS[self.kind]):
             if self.selection is None:
                 raise AssessError(f"{self.kind.value} requires a selection mode (rand or rel)")
         elif self.selection is not None:
             raise AssessError(f"{self.kind.value} does not take a selection mode")
 
+    @property
+    def needs_pool(self) -> bool:
+        return not DEMO_TEMPLATES.isdisjoint(TURNS[self.kind])
+
     def label(self) -> str:
         if self.selection:
             return f"{self.kind.value}({self.selection.value},k={self.k})"
-        if self.kind is StrategyKind.FEWSHOT:
+        if self.needs_pool:
             return f"{self.kind.value}(k={self.k})"
         return self.kind.value
 
@@ -170,14 +182,20 @@ def run_instance(
     """Run one test case through a strategy's full turn sequence."""
     if case.split is not Split.TEST:
         raise AssessError(f"case {case.case_id}: assessment runs on test cases only")
-    if strategy.kind in POOL_KINDS and pool is None:
-        raise AssessError(f"{strategy.kind.value} requires a demonstration pool")
-
+    triples: list[Triple] = []
     flags: list[str] = []
-    turns: list[Turn] = []
+    if strategy.needs_pool:
+        if pool is None:
+            raise AssessError(f"{strategy.kind.value} requires a demonstration pool")
+        triples, flags = _select_demos(case, strategy, pool, judge, policy, seed)
 
-    def _call(template_id: TemplateId, bindings: dict, k: Optional[int] = None) -> str:
-        prompt = render(template_id, bindings, k=k)
+    turns: list[Turn] = []
+    for template_id in TURNS[strategy.kind]:
+        bindings = {"policy": policy.full_text, "case": case.case_text}
+        bindings.update(zip(_REPLY_NAMES, (turn.response_text for turn in turns)))
+        if template_id in DEMO_TEMPLATES:
+            bindings["demos"] = _demo_blocks(triples, template_id in PRT_DEMO_TEMPLATES)
+        prompt = render(template_id, bindings, k=strategy.k)
         response = complete(learner, prompt, ASSESS_PROFILE)
         turns.append(
             Turn(
@@ -189,47 +207,6 @@ def run_instance(
                 completion_tokens=response.completion_tokens,
             )
         )
-        return response.text
-
-    base_bindings = {"policy": policy.full_text, "case": case.case_text}
-    kind = strategy.kind
-
-    if kind is StrategyKind.BASE:
-        _call(TemplateId.BASE, base_bindings)
-    elif kind in (StrategyKind.FEWSHOT, StrategyKind.FEWSHOT_PRT):
-        triples, sel_flags = _select_demos(case, strategy, pool, judge, policy, seed)
-        flags.extend(sel_flags)
-        with_prt = kind is StrategyKind.FEWSHOT_PRT
-        template = TemplateId.FEWSHOT_PRT if with_prt else TemplateId.FEWSHOT
-        _call(
-            template,
-            {**base_bindings, "demos": _demo_blocks(triples, with_prt)},
-            k=strategy.k,
-        )
-    elif kind is StrategyKind.SELFREFINE:
-        initial = _call(TemplateId.SELFREFINE_INITIAL, base_bindings)
-        critique = _call(
-            TemplateId.SELFREFINE_CRITIQUE, {**base_bindings, "initial_reasoning": initial}
-        )
-        _call(
-            TemplateId.SELFREFINE_JUDGMENT,
-            {**base_bindings, "initial_reasoning": initial, "critique": critique},
-        )
-    elif kind is StrategyKind.SELFREFINE_PRT:
-        triples, sel_flags = _select_demos(case, strategy, pool, judge, policy, seed)
-        flags.extend(sel_flags)
-        initial = _call(TemplateId.SELFREFINE_PRT_INITIAL, base_bindings)
-        _call(
-            TemplateId.SELFREFINE_PRT_CRITIQUE_JUDGMENT,
-            {
-                **base_bindings,
-                "initial_reasoning": initial,
-                "demos": _demo_blocks(triples, with_prt=True),
-            },
-            k=strategy.k,
-        )
-    else:  # pragma: no cover
-        raise AssessError(f"unknown strategy kind: {kind}")
 
     verdict = parse_verdict(turns[-1].response_text)
     if verdict is None:

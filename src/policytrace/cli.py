@@ -44,10 +44,21 @@ class CliError(ValueError):
     pass
 
 
+def _read_object(path: Path, what: str) -> dict:
+    """The JSON object in the file at `path`; anything else is an error naming the file."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise CliError(f"{what} {path}: {err}") from err
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} {path}: not a JSON object")
+    return obj
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     config = dict(DEFAULT_CONFIG)
     if args.config:
-        config.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        config.update(_read_object(Path(args.config), "config"))
         config["_config_dir"] = str(Path(args.config).resolve().parent)
     for flag in ("seed", "concurrency", "cache_dir", "out_dir"):
         value = getattr(args, flag, None)
@@ -166,7 +177,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     judge = _handle(handles, config, "judge") if config.get("judge_model") else None
 
     pool = None
-    if strategy.kind in assess_mod.POOL_KINDS:
+    if strategy.needs_pool:
         store = args.prt_store or config.get("prt_store")
         if not store:
             raise CliError("--prt-store (or config prt_store) required for this strategy")
@@ -214,7 +225,11 @@ def _run_manifest(results_path: Path) -> dict:
     )
     if not manifest_path.exists():
         raise CliError(f"manifest not found next to results: {manifest_path}")
-    return json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_object(manifest_path, "manifest")
+    missing = sorted({"learner_model", "policy_id", "run_id", "strategy"} - manifest.keys())
+    if missing:
+        raise CliError(f"manifest {manifest_path}: missing {', '.join(missing)}")
+    return manifest
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -139,7 +139,9 @@ def _clause_headings(
     for index, line in enumerate(text.splitlines()):
         line = line.strip()
         if scheme is Scheme.NAMED:
-            headings.extend((index, clause) for clause in normalize(line, registry)[0])
+            clause = registry.resolve(line)
+            if clause is not None:
+                headings.append((index, clause))
             continue
         mention = heading_mention(line, scheme)
         if mention is None:

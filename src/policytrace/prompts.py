@@ -47,9 +47,11 @@ class TemplateId(str, Enum):
     POLICY_SUMMARIZE = "policy_summarize"
 
 
-# Templates whose demo blocks carry PRT reasoning text.
-_PRT_DEMO_TEMPLATES = {TemplateId.FEWSHOT_PRT, TemplateId.SELFREFINE_PRT_CRITIQUE_JUDGMENT}
-_DEMO_TEMPLATES = _PRT_DEMO_TEMPLATES | {TemplateId.FEWSHOT}
+# Templates that take `{demos}`, and those whose demo blocks carry PRT text.
+PRT_DEMO_TEMPLATES = frozenset(
+    {TemplateId.FEWSHOT_PRT, TemplateId.SELFREFINE_PRT_CRITIQUE_JUDGMENT}
+)
+DEMO_TEMPLATES = PRT_DEMO_TEMPLATES | {TemplateId.FEWSHOT}
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
@@ -83,7 +85,7 @@ def template_hash(template_id: TemplateId) -> str:
 def format_demos(template_id: TemplateId, demos: list[DemoBlock]) -> str:
     if not demos:
         raise DemoCountMismatchError("at least one demonstration is required")
-    wants_prt = template_id in _PRT_DEMO_TEMPLATES
+    wants_prt = template_id in PRT_DEMO_TEMPLATES
     blocks = []
     for i, demo in enumerate(demos, start=1):
         if wants_prt:
@@ -112,7 +114,7 @@ def render(template_id: TemplateId, bindings: dict, k: Optional[int] = None) -> 
     required = placeholders(template_id)
 
     values = dict(bindings)
-    if template_id in _DEMO_TEMPLATES:
+    if template_id in DEMO_TEMPLATES:
         if "demos" not in values:
             raise MissingBindingError("demos")
         demos = values.pop("demos")

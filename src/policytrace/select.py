@@ -64,6 +64,7 @@ def select_random(pool: AugmentedDataset, k: int, seed: int) -> list[Triple]:
 
 
 _INT_RE = re.compile(r"-?\d+")
+WINDOW_SIZE = 100  # pool triples per judge prompt in select_relevant
 
 
 def _parse_indices(reply: str, pool_size: int, k: int) -> tuple[list[int], bool]:
@@ -172,25 +173,24 @@ def select_relevant(
     judge: ModelHandle,
     policy_name: str = "policy",
     seed: int = 0,
-    window_size: int = 100,
 ) -> SelectionResult:
     """Pick the k pool triples most similar to the target, judged by an LLM.
 
-    Pools larger than window_size are judged in windows with a final playoff
+    Pools larger than WINDOW_SIZE are judged in windows with a final playoff
     round among window winners (one prompt cannot hold hundreds of cases).
     """
     _check_k(pool, k)
     if len(pool) == 1:
         return SelectionResult(triples=[pool.triples[0]])
 
-    if len(pool) <= window_size:
+    if len(pool) <= WINDOW_SIZE:
         indices, flags = _select_from_window(target, pool, k, judge, policy_name, seed)
         return SelectionResult(triples=[pool.triples[i] for i in indices], flags=flags)
 
     winner_indices: list[int] = []
     flags: list[str] = []
-    for start in range(0, len(pool), window_size):
-        window = AugmentedDataset(pool.triples[start : start + window_size])
+    for start in range(0, len(pool), WINDOW_SIZE):
+        window = AugmentedDataset(pool.triples[start : start + WINDOW_SIZE])
         take = min(k, len(window))
         local, window_flags = _select_from_window(target, window, take, judge, policy_name, seed)
         winner_indices.extend(start + i for i in local)

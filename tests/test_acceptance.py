@@ -13,7 +13,6 @@ from conftest import build_dataset
 from golden_bindings import GOLDEN_BINDINGS, golden_check
 from mock_corpus import EXPERT_SCRIPT, JUDGE_SCRIPT, LEARNER_SCRIPT, POLICY_TEXT, build_registry
 from policytrace.assess import (
-    TURN_COUNTS,
     SelectionMode,
     Strategy,
     StrategyKind,
@@ -61,6 +60,8 @@ ALL_STRATEGIES = [
     Strategy(StrategyKind.SELFREFINE),
     Strategy(StrategyKind.SELFREFINE_PRT, SelectionMode.RAND, k=3),
 ]
+# The paper's turn counts, in ALL_STRATEGIES order.
+TURN_COUNTS = (1, 1, 1, 3, 2)
 
 
 def test_01_all_templates_golden_byte_exact():
@@ -97,14 +98,14 @@ def _one_pipeline_run(out_dir: Path) -> dict[str, bytes]:
         store_lines.append(json.dumps(obj, sort_keys=True))
     outputs["store"] = "\n".join(store_lines).encode("utf-8")
 
-    for strategy in ALL_STRATEGIES:
+    for strategy, turn_count in zip(ALL_STRATEGIES, TURN_COUNTS):
         results_path, summary = run_dataset(
             dataset, policy, strategy, learner, out_dir, pool=aug, seed=42
         )
         assert summary.failed_cases == []
         assert summary.total == 6 and summary.executed == 6
         for line in results_path.read_text(encoding="utf-8").splitlines():
-            assert len(json.loads(line)["turns"]) == TURN_COUNTS[strategy.kind]
+            assert len(json.loads(line)["turns"]) == turn_count
         outputs[strategy.label()] = results_path.read_bytes()
     return outputs
 

@@ -6,7 +6,6 @@ import pytest
 from mock_corpus import EXPERT_SCRIPT
 
 from policytrace.assess import (
-    TURN_COUNTS,
     AssessError,
     SelectionMode,
     Strategy,
@@ -105,11 +104,33 @@ ALL_STRATEGIES = [
 ]
 
 
+# The paper's turn structures, written out independently of `assess.TURNS`.
+TURN_TEMPLATES = {
+    StrategyKind.BASE: ["base"],
+    StrategyKind.FEWSHOT: ["fewshot"],
+    StrategyKind.FEWSHOT_PRT: ["fewshot_prt"],
+    StrategyKind.SELFREFINE: [
+        "selfrefine_initial",
+        "selfrefine_critique",
+        "selfrefine_judgment",
+    ],
+    StrategyKind.SELFREFINE_PRT: ["selfrefine_prt_initial", "selfrefine_prt_critique_judgment"],
+}
+TURN_COUNTS = {
+    StrategyKind.BASE: 1,
+    StrategyKind.FEWSHOT: 1,
+    StrategyKind.FEWSHOT_PRT: 1,
+    StrategyKind.SELFREFINE: 3,
+    StrategyKind.SELFREFINE_PRT: 2,
+}
+
+
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.label())
 def test_turn_counts(strategy, dataset, policy, learner_handle, pool):
     case = dataset.by_id("c01")
     result = run_instance(case, policy, strategy, learner_handle, pool=pool, seed=42)
     assert len(result.turns) == TURN_COUNTS[strategy.kind]
+    assert [t.template_id for t in result.turns] == TURN_TEMPLATES[strategy.kind]
     assert result.parsed_verdict is not None
     assert result.correct in (True, False)
 

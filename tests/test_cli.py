@@ -236,6 +236,50 @@ def test_report_rejects_mixed_policy(workdir, capsys, tmp_path):
     assert "mixed-policy" in capsys.readouterr().err
 
 
+def _without(*keys):
+    return lambda manifest: json.dumps({k: v for k, v in manifest.items() if k not in keys})
+
+
+@pytest.mark.parametrize(
+    "damage, detail",
+    [
+        (_without("learner_model"), ": missing learner_model"),
+        (_without("run_id", "strategy"), ": missing run_id, strategy"),
+        (lambda manifest: "{not json", ": Expecting property name"),
+    ],
+    ids=["missing_key", "missing_keys", "not_json"],
+)
+def test_report_names_a_broken_run_manifest(workdir, capsys, damage, detail):
+    corpus, out = workdir
+    assert run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
+    ) == 0
+    (results,) = out.glob("*.results.jsonl")
+    manifest_path = results.with_name(results.name.replace(".results.jsonl", ".manifest.json"))
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest_path.write_text(damage(manifest), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {manifest_path}{detail}"), err
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [("[1, 2]", ": not a JSON object"), ("{", ": Expecting property name"), (None, ": [Errno 2]")],
+    ids=["list", "not_json", "missing"],
+)
+def test_a_config_file_that_is_not_a_json_object_is_an_error(tmp_path, capsys, text, detail):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    code = run_cli("--config", config, "validate")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config}{detail}"), err
+
+
 def test_export_sft_command(workdir, capsys):
     corpus, out = workdir
     store = _gen(corpus, out)

@@ -131,7 +131,7 @@ def test_select_relevant_windowed_playoff(pool, dataset):
     big = AugmentedDataset(tuple(triples))
 
     judge = mock_provider({"compares written case examples": "0,1,2"})
-    result = select_relevant(dataset.by_id("c01"), big, 3, judge, window_size=100)
+    result = select_relevant(dataset.by_id("c01"), big, 3, judge)
     ids = [c.case_id for c, _, _ in result.triples]
     assert len(ids) == 3
     # Window winners are 0,1,2 and 100,101,102; the playoff picks its 0,1,2.

@@ -86,6 +86,19 @@ def test_clause_text_named_headings(tmp_path):
     )
 
 
+def test_a_named_heading_is_a_whole_line(tmp_path):
+    # A body line naming another clause's title between commas heads nothing.
+    text = NAMED_POLICY_TEXT.replace(
+        "asked about.", "asked about.\nIf unsure, be honest, and say so."
+    )
+    policy = _load(tmp_path, text, build_named_registry())
+    assert [index for index, _ in policy.headings] == [1, 4, 6]
+    assert clause_text(policy, ClauseId("Stay in bounds", Scheme.NAMED)) == (
+        "Stay in bounds\nResponses keep to the topic the user asked about.\n"
+        "If unsure, be honest, and say so."
+    )
+
+
 @pytest.mark.parametrize("scheme", ["article", "section", "named"])
 def test_every_clause_slices_from_its_heading_line(tmp_path, scheme, policy):
     if scheme == "section":
