@@ -333,7 +333,12 @@ def run_dataset(
     data = results_path.read_bytes() if results_path.exists() else b""
     end = data.rfind(b"\n") + 1
     if data[:end].strip() and manifest_path.exists():
-        old = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            old = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as err:
+            raise AssessError(f"manifest {manifest_path}: {err}") from err
+        if not isinstance(old, dict):
+            raise AssessError(f"manifest {manifest_path}: not a JSON object")
         differ = sorted(
             key
             for key in manifest.keys() | old.keys()

@@ -13,6 +13,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -89,6 +90,8 @@ class ClauseRegistry:
         self.entries[clause] = {"title": title, "aliases": sorted(all_aliases)}
         for alias in all_aliases:
             self._alias_index[_title_key(alias)] = clause
+        for name in ("_numbered_memo", "masterlist", "_named_alias_keys"):
+            self.__dict__.pop(name, None)  # derived from the entries: recompute on next use
 
     def resolve(self, mention: str) -> Optional[ClauseId]:
         """The mention in full, else with trailing "(…)" groups stripped one at
@@ -100,6 +103,32 @@ class ClauseRegistry:
             mention, stripped = _TRAILING_GROUP_RE.subn("", mention)
             if not stripped:
                 return None
+
+    @cached_property
+    def _numbered_memo(self) -> dict[str, Optional[ClauseId]]:
+        """`resolve` of each numbered mention seen ("Article 5(1)"). It grows with
+        the clause numbers cited, not with the volume of text. Threads may share
+        it: a race only repeats a lookup."""
+        return {}
+
+    def _resolve_numbered(self, mention: str) -> Optional[ClauseId]:
+        memo = self._numbered_memo
+        if mention not in memo:
+            memo[mention] = self.resolve(mention)
+        return memo[mention]
+
+    @cached_property
+    def masterlist(self) -> str:
+        """Every canonical id, comma-separated, in registry order."""
+        return ", ".join(c.canonical for c in self.entries)
+
+    @cached_property
+    def _named_alias_keys(self) -> tuple[tuple[ClauseId, tuple[str, ...]], ...]:
+        """(clause, non-empty lookup keys of its aliases) per named entry."""
+        return tuple(
+            (c, tuple(key for key in map(_title_key, self.entries[c]["aliases"]) if key))
+            for c in self.named_entries
+        )
 
     def canonicals(self) -> list[ClauseId]:
         return list(self.entries)
@@ -119,10 +148,15 @@ def load_registry(path: str | Path) -> ClauseRegistry:
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
-    registry = ClauseRegistry(policy_id=data["policy_id"])
-    for entry in data["clauses"]:
-        clause = ClauseId(canonical=entry["canonical"], scheme=Scheme(entry["scheme"]))
-        registry.add(clause, title=entry.get("title", ""), aliases=entry.get("aliases", []))
+    try:
+        registry = ClauseRegistry(policy_id=data["policy_id"])
+        for entry in data["clauses"]:
+            clause = ClauseId(canonical=entry["canonical"], scheme=Scheme(entry["scheme"]))
+            registry.add(clause, title=entry.get("title", ""), aliases=entry.get("aliases", []))
+    except KeyError as err:
+        raise RegistryError(f"registry {path}: missing key {err}") from err
+    except (AttributeError, TypeError) as err:  # an object where the schema has another type
+        raise RegistryError(f"registry {path}: malformed: {err}") from err
     return registry
 
 
@@ -146,9 +180,12 @@ def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:
     """Expand article/section mentions; return (mentions, text with them removed).
 
     Articles are found and blanked first, so the section scan never reads them.
+    Every section item holds a ".", so a text without one skips that scan.
     """
     mentions: list[str] = []
-    for pattern, item_re, label in _NUMBERED.values():
+    for scheme, (pattern, item_re, label) in _NUMBERED.items():
+        if scheme is Scheme.SECTION and "." not in text:
+            continue
         parts: list[str] = []
         pos = 0
         for m in pattern.finditer(text):
@@ -187,7 +224,7 @@ def normalize(raw: str, registry: ClauseRegistry) -> tuple[list[ClauseId], list[
     seen: set[ClauseId] = set()
 
     for mention in mentions:
-        clause = registry.resolve(mention)
+        clause = registry._resolve_numbered(mention)
         if clause is None:
             unknowns.append(mention)
         elif clause not in seen:
@@ -221,18 +258,14 @@ def _regex_extract(text: str, registry: ClauseRegistry) -> set[ClauseId]:
     mentions, _ = _expand_numbered_mentions(text)
     cited: set[ClauseId] = set()
     for mention in mentions:
-        clause = registry.resolve(mention)
+        clause = registry._resolve_numbered(mention)
         if clause is not None:
             cited.add(clause)
 
     text_key = _title_key(text)
-    for clause in registry.named_entries:
-        meta = registry.entries[clause]
-        for alias in meta["aliases"]:
-            key = _title_key(alias)
-            if key and key in text_key:
-                cited.add(clause)
-                break
+    for clause, keys in registry._named_alias_keys:
+        if any(key in text_key for key in keys):
+            cited.add(clause)
     return cited
 
 
@@ -253,10 +286,9 @@ def extract_cited_clauses(
     from .gateway import ASSESS_PROFILE, GatewayError, complete
     from .prompts import TemplateId, render
 
-    masterlist = ", ".join(c.canonical for c in registry.canonicals())
     prompt = render(
         TemplateId.CLAUSE_EXTRACT,
-        {"policy_section_masterlist": masterlist, "reasoning_text": reasoning_text},
+        {"policy_section_masterlist": registry.masterlist, "reasoning_text": reasoning_text},
     )
 
     for attempt in range(2):

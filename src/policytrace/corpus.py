@@ -83,6 +83,11 @@ class Policy:
         """Clauses in document order of first heading."""
         return tuple(dict.fromkeys(clause for _, clause in self.headings))
 
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        """`full_text` split into lines, once per policy."""
+        return tuple(self.full_text.splitlines())
+
 
 @dataclass(frozen=True)
 class CaseRecord:
@@ -209,38 +214,47 @@ def split_disjointness_check(dataset: Dataset) -> DisjointnessReport:
     test_ids = {r.case_id for r in dataset.test}
     report.shared_case_ids = sorted(train_ids & test_ids)
 
-    train_hashes = {text_hash(r.case_text): r.case_id for r in dataset.train}
+    # Equal texts have equal hashes: compare the texts, hash only the shared ones.
+    train_texts = {r.case_text: r.case_id for r in dataset.train}
     for r in dataset.test:
-        h = text_hash(r.case_text)
-        if h in train_hashes:
-            report.shared_text_hashes.append((h, train_hashes[h], r.case_id))
+        train_id = train_texts.get(r.case_text)
+        if train_id is not None:
+            report.shared_text_hashes.append((text_hash(r.case_text), train_id, r.case_id))
     return report
 
 
-def _record_from_obj(
-    obj: dict, registry: ClauseRegistry, lineno: int, resolved: dict
-) -> CaseRecord:
+def _record_from_obj(obj: dict, registry: ClauseRegistry, lineno: int, memo: dict) -> CaseRecord:
+    """One case record. `memo` keeps what one load has parsed: the clause ids
+    of each clause string and the verdict of each label."""
     try:
         if not isinstance(obj, dict):
             raise CorpusError(f"not a JSON object: {obj!r}")
         verdict, clauses = obj.get("verdict", ""), obj.get("clauses", [])
         if not isinstance(verdict, str) or not isinstance(clauses, list):
             raise CorpusError("verdict must be a string and clauses a list")
-        gold: set[ClauseId] = set()
+        gold: frozenset[ClauseId] = frozenset()
         for raw in clauses:
             if not isinstance(raw, str):
                 raise CorpusError(f"clause entry is not a string: {raw!r}")
-            if raw not in resolved:
-                resolved[raw] = normalize(raw, registry)
-            ids, unknowns = resolved[raw]
-            if unknowns:
-                raise CorpusError(f"unknown clause {unknowns[0]!r}")
-            gold.update(ids)
+            key = ("clauses", raw)
+            if key not in memo:
+                ids, unknowns = normalize(raw, registry)
+                if unknowns:
+                    raise CorpusError(f"unknown clause {unknowns[0]!r}")
+                memo[key] = frozenset(ids)
+            gold |= memo[key]
+        case_id, case_text, label = obj["case_id"], obj["case_text"], obj["verdict"]
+        if not isinstance(case_text, str):
+            raise CorpusError("case_text must be a string")
+        case_text.encode("utf-8")  # raises on a lone surrogate ("\ud800"), which no file can hold
+        key = ("verdict", label)
+        if key not in memo:
+            memo[key] = Verdict.parse(label)
         return CaseRecord(
-            case_id=obj["case_id"],
-            case_text=obj["case_text"],
-            gold_verdict=Verdict.parse(obj["verdict"]),
-            gold_clauses=frozenset(gold),
+            case_id=case_id,
+            case_text=case_text,
+            gold_verdict=memo[key],
+            gold_clauses=gold,
             split=Split(obj["split"]),
         )
     except (KeyError, ValueError) as err:
@@ -255,7 +269,7 @@ def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
 
     records: list[CaseRecord] = []
     seen_ids: set[str] = set()
-    resolved: dict[str, tuple[list[ClauseId], list[str]]] = {}  # normalize() per clause string
+    memo: dict = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -263,7 +277,7 @@ def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise CorpusError(f"line {lineno}: invalid JSON: {err}") from err
-        record = _record_from_obj(obj, registry, lineno, resolved)
+        record = _record_from_obj(obj, registry, lineno, memo)
         if record.case_id in seen_ids:
             raise CorpusError(f"line {lineno}: duplicate_id: {record.case_id!r}")
         seen_ids.add(record.case_id)
@@ -274,7 +288,7 @@ def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
     if not report.ok:
         raise CorpusError(
             f"train/test overlap: ids={report.shared_case_ids} "
-            f"text_hashes={[h for h, _, _ in report.shared_text_hashes]}"
+            f"texts (hash, train id, test id)={report.shared_text_hashes}"
         )
     return dataset
 

@@ -42,6 +42,10 @@ class UnmatchedPromptError(GatewayError):
     pass
 
 
+class ProviderConfigError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     temperature: float = 0.7
@@ -354,35 +358,40 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     configs = data if isinstance(data, list) else [data]
     handles: dict[str, ModelHandle] = {}
-    for config in configs:
-        provider_id = config["provider_id"]
-        if provider_id == "mock":
-            script = [
-                MockScriptEntry(
-                    pattern=entry["pattern"],
-                    text=entry["text"],
-                    raw_cot=entry.get("raw_cot"),
+    try:
+        for config in configs:
+            provider_id = config["provider_id"]
+            if provider_id == "mock":
+                script = [
+                    MockScriptEntry(
+                        pattern=entry["pattern"],
+                        text=entry["text"],
+                        raw_cot=entry.get("raw_cot"),
+                    )
+                    for entry in config.get("script", [])
+                ]
+                provider: Provider = MockProvider(script)
+            else:
+                provider = OpenAICompatProvider(
+                    base_url=config["base_url"],
+                    api_key_env=config["api_key_env"],
                 )
-                for entry in config.get("script", [])
-            ]
-            provider: Provider = MockProvider(script)
-        else:
-            provider = OpenAICompatProvider(
-                base_url=config["base_url"],
-                api_key_env=config["api_key_env"],
-            )
-        for model in config.get("models", []):
-            handle = ModelHandle(
-                provider_id=provider_id,
-                model_id=model["model_id"],
-                supports_raw_cot=model.get("supports_raw_cot", False),
-                price_in_usd_per_1m=model.get("price_in_usd_per_1m", 0.0),
-                price_out_usd_per_1m=model.get("price_out_usd_per_1m", 0.0),
-                context_window=model.get("context_window", 131072),
-                provider=provider,
-                cache_dir=cache_dir,
-            )
-            handles[model["model_id"]] = handle
+            for model in config.get("models", []):
+                handle = ModelHandle(
+                    provider_id=provider_id,
+                    model_id=model["model_id"],
+                    supports_raw_cot=model.get("supports_raw_cot", False),
+                    price_in_usd_per_1m=model.get("price_in_usd_per_1m", 0.0),
+                    price_out_usd_per_1m=model.get("price_out_usd_per_1m", 0.0),
+                    context_window=model.get("context_window", 131072),
+                    provider=provider,
+                    cache_dir=cache_dir,
+                )
+                handles[model["model_id"]] = handle
+    except KeyError as err:
+        raise ProviderConfigError(f"providers file {path}: missing key {err}") from err
+    except (AttributeError, TypeError) as err:  # an object where the schema has another type
+        raise ProviderConfigError(f"providers file {path}: malformed: {err}") from err
     return handles
 
 

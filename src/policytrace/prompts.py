@@ -74,8 +74,16 @@ def _template_text(template_id: TemplateId) -> str:
     )
 
 
+@functools.cache
+def _template_split(template_id: TemplateId) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The template as (literal, name, literal, ..., name, literal), and its
+    placeholder names. Split once per process, so a render only joins."""
+    split = tuple(_PLACEHOLDER_RE.split(_template_text(template_id)))
+    return split, frozenset(split[1::2])
+
+
 def placeholders(template_id: TemplateId) -> set[str]:
-    return set(_PLACEHOLDER_RE.findall(_template_text(template_id)))
+    return set(_template_split(template_id)[1])
 
 
 def template_hash(template_id: TemplateId) -> str:
@@ -110,9 +118,7 @@ def render(template_id: TemplateId, bindings: dict, k: Optional[int] = None) -> 
     demo-bearing templates, `demos` is a list of DemoBlock; `k`, when given,
     pins the expected demonstration count.
     """
-    text = _template_text(template_id)
-    required = placeholders(template_id)
-
+    split, required = _template_split(template_id)
     values = dict(bindings)
     if template_id in DEMO_TEMPLATES:
         if "demos" not in values:
@@ -122,14 +128,14 @@ def render(template_id: TemplateId, bindings: dict, k: Optional[int] = None) -> 
             raise DemoCountMismatchError(f"expected {k} demos, got {len(demos)}")
         values["demos"] = format_demos(template_id, demos)
 
-    missing = required - set(values)
+    missing = required - values.keys()
     if missing:
         raise MissingBindingError(", ".join(sorted(missing)))
-    extraneous = set(values) - required
+    extraneous = values.keys() - required
     if extraneous:
         raise PromptError(f"extraneous bindings: {', '.join(sorted(extraneous))}")
 
-    def _sub(match: re.Match) -> str:
-        return str(values[match.group(1)])
-
-    return _PLACEHOLDER_RE.sub(_sub, text)
+    # One pass over the template: a bound value is never scanned for placeholders.
+    parts = list(split)
+    parts[1::2] = [str(values[name]) for name in split[1::2]]
+    return "".join(parts)

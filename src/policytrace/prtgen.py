@@ -64,6 +64,7 @@ def count_words(text: str) -> int:
 
 
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s|$)")
+_ENUM_MARKER_RE = re.compile(r"^\d+\.\s*")
 
 
 def count_sentences(text: str) -> int:
@@ -75,7 +76,7 @@ def count_sentences(text: str) -> int:
         if not stripped:
             continue
         # Leading enumeration dots ("1.") are markers, not sentence ends.
-        body = re.sub(r"^\d+\.\s*", "", stripped)
+        body = _ENUM_MARKER_RE.sub("", stripped)
         ends = len(_SENTENCE_END_RE.findall(body))
         if ends == 0 and _ENUM_LINE_RE.match(line):
             ends = 1

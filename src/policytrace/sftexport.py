@@ -40,12 +40,11 @@ def clause_text(policy: Policy, clause: ClauseId) -> str:
     start = next((index for index, heading in policy.headings if heading == clause), None)
     if start is None:
         raise SFTExportError(f"unresolvable_clause: {clause.canonical!r} not found in policy text")
-    lines = policy.full_text.splitlines()
     end = next(
         (index for index, other in policy.headings if index > start and other != clause),
-        len(lines),
+        len(policy.lines),
     )
-    return "\n".join(lines[start:end]).strip()
+    return "\n".join(policy.lines[start:end]).strip()
 
 
 @dataclass

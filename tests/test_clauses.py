@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from policytrace.clauses import (
@@ -225,3 +228,34 @@ def test_unreachable_judge_uses_fallback(registry):
     result = extract_cited_clauses("cites Article 1 plainly", registry, handle)
     assert result.cited == {cid(1)}
     assert result.used_fallback
+
+
+def _fresh_registry() -> ClauseRegistry:
+    registry = ClauseRegistry(policy_id="p")
+    for n in range(1, 6):
+        registry.add(cid(n), title=f"Title {n}")
+    return registry
+
+
+def test_threads_sharing_the_mention_memo_resolve_as_one_thread_does():
+    replies = [f"Article {i % 9 + 1}(a), Articles {i % 4 + 2} and 7, note {i}" for i in range(200)]
+    expected = [normalize(reply, _fresh_registry()) for reply in replies]
+    shared = _fresh_registry()
+    results: dict[int, list] = {}
+
+    def work(worker: int) -> None:
+        results[worker] = [normalize(reply, shared) for reply in replies]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[w] == expected for w in range(8))
+    assert all(shared.resolve(m) == c for m, c in shared._numbered_memo.items())

@@ -505,6 +505,66 @@ def test_assess_resume_refuses_a_changed_pool_and_resumes_an_identical_one(workd
     assert payload["skipped"] == 6 and payload["executed"] == 0
 
 
+@pytest.mark.parametrize(
+    "text, detail",
+    [("[1, 2]", ": not a JSON object"), ("{not json", ": Expecting property name")],
+    ids=["list", "not_json"],
+)
+def test_assess_resume_names_a_broken_manifest(workdir, capsys, text, detail):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    (manifest_path,) = out.glob("*.manifest.json")
+    manifest_path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {manifest_path}{detail}"), err
+
+
+def _drop_key(path, key):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data[key]
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "filename, damage, command, detail",
+    [
+        ("registry.json", lambda p: p.write_text('{"clauses": []}', "utf-8"), "validate",
+         "missing key 'policy_id'"),
+        ("registry.json", lambda p: p.write_text("[]", "utf-8"), "validate", "malformed"),
+        ("providers.json", lambda p: _drop_key(p, "provider_id"), "gen",
+         "missing key 'provider_id'"),
+    ],
+    ids=["registry_key", "registry_list", "providers_key"],
+)
+def test_a_corpus_file_missing_a_key_is_an_error_naming_file_and_key(
+    workdir, capsys, filename, damage, command, detail
+):
+    corpus, out = workdir
+    damage(corpus / filename)
+    code = run_cli("--config", corpus / "config.json", "--out-dir", out, command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(corpus / filename) in err and detail in err, err
+
+
+def test_validate_refuses_a_case_text_shared_across_splits(workdir, capsys):
+    corpus, out = workdir
+    cases = corpus / "cases.jsonl"
+    lines = cases.read_text(encoding="utf-8").splitlines()
+    leak = json.loads(next(line for line in lines if '"train"' in line))
+    leak.update(case_id="leak", split="test")
+    cases.write_text("\n".join(lines + [json.dumps(leak)]) + "\n", encoding="utf-8")
+    code = run_cli("--config", corpus / "config.json", "validate")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "train/test overlap" in captured.err and "'leak'" in captured.err, captured.err
+
+
 def test_importing_cli_does_not_load_the_thread_pool():
     src = str(Path(policytrace.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

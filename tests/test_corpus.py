@@ -127,8 +127,13 @@ def test_load_dataset_unknown_clause(tmp_path, registry):
         "[1]",
         '{"case_id": "x", "case_text": "t", "verdict": 5, "clauses": [], "split": "test"}',
         '{"case_id": "x", "case_text": "t", "verdict": "good", "clauses": 5, "split": "test"}',
+        '{"case_id": "x", "case_text": 5, "verdict": "good", "clauses": [], "split": "test"}',
+        '{"case_id": "x", "case_text": "t\\ud800", "verdict": "good", "clauses": [], "split": "test"}',
     ],
-    ids=["not-an-object", "verdict-not-a-string", "clauses-not-a-list"],
+    ids=[
+        "not-an-object", "verdict-not-a-string", "clauses-not-a-list", "text-not-a-string",
+        "text-lone-surrogate",
+    ],
 )
 def test_load_dataset_wrong_field_types_are_malformed_records(tmp_path, registry, line):
     path = tmp_path / "types.jsonl"

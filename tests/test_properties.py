@@ -23,7 +23,28 @@ from policytrace.clauses import (
     normalize,
 )
 from policytrace.assess import parse_verdict
-from policytrace.corpus import Verdict, _clause_headings, _record_from_obj, verdict_tokens
+from policytrace.corpus import (
+    CaseRecord,
+    Dataset,
+    Split,
+    Verdict,
+    _clause_headings,
+    _record_from_obj,
+    split_disjointness_check,
+    text_hash,
+    verdict_tokens,
+)
+from policytrace.prompts import (
+    _PLACEHOLDER_RE,
+    DEMO_TEMPLATES,
+    PRT_DEMO_TEMPLATES,
+    DemoBlock,
+    TemplateId,
+    _template_text,
+    format_demos,
+    placeholders,
+    render,
+)
 from policytrace.prtgen import AugmentedDataset, PRTRecord, count_words, prt_stats, validate_prt
 from policytrace.select import select_random
 from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
@@ -217,16 +238,20 @@ def _per_char_expand(text):
     return mentions, "".join(remainder)
 
 
+# Texts with and without a "."; the reference has no shortcut for the latter.
 _MENTION_PIECES = [
     "Article 5", "Articles 1, 2 and 3", "article5(1)(f)", "Article 1,3,4", "Art 2",
     "Section 164.502", "Sections 164.502 and 164.512(a)", "164.506(c)(1)", "§ 164.508",
     "section", "Article ", "164.", "(b)", " ", ", ", " and ", "&", "Stay in bounds", "é",
+    "Section 164502", "§ 164", "502", ".", "Art. 5",
 ]
 
 
 @given(st.lists(st.sampled_from(_MENTION_PIECES), max_size=12))
 @example(["section ", "Article 5 ", "164.502"])  # a section span over a blanked article
 @example(["Article 5", "164.502(a)"])  # both kinds of span end at the end of the text
+@example(["§ 164", "Article 5", "Section 164502"])  # no "." at all
+@example(["§ 164", ".", "502"])
 @settings(max_examples=300)
 def test_expand_numbered_mentions_matches_per_char_masking(pieces):
     text = "".join(pieces)
@@ -392,3 +417,132 @@ def test_validate_prt_states_the_parsed_verdict(words, sep):
     stated = parse_verdict(final_line)
     for gold in Verdict:
         assert (validate_prt(trace, gold) is None) == (gold is stated)
+
+
+_GROWN_TITLES = ["Stay in Bounds", "Record Keeping"]
+_CITATION_PIECES = [
+    "Article 1", "Articles 2 and 5", "article 3(a)", "Article 4, 6", "Section 164.502",
+    "§ 164.506(b)", "164.508", "Stay in Bounds", "record keeping", "Unknown Rule", "[reply abc]",
+]
+
+
+@st.composite
+def _registry_growth(draw):
+    """Clauses of every scheme in some order, where the registry is first
+    built, and citation texts resolved against it before it grows."""
+    clauses = [ClauseId(f"Article {n}", Scheme.ARTICLE) for n in range(1, 7)]
+    clauses += [ClauseId(f"Section 164.{n:03d}", Scheme.SECTION) for n in (502, 506)]
+    clauses += [ClauseId(title, Scheme.NAMED) for title in _GROWN_TITLES]
+    order = draw(st.permutations(clauses))
+    cut = draw(st.integers(0, len(order)))
+    texts = draw(st.lists(
+        st.lists(st.sampled_from(_CITATION_PIECES), min_size=1, max_size=5).map(", ".join),
+        min_size=1, max_size=4,
+    ))
+    return order, cut, texts
+
+
+def _add(registry, clause):
+    title = clause.canonical if clause.scheme is Scheme.NAMED else ""
+    registry.add(clause, title=title)
+
+
+@given(_registry_growth())
+@settings(max_examples=200)
+def test_a_registry_that_grows_after_resolving_agrees_with_a_fresh_one(growth):
+    order, cut, texts = growth
+    grown = ClauseRegistry(policy_id="p")
+    for clause in order[:cut]:
+        _add(grown, clause)
+    for text in texts:  # fills the registry's derived values before it grows
+        normalize(text, grown)
+        extract_cited_clauses(text, grown)
+        grown.masterlist
+    for clause in order[cut:]:
+        _add(grown, clause)
+    fresh = ClauseRegistry(policy_id="p")
+    for clause in order:
+        _add(fresh, clause)
+    for text in texts:
+        assert normalize(text, grown) == normalize(text, fresh)
+        assert extract_cited_clauses(text, grown) == extract_cited_clauses(text, fresh)
+    assert grown.masterlist == fresh.masterlist == ", ".join(c.canonical for c in order)
+
+
+def test_the_mention_memo_grows_with_clause_numbers_not_with_text():
+    registry = build_registry()
+    replies = [
+        f"Article {i % 7 + 1}, Section 164.{500 + i % 3}, Case note {i}\n[reply {i:x}]"
+        for i in range(300)
+    ]
+    for reply in replies:
+        normalize(reply, registry)
+    numbered = {m for reply in replies for m in _expand_numbered_mentions(reply)[0]}
+    assert len(numbered) == 10
+    assert len(registry._numbered_memo) <= len(numbered)
+
+
+def _re_sub_render(template_id, bindings):
+    """The single-pass `re.sub` renderer that `render` replaced."""
+    values = dict(bindings)
+    if template_id in DEMO_TEMPLATES:
+        values["demos"] = format_demos(template_id, values["demos"])
+    return _PLACEHOLDER_RE.sub(lambda m: str(values[m.group(1)]), _template_text(template_id))
+
+
+_BOUND_TEXT = st.one_of(
+    st.integers(0, 99),
+    st.lists(
+        st.one_of(st.text(max_size=6), st.sampled_from(
+            ["{case}", "{policy}", "{demos}", "{k}", "{{case}}", "{", "}", "{CASE}"])),
+        max_size=4,
+    ).map("".join),
+)
+
+
+@st.composite
+def _template_bindings(draw):
+    template_id = draw(st.sampled_from(list(TemplateId)))
+    bindings = {name: draw(_BOUND_TEXT) for name in sorted(placeholders(template_id))}
+    if template_id in DEMO_TEMPLATES:
+        with_prt = template_id in PRT_DEMO_TEMPLATES
+        bindings["demos"] = [
+            DemoBlock(draw(_BOUND_TEXT.map(str).filter(bool)), draw(st.sampled_from(Verdict)),
+                      draw(_BOUND_TEXT.map(str)) if with_prt else None)
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    return template_id, bindings
+
+
+@given(_template_bindings())
+@settings(max_examples=300)
+def test_render_matches_the_re_sub_renderer(case):
+    template_id, bindings = case
+    assert render(template_id, bindings) == _re_sub_render(template_id, bindings)
+
+
+def _hashed_disjointness(dataset):
+    """The check as it was: both splits hashed, the last train id per hash kept."""
+    ids = sorted({r.case_id for r in dataset.train} & {r.case_id for r in dataset.test})
+    train_hashes = {text_hash(r.case_text): r.case_id for r in dataset.train}
+    shared = [
+        (text_hash(r.case_text), train_hashes[text_hash(r.case_text)], r.case_id)
+        for r in dataset.test
+        if text_hash(r.case_text) in train_hashes
+    ]
+    return ids, shared
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from("abcde"), st.sampled_from(["x", "y", "z", "é"]),
+              st.sampled_from(Split)),
+    max_size=12,
+))
+@example([("a", "x", Split.TRAIN), ("b", "x", Split.TRAIN), ("c", "x", Split.TEST)])
+def test_split_disjointness_check_matches_the_hashed_check(rows):
+    dataset = Dataset(tuple(
+        CaseRecord(case_id, text, Verdict.COMPLIANT, frozenset(), split)
+        for case_id, text, split in rows
+    ))
+    report = split_disjointness_check(dataset)
+    assert (report.shared_case_ids, report.shared_text_hashes) == _hashed_disjointness(dataset)
