@@ -90,8 +90,7 @@ class ClauseRegistry:
         self.entries[clause] = {"title": title, "aliases": sorted(all_aliases)}
         for alias in all_aliases:
             self._alias_index[_title_key(alias)] = clause
-        for name in ("_numbered_memo", "masterlist", "_named_alias_keys"):
-            self.__dict__.pop(name, None)  # derived from the entries: recompute on next use
+        self.__dict__.pop("_numbered_memo", None)  # derived from the entries: rebuild on next use
 
     def resolve(self, mention: str) -> Optional[ClauseId]:
         """The mention in full, else with trailing "(…)" groups stripped one at
@@ -116,19 +115,6 @@ class ClauseRegistry:
         if mention not in memo:
             memo[mention] = self.resolve(mention)
         return memo[mention]
-
-    @cached_property
-    def masterlist(self) -> str:
-        """Every canonical id, comma-separated, in registry order."""
-        return ", ".join(c.canonical for c in self.entries)
-
-    @cached_property
-    def _named_alias_keys(self) -> tuple[tuple[ClauseId, tuple[str, ...]], ...]:
-        """(clause, non-empty lookup keys of its aliases) per named entry."""
-        return tuple(
-            (c, tuple(key for key in map(_title_key, self.entries[c]["aliases"]) if key))
-            for c in self.named_entries
-        )
 
     def canonicals(self) -> list[ClauseId]:
         return list(self.entries)
@@ -263,9 +249,13 @@ def _regex_extract(text: str, registry: ClauseRegistry) -> set[ClauseId]:
             cited.add(clause)
 
     text_key = _title_key(text)
-    for clause, keys in registry._named_alias_keys:
-        if any(key in text_key for key in keys):
-            cited.add(clause)
+    for clause in registry.named_entries:
+        meta = registry.entries[clause]
+        for alias in meta["aliases"]:
+            key = _title_key(alias)
+            if key and key in text_key:
+                cited.add(clause)
+                break
     return cited
 
 
@@ -286,9 +276,10 @@ def extract_cited_clauses(
     from .gateway import ASSESS_PROFILE, GatewayError, complete
     from .prompts import TemplateId, render
 
+    masterlist = ", ".join(c.canonical for c in registry.canonicals())
     prompt = render(
         TemplateId.CLAUSE_EXTRACT,
-        {"policy_section_masterlist": registry.masterlist, "reasoning_text": reasoning_text},
+        {"policy_section_masterlist": masterlist, "reasoning_text": reasoning_text},
     )
 
     for attempt in range(2):

@@ -223,9 +223,11 @@ def split_disjointness_check(dataset: Dataset) -> DisjointnessReport:
     return report
 
 
-def _record_from_obj(obj: dict, registry: ClauseRegistry, lineno: int, memo: dict) -> CaseRecord:
-    """One case record. `memo` keeps what one load has parsed: the clause ids
-    of each clause string and the verdict of each label."""
+def _record_from_obj(
+    obj: dict, registry: ClauseRegistry, lineno: int, resolved: dict[str, frozenset[ClauseId]]
+) -> CaseRecord:
+    """One case record; `resolved` keeps the clause ids of each clause string
+    seen so far in the load."""
     try:
         if not isinstance(obj, dict):
             raise CorpusError(f"not a JSON object: {obj!r}")
@@ -236,24 +238,20 @@ def _record_from_obj(obj: dict, registry: ClauseRegistry, lineno: int, memo: dic
         for raw in clauses:
             if not isinstance(raw, str):
                 raise CorpusError(f"clause entry is not a string: {raw!r}")
-            key = ("clauses", raw)
-            if key not in memo:
+            if raw not in resolved:
                 ids, unknowns = normalize(raw, registry)
                 if unknowns:
                     raise CorpusError(f"unknown clause {unknowns[0]!r}")
-                memo[key] = frozenset(ids)
-            gold |= memo[key]
-        case_id, case_text, label = obj["case_id"], obj["case_text"], obj["verdict"]
+                resolved[raw] = frozenset(ids)
+            gold |= resolved[raw]
+        case_id, case_text = obj["case_id"], obj["case_text"]
         if not isinstance(case_text, str):
             raise CorpusError("case_text must be a string")
         case_text.encode("utf-8")  # raises on a lone surrogate ("\ud800"), which no file can hold
-        key = ("verdict", label)
-        if key not in memo:
-            memo[key] = Verdict.parse(label)
         return CaseRecord(
             case_id=case_id,
             case_text=case_text,
-            gold_verdict=memo[key],
+            gold_verdict=Verdict.parse(obj["verdict"]),  # not `verdict`: a missing key stays a KeyError
             gold_clauses=gold,
             split=Split(obj["split"]),
         )
@@ -269,7 +267,7 @@ def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
 
     records: list[CaseRecord] = []
     seen_ids: set[str] = set()
-    memo: dict = {}
+    resolved: dict[str, frozenset[ClauseId]] = {}  # clause ids per clause string
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -277,7 +275,7 @@ def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise CorpusError(f"line {lineno}: invalid JSON: {err}") from err
-        record = _record_from_obj(obj, registry, lineno, memo)
+        record = _record_from_obj(obj, registry, lineno, resolved)
         if record.case_id in seen_ids:
             raise CorpusError(f"line {lineno}: duplicate_id: {record.case_id!r}")
         seen_ids.add(record.case_id)
