@@ -18,7 +18,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
+from .corpus import (
+    CaseRecord, Dataset, Policy, Split, Verdict, enum_member, read_jsonl, verdict_tokens
+)
 from .gateway import ASSESS_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import (
     DEMO_TEMPLATES, PRT_DEMO_TEMPLATES, DemoBlock, TemplateId, render, template_hash
@@ -237,7 +239,9 @@ def result_from_obj(obj: dict) -> InstanceResult:
         case_id=obj["case_id"],
         strategy=obj["strategy"],
         turns=[Turn(**t) for t in obj["turns"]],
-        parsed_verdict=Verdict(obj["parsed_verdict"]) if obj.get("parsed_verdict") else None,
+        parsed_verdict=(
+            enum_member(Verdict, obj["parsed_verdict"]) if obj.get("parsed_verdict") else None
+        ),
         correct=obj.get("correct"),
         flags=obj.get("flags", []),
     )
@@ -245,11 +249,9 @@ def result_from_obj(obj: dict) -> InstanceResult:
 
 def load_results(path: str | Path) -> list[InstanceResult]:
     results = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in read_jsonl(Path(path), AssessError):
         try:
-            results.append(result_from_obj(json.loads(line)))
+            results.append(result_from_obj(obj))
         except (KeyError, TypeError, ValueError) as err:
             raise AssessError(f"{path}:{lineno}: malformed record: {err}") from err
     return results

@@ -92,16 +92,20 @@ class ClauseRegistry:
             self._alias_index[_title_key(alias)] = clause
         self.__dict__.pop("_numbered_memo", None)  # derived from the entries: rebuild on next use
 
-    def resolve(self, mention: str) -> Optional[ClauseId]:
+    def resolve(self, mention: str, key: Optional[str] = None) -> Optional[ClauseId]:
         """The mention in full, else with trailing "(…)" groups stripped one at
-        a time: "Article 5(1)(f)" names "Article 5(1)", else "Article 5"."""
+        a time: "Article 5(1)(f)" names "Article 5(1)", else "Article 5".
+        `key` is the mention's `_title_key`, for a caller that has it already."""
+        if key is None:
+            key = _title_key(mention)
         while True:
-            clause = self._alias_index.get(_title_key(mention))
+            clause = self._alias_index.get(key)
             if clause is not None:
                 return clause
             mention, stripped = _TRAILING_GROUP_RE.subn("", mention)
             if not stripped:
                 return None
+            key = _title_key(mention)
 
     @cached_property
     def _numbered_memo(self) -> dict[str, Optional[ClauseId]]:
@@ -133,7 +137,10 @@ def load_registry(path: str | Path) -> ClauseRegistry:
     Schema: {"policy_id": str, "clauses": [{"canonical", "scheme", "title", "aliases"}]}
     """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise RegistryError(f"registry {path}: {err}") from err
     try:
         registry = ClauseRegistry(policy_id=data["policy_id"])
         for entry in data["clauses"]:
@@ -219,12 +226,12 @@ def normalize(raw: str, registry: ClauseRegistry) -> tuple[list[ClauseId], list[
 
     # Leftover comma-separated segments are candidate named-section titles.
     for segment in remainder.split(","):
-        segment = " ".join(segment.split())
-        if not segment or not _title_key(segment):
+        key = _title_key(segment)
+        if not key:
             continue
-        clause = registry.resolve(segment)
+        clause = registry.resolve(segment, key)
         if clause is None:
-            unknowns.append(segment)
+            unknowns.append(" ".join(segment.split()))
         elif clause not in seen:
             seen.add(clause)
             resolved.append(clause)

@@ -1,8 +1,12 @@
 """Policy and case dataset loading, validation, and persistence.
 
-Datasets are newline-delimited JSON, one record per line:
+Datasets are JSON Lines, one record per line:
 {"case_id": str, "case_text": str, "verdict": "COMPLIANT"|"NONCOMPLIANT",
  "clauses": [str], "split": "train"|"test"}
+`read_jsonl` reads them, and the trace store and results files too. A line
+ends at "\n" alone (a "\r" before it is JSON whitespace): U+2028, U+2029 and
+U+0085 inside a string, which writers using `ensure_ascii=False` leave raw,
+stay part of their record.
 Split hygiene (no train/test overlap by id or by exact text hash) is enforced
 at load and re-checkable on demand.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, TypeVar
 
 from .clauses import ClauseId, ClauseRegistry, Scheme, heading_mention, normalize
 from .tokens import Tokenizer, estimate_tokens
@@ -61,6 +65,19 @@ def verdict_tokens(text: str) -> list[tuple[int, Verdict]]:
 class Split(str, Enum):
     TRAIN = "train"
     TEST = "test"
+
+
+_Label = TypeVar("_Label", Verdict, Split)
+_MEMBERS = {e: {m.value: m for m in e} for e in (Verdict, Split)}
+
+
+def enum_member(enum: type[_Label], value: object) -> _Label:
+    """`enum(value)`, the same member or the same error, by one dict lookup
+    for a label as written."""
+    try:
+        return _MEMBERS[enum][value]
+    except (KeyError, TypeError):  # another value, or an unhashable one
+        return enum(value)
 
 
 @dataclass(frozen=True)
@@ -113,13 +130,13 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
 
-    @property
-    def train(self) -> list[CaseRecord]:
-        return [r for r in self.records if r.split is Split.TRAIN]
+    @cached_property
+    def train(self) -> tuple[CaseRecord, ...]:
+        return tuple(r for r in self.records if r.split is Split.TRAIN)
 
-    @property
-    def test(self) -> list[CaseRecord]:
-        return [r for r in self.records if r.split is Split.TEST]
+    @cached_property
+    def test(self) -> tuple[CaseRecord, ...]:
+        return tuple(r for r in self.records if r.split is Split.TEST)
 
     @cached_property
     def _by_id(self) -> dict[str, CaseRecord]:
@@ -224,60 +241,91 @@ def split_disjointness_check(dataset: Dataset) -> DisjointnessReport:
 
 
 def _record_from_obj(
-    obj: dict, registry: ClauseRegistry, lineno: int, resolved: dict[str, frozenset[ClauseId]]
+    obj: dict, registry: ClauseRegistry, resolved: dict[str | tuple[str, ...], frozenset[ClauseId]]
 ) -> CaseRecord:
-    """One case record; `resolved` keeps the clause ids of each clause string
-    seen so far in the load."""
+    """One case record; `resolved` keeps the gold clause ids of each clause list
+    and each clause string seen so far in the load."""
     try:
         if not isinstance(obj, dict):
             raise CorpusError(f"not a JSON object: {obj!r}")
         verdict, clauses = obj.get("verdict", ""), obj.get("clauses", [])
         if not isinstance(verdict, str) or not isinstance(clauses, list):
             raise CorpusError("verdict must be a string and clauses a list")
-        gold: frozenset[ClauseId] = frozenset()
-        for raw in clauses:
-            if not isinstance(raw, str):
-                raise CorpusError(f"clause entry is not a string: {raw!r}")
-            if raw not in resolved:
-                ids, unknowns = normalize(raw, registry)
-                if unknowns:
-                    raise CorpusError(f"unknown clause {unknowns[0]!r}")
-                resolved[raw] = frozenset(ids)
-            gold |= resolved[raw]
+        key = tuple(clauses)
+        try:
+            gold = resolved[key]
+        except (KeyError, TypeError):  # a list not seen yet, or one holding a list
+            gold = frozenset()
+            for raw in clauses:
+                if not isinstance(raw, str):
+                    raise CorpusError(f"clause entry is not a string: {raw!r}")
+                if raw not in resolved:
+                    ids, unknowns = normalize(raw, registry)
+                    if unknowns:
+                        raise CorpusError(f"unknown clause {unknowns[0]!r}")
+                    resolved[raw] = frozenset(ids)
+                gold |= resolved[raw]
+            resolved[key] = gold
         case_id, case_text = obj["case_id"], obj["case_text"]
+        if not isinstance(case_id, str):
+            raise CorpusError("case_id must be a string")
         if not isinstance(case_text, str):
             raise CorpusError("case_text must be a string")
         case_text.encode("utf-8")  # raises on a lone surrogate ("\ud800"), which no file can hold
-        return CaseRecord(
-            case_id=case_id,
-            case_text=case_text,
-            gold_verdict=Verdict.parse(obj["verdict"]),  # not `verdict`: a missing key stays a KeyError
-            gold_clauses=gold,
-            split=Split(obj["split"]),
-        )
+        # not `verdict` but `obj["verdict"]`: a missing key stays a KeyError
+        gold_verdict = _MEMBERS[Verdict].get(verdict) or Verdict.parse(obj["verdict"])
+        return CaseRecord(case_id, case_text, gold_verdict, gold, enum_member(Split, obj["split"]))
     except (KeyError, ValueError) as err:
-        raise CorpusError(f"line {lineno}: malformed record: {err}") from err
+        raise CorpusError(f"malformed record: {err}") from err
+
+
+def jsonl_lines(path: Path) -> list[str]:
+    """The lines of a JSON Lines file, split at "\n" alone: no newline translation."""
+    return path.read_bytes().decode("utf-8").split("\n")
+
+
+_DECODER = json.JSONDecoder()
+
+
+def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line of a JSON Lines file.
+
+    A line is read as `json.loads` reads it: one `raw_decode` that consumes it
+    whole, else `json.loads` itself. Errors name the file (and line) as `error`s.
+    """
+    try:
+        lines = jsonl_lines(path)
+    except (OSError, ValueError) as err:  # missing, unreadable or not UTF-8
+        raise error(f"{path}: {err}") from err
+    decode = _DECODER.raw_decode
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            obj, end = decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):  # leading or trailing whitespace, a BOM, extra data or bad JSON
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as err:
+                raise error(f"{path}:{lineno}: malformed record: {err}") from err
+        yield lineno, obj
 
 
 def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
-    """Load and validate a newline-delimited case record file."""
+    """Load and validate a JSON Lines case record file."""
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"dataset file not found: {path}")
-
     records: list[CaseRecord] = []
     seen_ids: set[str] = set()
-    resolved: dict[str, frozenset[ClauseId]] = {}  # clause ids per clause string
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    resolved: dict[str | tuple[str, ...], frozenset[ClauseId]] = {}
+    for lineno, obj in read_jsonl(path, CorpusError):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise CorpusError(f"line {lineno}: invalid JSON: {err}") from err
-        record = _record_from_obj(obj, registry, lineno, resolved)
+            record = _record_from_obj(obj, registry, resolved)
+        except CorpusError as err:
+            raise CorpusError(f"{path}:{lineno}: {err}") from err
         if record.case_id in seen_ids:
-            raise CorpusError(f"line {lineno}: duplicate_id: {record.case_id!r}")
+            raise CorpusError(f"{path}:{lineno}: duplicate_id: {record.case_id!r}")
         seen_ids.add(record.case_id)
         records.append(record)
 

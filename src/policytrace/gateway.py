@@ -355,7 +355,10 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
     list of such objects. provider_id "mock" takes a "script" list of
     {"pattern", "text", "raw_cot"?} entries instead of base_url.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise ProviderConfigError(f"providers file {path}: {err}") from err
     configs = data if isinstance(data, list) else [data]
     handles: dict[str, ModelHandle] = {}
     try:

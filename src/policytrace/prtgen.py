@@ -19,7 +19,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Optional
 
-from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
+from .corpus import (
+    CaseRecord, Dataset, Policy, Split, Verdict, enum_member, read_jsonl, verdict_tokens
+)
 from .gateway import PRT_GEN_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import TemplateId, render
 
@@ -41,11 +43,13 @@ _ENUM_LINE_RE = re.compile(r"^\s*\d+\.\s*\S")
 
 def validate_prt(text: str, gold: Verdict) -> Optional[ValidationFailure]:
     """Check trace structure and verdict consistency; None means valid."""
-    enum_lines = [line for line in text.splitlines() if _ENUM_LINE_RE.match(line)]
-    if len(enum_lines) < 2:
-        return ValidationFailure("format", f"found {len(enum_lines)} enumerated lines, need >= 2")
+    enum_lines = (line for line in reversed(text.splitlines()) if _ENUM_LINE_RE.match(line))
+    final = next(enum_lines, None)
+    if next(enum_lines, None) is None:  # the scan went back to the first line
+        found = 0 if final is None else 1
+        return ValidationFailure("format", f"found {found} enumerated lines, need >= 2")
 
-    stated_verdicts = {verdict for _, verdict in verdict_tokens(enum_lines[-1])}
+    stated_verdicts = {verdict for _, verdict in verdict_tokens(final)}
     if len(stated_verdicts) > 1:
         return ValidationFailure("ambiguous", "final line contains both verdict tokens")
     if not stated_verdicts:
@@ -123,9 +127,6 @@ class AugmentedDataset:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def case_ids(self) -> list[str]:
-        return [case.case_id for case, _, _ in self.triples]
 
     @cached_property
     def index(self) -> MappingProxyType[str, int]:
@@ -250,29 +251,29 @@ def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
     """
     triples: dict[str, Triple] = {}  # by case id
     experts: set[str] = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in read_jsonl(Path(path), PRTError):
         try:
-            obj = json.loads(line)
-            record = PRTRecord(**{**obj, "echoed_verdict": Verdict(obj["echoed_verdict"])})
+            obj["echoed_verdict"] = enum_member(Verdict, obj["echoed_verdict"])
+            record = PRTRecord(**obj)
         except (KeyError, TypeError, ValueError) as err:
-            raise PRTError(f"line {lineno}: malformed record: {err}") from err
+            raise PRTError(f"{path}:{lineno}: malformed record: {err}") from err
         experts.add(record.expert_model)
         if len(experts) > 1:
-            raise PRTError(f"line {lineno}: store mixes expert models: {sorted(experts)}")
+            raise PRTError(f"{path}:{lineno}: store mixes expert models: {sorted(experts)}")
         try:
             case = dataset.by_id(record.case_id)
         except KeyError:
-            raise PRTError(f"line {lineno}: case {record.case_id} is not in the dataset") from None
+            raise PRTError(
+                f"{path}:{lineno}: case {record.case_id} is not in the dataset"
+            ) from None
         if case.split is not Split.TRAIN:
-            raise PRTError(f"line {lineno}: case {record.case_id} is not in the train split")
+            raise PRTError(f"{path}:{lineno}: case {record.case_id} is not in the train split")
         failure = validate_prt(record.prt_text, case.gold_verdict)
         if failure is not None:
             raise PRTError(
-                f"line {lineno}: stored trace fails validation ({failure.reason}): {failure.detail}"
+                f"{path}:{lineno}: stored trace fails validation ({failure.reason}): {failure.detail}"
             )
         if record.case_id in triples:
-            raise PRTError(f"line {lineno}: duplicate trace for case {record.case_id}")
+            raise PRTError(f"{path}:{lineno}: duplicate trace for case {record.case_id}")
         triples[record.case_id] = (case, case.gold_verdict, record)
     return AugmentedDataset(tuple(triples.values()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clauses import ClauseId
-from .corpus import Policy, Split
+from .corpus import Policy, Split, jsonl_lines
 from .prtgen import AugmentedDataset
 
 
@@ -103,7 +103,7 @@ def split_train_val(
     everything in train."""
     if not 0 <= val_fraction < 1:
         raise SFTExportError(f"invalid_fraction: {val_fraction}")
-    lines = [l for l in Path(records_path).read_text(encoding="utf-8").splitlines() if l.strip()]
+    lines = [l for l in jsonl_lines(Path(records_path)) if l.strip()]
     rng = random.Random(seed)
     shuffled = list(lines)
     rng.shuffle(shuffled)

@@ -334,7 +334,7 @@ def test_09_selection_determinism_and_repair():
     judge = mock_provider({"compares written case examples": "0,0,12"})
     result = select_relevant(dataset.by_id("c01"), pool, 3, judge)
     picked = [c.case_id for c, _, _ in result.triples]
-    indices = [pool.case_ids().index(cid) for cid in picked]
+    indices = [pool.index[cid] for cid in picked]
     assert len(indices) == 3
     assert len(set(indices)) == 3  # distinct
     assert all(0 <= i < 13 for i in indices)  # in range

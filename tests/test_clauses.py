@@ -140,9 +140,9 @@ def test_normalize_contracted_articles(registry, raw, expected):
 
 
 def test_normalize_reports_unknowns(registry):
-    resolved, unknowns = normalize("Article 2, Article 99", registry)
+    resolved, unknowns = normalize("Article 2, Article 99,  Made\n up  rule ", registry)
     assert resolved == [cid(2)]
-    assert unknowns == ["Article 99"]
+    assert unknowns == ["Article 99", "Made up rule"]  # free text comes back single-spaced
 
 
 def test_normalize_dedupes_preserving_order(registry):

@@ -10,7 +10,7 @@ import pytest
 
 import policytrace
 from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry
-from mock_corpus import dataset_jsonl_lines
+from mock_corpus import LEARNER_SCRIPT, dataset_jsonl_lines
 from policytrace import cli
 from policytrace.clauses import save_registry
 from policytrace.cli import main
@@ -537,8 +537,12 @@ def _drop_key(path, key):
         ("registry.json", lambda p: p.write_text("[]", "utf-8"), "validate", "malformed"),
         ("providers.json", lambda p: _drop_key(p, "provider_id"), "gen",
          "missing key 'provider_id'"),
+        ("registry.json", lambda p: p.write_text("{not json", "utf-8"), "validate",
+         ": Expecting property name"),
+        ("providers.json", lambda p: p.write_text("{not json", "utf-8"), "gen",
+         ": Expecting property name"),
     ],
-    ids=["registry_key", "registry_list", "providers_key"],
+    ids=["registry_key", "registry_list", "providers_key", "registry_json", "providers_json"],
 )
 def test_a_corpus_file_missing_a_key_is_an_error_naming_file_and_key(
     workdir, capsys, filename, damage, command, detail
@@ -606,7 +610,7 @@ def test_store_naming_an_unknown_case_is_an_error(workdir, capsys, command):
         "--config", corpus / "config.json", "--out-dir", out, command, "--prt-store", store, *tail
     )
     assert code == 2
-    assert capsys.readouterr().err == "error: line 3: case zz99 is not in the dataset\n"
+    assert capsys.readouterr().err == f"error: {store}:3: case zz99 is not in the dataset\n"
 
 
 def _drop_verdict(line):
@@ -634,7 +638,7 @@ def test_malformed_store_record_is_an_error(workdir, capsys, command, damage, de
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line 2: malformed record: {detail}"), err
+    assert err.startswith(f"error: {store}:2: malformed record: {detail}"), err
 
 
 def test_report_names_the_file_and_line_of_a_torn_record(workdir, capsys):
@@ -650,3 +654,23 @@ def test_report_names_the_file_and_line_of_a_torn_record(workdir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {results}:7: malformed record: Unterminated string"), err
+
+
+def test_a_reply_holding_unicode_line_separators_survives_resume_and_report(workdir, capsys):
+    corpus, out = workdir
+    providers_path = corpus / "providers.json"
+    providers = json.loads(providers_path.read_text(encoding="utf-8"))
+    learner = {entry.pattern for entry in LEARNER_SCRIPT}
+    for entry in providers["script"]:
+        if entry["pattern"] in learner:
+            entry["text"] = "Weighed\u2028twice\u2029and\x85once. " + entry["text"]
+    providers_path.write_text(json.dumps(providers), encoding="utf-8")
+    assess = ("--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base")
+    assert run_cli(*assess) == 0
+    (results,) = out.glob("*.results.jsonl")
+    written = results.read_text(encoding="utf-8")
+    assert "\u2028" in written and written.count("\n") == 6
+    capsys.readouterr()
+    assert run_cli(*assess) == 0  # the resume reads every record back
+    assert json.loads(capsys.readouterr().out)["skipped"] == 6
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results) == 0

@@ -1,10 +1,13 @@
 """Property-based invariants across modules."""
 
 import hashlib
+import json
 import math
 import random
+import re
 import statistics
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,11 +28,14 @@ from policytrace.clauses import (
 from policytrace.assess import parse_verdict
 from policytrace.corpus import (
     CaseRecord,
+    CorpusError,
     Dataset,
     Split,
     Verdict,
     _clause_headings,
     _record_from_obj,
+    enum_member,
+    read_jsonl,
     split_disjointness_check,
     text_hash,
     verdict_tokens,
@@ -309,7 +315,7 @@ def test_heading_case_clause_and_citation_resolve_to_the_same_clause(corpus):
     for clause, _, raw, citation in rows:
         obj = {"case_id": "c", "case_text": "t", "verdict": "COMPLIANT", "clauses": [raw],
                "split": "test"}
-        assert _record_from_obj(obj, registry, 1, {}).gold_clauses == {clause}
+        assert _record_from_obj(obj, registry, {}).gold_clauses == {clause}
         assert extract_cited_clauses(citation, registry).cited == {clause}
 
 
@@ -544,3 +550,107 @@ def test_split_disjointness_check_matches_the_hashed_check(rows):
     ))
     report = split_disjointness_check(dataset)
     assert (report.shared_case_ids, report.shared_text_hashes) == _hashed_disjointness(dataset)
+
+
+# Characters that `str.splitlines` breaks at but JSON Lines does not, plus a BOM.
+_ODD = ["a", " ", "\u2028", "\u2029", "\x85", "\ufeff", '"', "\\"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.sampled_from(_ODD)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(st.sampled_from(_ODD), max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_EDGES = ["", " ", "\t", "\r", "\x0b", "\ufeff", "\u2028", "\x85"]
+_JSONL_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(_EDGES),
+        st.builds(json.dumps, _JSON_VALUES, ensure_ascii=st.booleans()),
+        st.sampled_from(_EDGES + [" x", "1", ' {"a": 1}', "]", ", 2"]),
+    ).map("".join),
+    st.text(st.sampled_from(list('{}[]":, 1a\t\r') + _ODD), max_size=8),
+)
+
+
+def _per_line_json_loads(text: str):
+    """The values per-line `json.loads` reads from "\\n"-split text, and its first error."""
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append((lineno, json.loads(line)))
+        except json.JSONDecodeError as err:
+            return values, f"{lineno}: malformed record: {err}"
+    return values, None
+
+
+@given(st.lists(_JSONL_LINES, max_size=6), st.booleans())
+@example(['{"reply": "one\u2028two\x85three"}', ' [1] ', "\ufeff{}", "1 2", "{} {}"], True)
+@settings(max_examples=300)
+def test_read_jsonl_reads_what_per_line_json_loads_reads(lines, final_newline):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    values, error = _per_line_json_loads(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_text(text, encoding="utf-8")
+        read = []
+        try:
+            for item in read_jsonl(path, CorpusError):
+                read.append(item)
+        except CorpusError as err:
+            assert str(err) == f"{path}:{error}"
+        else:
+            assert error is None
+    assert repr(read) == repr(values)  # repr: NaN and -0.0 compare as written
+
+
+_LABELS = st.sampled_from(
+    ["COMPLIANT", "NONCOMPLIANT", "compliant", " Non-Compliant", "GOOD", "bad", "train", "test",
+     "TRAIN", "test ", ""]
+) | st.text(max_size=12)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@given(_LABELS, _LABELS | st.none() | st.integers() | st.lists(_LABELS, max_size=2))
+def test_label_fast_paths_match_the_enum_parsers(verdict, split):
+    obj = {"case_id": "c", "case_text": "t", "verdict": verdict, "clauses": [], "split": split}
+    try:
+        record = _record_from_obj(obj, REGISTRY, {})
+        read = (record.gold_verdict, record.split)
+    except CorpusError as err:
+        read = str(err)
+    try:
+        expected = (Verdict.parse(verdict), Split(split))
+    except ValueError as err:
+        expected = f"malformed record: {err}"
+    assert read == expected
+    for enum in (Verdict, Split):
+        for label in (verdict, split):
+            assert _outcome(lambda: enum_member(enum, label)) == _outcome(lambda: enum(label))
+
+
+def _validate_prt_collecting_every_line(text, gold):
+    enum_lines = [line for line in text.splitlines() if re.match(r"^\s*\d+\.\s*\S", line)]
+    if len(enum_lines) < 2:
+        return ("format", f"found {len(enum_lines)} enumerated lines, need >= 2")
+    failure = validate_prt(f"0. x\n{enum_lines[-1]}", gold)  # the final-line checks alone
+    return failure and (failure.reason, failure.detail)
+
+
+@given(
+    st.lists(st.sampled_from(["1. Reasoning.", "2. COMPLIANT", " 3. NONCOMPLIANT", "4.", "x",
+                              "", "5. NON-COMPLIANT and COMPLIANT", "\u2028"]), max_size=6),
+    st.sampled_from(Verdict),
+)
+def test_validate_prt_matches_a_scan_of_every_line(lines, gold):
+    text = "\n".join(lines)
+    failure = validate_prt(text, gold)
+    assert (failure and (failure.reason, failure.detail)) == _validate_prt_collecting_every_line(
+        text, gold
+    )

@@ -109,7 +109,7 @@ def test_generate_prt_retry_then_quarantine(dataset, policy, tmp_path):
 def test_generate_augmented_dataset_quarantines(dataset, policy, concurrency):
     stubborn = mock_provider({"### OUTPUT:": COMPLIANT_TRACE})
     aug, quarantine = generate_augmented_dataset(dataset, policy, stubborn, concurrency)
-    assert aug.case_ids() == ["t01", "t03", "t05"]
+    assert [c.case_id for c, _, _ in aug.triples] == ["t01", "t03", "t05"]
     assert [q.case_id for q in quarantine] == ["t02", "t04", "t06"]
     assert all(q.reason == "verdict_mismatch" for q in quarantine)
 
@@ -118,7 +118,7 @@ def test_generate_augmented_dataset_quarantines(dataset, policy, concurrency):
 def test_full_generation_order(dataset, policy, expert_handle, concurrency):
     aug, quarantine = generate_augmented_dataset(dataset, policy, expert_handle, concurrency)
     assert quarantine == []
-    assert aug.case_ids() == ["t01", "t02", "t03", "t04", "t05", "t06"]
+    assert [c.case_id for c, _, _ in aug.triples] == ["t01", "t02", "t03", "t04", "t05", "t06"]
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
@@ -158,11 +158,18 @@ def test_prt_stats_empty_errors():
 
 
 def test_store_round_trip(tmp_path, dataset, policy, expert_handle):
+    from dataclasses import replace
+
     aug, _ = generate_augmented_dataset(dataset, policy, expert_handle)
+    # The store is written with ensure_ascii=False, so these characters reach the file raw.
+    case, verdict, prt = aug.triples[0]
+    odd = replace(prt, prt_text=prt.prt_text.replace("\n", "\u2028\u2029\x85\n", 1))
+    aug = replace(aug, triples=((case, verdict, odd),) + aug.triples[1:])
     path = tmp_path / "store.jsonl"
     write_prt_store(aug, path)
+    assert "\u2028\u2029\x85" in path.read_text(encoding="utf-8")
     loaded = load_prt_store(path, dataset)
-    assert loaded.case_ids() == aug.case_ids()
+    assert loaded.triples == aug.triples
     assert loaded.content_hash == aug.content_hash
 
 
@@ -202,7 +209,7 @@ def test_store_rejects_duplicate_case(tmp_path, dataset, policy, expert_handle):
     path.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
     with pytest.raises(PRTError) as err:
         load_prt_store(path, dataset)
-    assert str(err.value) == f"line {len(lines) + 1}: duplicate trace for case t02"
+    assert str(err.value) == f"{path}:{len(lines) + 1}: duplicate trace for case t02"
 
 
 def test_augmented_dataset_is_a_value(dataset, policy, expert_handle):

@@ -26,7 +26,7 @@ def test_select_random_deterministic(pool):
 def test_select_random_distinct(pool):
     picked = select_random(pool, 6, seed=1)
     ids = [c.case_id for c, _, _ in picked]
-    assert sorted(ids) == sorted(pool.case_ids())
+    assert sorted(ids) == sorted(c.case_id for c, _, _ in pool.triples)
 
 
 def test_select_random_seed_changes_draw(pool):
@@ -76,7 +76,7 @@ def test_select_relevant_singleton_pool(pool, dataset, judge_handle):
 def test_select_relevant_repairs_duplicates(pool, dataset):
     judge = mock_provider({"compares written case examples": "0, 0, 12"})
     result = select_relevant(dataset.by_id("c01"), pool, 3, judge)
-    ids = [pool.case_ids().index(c.case_id) for c, _, _ in result.triples]
+    ids = [pool.index[c.case_id] for c, _, _ in result.triples]
     assert len(set(ids)) == 3
     assert all(0 <= i < len(pool) for i in ids)
     assert "indices_topped_up" in result.flags

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_export_records_shape(tmp_path, aug, policy):
     assert summary.n_full_policy_fallbacks == 0
 
     records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
-    assert [r["case_id"] for r in records] == sorted(aug.case_ids())
+    assert [r["case_id"] for r in records] == sorted(c.case_id for c, _, _ in aug.triples)
     for record in records:
         assert set(record) == {
             "instruction",
@@ -178,22 +179,27 @@ def test_export_rejects_test_split(tmp_path, aug, dataset, policy):
 
 
 def test_split_train_val(tmp_path, aug, policy):
+    # Records are written with ensure_ascii=False, so these characters reach the file raw.
+    case, verdict, prt = aug.triples[0]
+    odd = replace(prt, prt_text=prt.prt_text.replace("\n", "\u2028\u2029\x85\n", 1))
+    aug = replace(aug, triples=((case, verdict, odd),) + aug.triples[1:])
     out = tmp_path / "sft.jsonl"
     export_sft(aug, policy, out)
+    assert "\u2028\u2029\x85" in out.read_text(encoding="utf-8")
     n_train, n_val = split_train_val(
         out, 0.5, seed=3, train_out=tmp_path / "tr.jsonl", val_out=tmp_path / "va.jsonl"
     )
     assert n_train == 3 and n_val == 3
     train_ids = {
         json.loads(l)["case_id"]
-        for l in (tmp_path / "tr.jsonl").read_text(encoding="utf-8").splitlines()
+        for l in (tmp_path / "tr.jsonl").read_text(encoding="utf-8").split("\n") if l
     }
     val_ids = {
         json.loads(l)["case_id"]
-        for l in (tmp_path / "va.jsonl").read_text(encoding="utf-8").splitlines()
+        for l in (tmp_path / "va.jsonl").read_text(encoding="utf-8").split("\n") if l
     }
     assert train_ids.isdisjoint(val_ids)
-    assert train_ids | val_ids == set(aug.case_ids())
+    assert train_ids | val_ids == {c.case_id for c, _, _ in aug.triples}
 
 
 def test_split_train_val_fraction_bounds(tmp_path, aug, policy):
