@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:
-    from .gateway import ModelHandle
+from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete
+from .prompts import TemplateId, render
 
 
 class Scheme(str, Enum):
@@ -90,7 +90,9 @@ class ClauseRegistry:
         self.entries[clause] = {"title": title, "aliases": sorted(all_aliases)}
         for alias in all_aliases:
             self._alias_index[_title_key(alias)] = clause
-        self.__dict__.pop("_numbered_memo", None)  # derived from the entries: rebuild on next use
+        # derived from the entries: rebuild on next use
+        self.__dict__.pop("_numbered_memo", None)
+        self.__dict__.pop("masterlist", None)
 
     def resolve(self, mention: str, key: Optional[str] = None) -> Optional[ClauseId]:
         """The mention in full, else with trailing "(…)" groups stripped one at
@@ -102,6 +104,8 @@ class ClauseRegistry:
             clause = self._alias_index.get(key)
             if clause is not None:
                 return clause
+            if not mention.rstrip().endswith(")"):  # no trailing group to strip
+                return None
             mention, stripped = _TRAILING_GROUP_RE.subn("", mention)
             if not stripped:
                 return None
@@ -122,6 +126,11 @@ class ClauseRegistry:
 
     def canonicals(self) -> list[ClauseId]:
         return list(self.entries)
+
+    @cached_property
+    def masterlist(self) -> str:
+        """The canonical ids, comma-joined, as the clause-extraction prompt lists them."""
+        return ", ".join(c.canonical for c in self.entries)
 
     @property
     def named_entries(self) -> list[ClauseId]:
@@ -179,13 +188,16 @@ def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:
     for scheme, (pattern, item_re, label) in _NUMBERED.items():
         if scheme is Scheme.SECTION and "." not in text:
             continue
-        parts: list[str] = []
-        pos = 0
-        for m in pattern.finditer(text):
-            mentions.extend(f"{label} {item}" for item in item_re.findall(m.group(1)))
-            parts += (text[pos : m.start()], " " * (m.end() - m.start()))
-            pos = m.end()
-        text = "".join(parts) + text[pos:]
+
+        def blank(m: re.Match) -> str:
+            items = m.group(1)
+            if items.isdecimal():  # one plain number: `\d` matches exactly the decimal digits
+                mentions.append(f"{label} {items}")
+            else:
+                mentions.extend(f"{label} {item}" for item in item_re.findall(items))
+            return " " * (m.end() - m.start())
+
+        text = pattern.sub(blank, text)
     return mentions, text
 
 
@@ -226,6 +238,8 @@ def normalize(raw: str, registry: ClauseRegistry) -> tuple[list[ClauseId], list[
 
     # Leftover comma-separated segments are candidate named-section titles.
     for segment in remainder.split(","):
+        if segment.isspace():
+            continue
         key = _title_key(segment)
         if not key:
             continue
@@ -269,7 +283,7 @@ def _regex_extract(text: str, registry: ClauseRegistry) -> set[ClauseId]:
 def extract_cited_clauses(
     reasoning_text: str,
     registry: ClauseRegistry,
-    judge: Optional["ModelHandle"] = None,
+    judge: Optional[ModelHandle] = None,
 ) -> ExtractionResult:
     """Extract the set of registry clauses cited in a reasoning text.
 
@@ -280,13 +294,9 @@ def extract_cited_clauses(
     if judge is None:
         return ExtractionResult(cited=_regex_extract(reasoning_text, registry), unknowns=[])
 
-    from .gateway import ASSESS_PROFILE, GatewayError, complete
-    from .prompts import TemplateId, render
-
-    masterlist = ", ".join(c.canonical for c in registry.canonicals())
     prompt = render(
         TemplateId.CLAUSE_EXTRACT,
-        {"policy_section_masterlist": masterlist, "reasoning_text": reasoning_text},
+        {"policy_section_masterlist": registry.masterlist, "reasoning_text": reasoning_text},
     )
 
     for attempt in range(2):

@@ -278,7 +278,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             try:
                 rel = clause_relevance(results, dataset, registry, judge, config["concurrency"])
             except Exception as err:
-                row["clause_relevance"] = {"error": str(err)}
+                row["clause_relevance"] = {"error": f"{type(err).__name__}: {err}"}
                 continue
             row["clause_relevance"] = {
                 "mu_cited": rel.mu_cited,

@@ -78,7 +78,7 @@ def clause_relevance(
                 fallbacks += 1
             cited = extraction.cited
             cited_counts.append(len(cited))
-            gold = set(record.gold_clauses)
+            gold = record.gold_clauses
             if not gold:
                 continue
             recalls.append(len(cited & gold) / len(gold))

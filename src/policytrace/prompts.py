@@ -14,9 +14,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .corpus import Verdict
+if TYPE_CHECKING:  # an annotation only: at run time prompts imports nothing from the package
+    from .corpus import Verdict
 
 
 class PromptError(ValueError):

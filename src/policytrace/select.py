@@ -99,7 +99,8 @@ def _top_up(indices: list[int], pool_size: int, k: int) -> list[int]:
 
 def format_candidates(pool: AugmentedDataset) -> str:
     blocks = []
-    for i, (case, _verdict, _prt) in enumerate(pool.triples, start=1):
+    # Labelled from 0, as the template's index range and _parse_indices count.
+    for i, (case, _verdict, _prt) in enumerate(pool.triples):
         clause_list = sorted(c.canonical for c in case.gold_clauses)
         clauses = ", ".join(clause_list) if clause_list else "unannotated"
         blocks.append(

@@ -19,5 +19,6 @@ def estimate_tokens(text: str) -> int:
     """Approximate BPE token count: ceil(utf8_bytes / 4), 0 for empty text."""
     if not text:
         return 0
-    n = len(text.encode("utf-8"))
+    # An ASCII string's length is its UTF-8 byte count, and isascii() reads a flag.
+    n = len(text) if text.isascii() else len(text.encode("utf-8"))
     return max(1, (n + BYTES_PER_TOKEN - 1) // BYTES_PER_TOKEN)

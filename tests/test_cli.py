@@ -205,6 +205,20 @@ def test_report_two_runs(workdir, capsys):
     assert len(metrics) == 3
 
 
+def test_report_records_why_clause_relevance_failed(workdir, capsys):
+    corpus, out = workdir
+    assert run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
+    ) == 0
+    (results,) = out.glob("*.results.jsonl")
+    lines = results.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace('"case_id": "c01"', '"case_id": "c99"')
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results) == 0
+    (row,) = json.loads((out / "report.json").read_text(encoding="utf-8"))["runs"]
+    assert row["clause_relevance"] == {"error": "KeyError: 'c99'"}
+
+
 def test_report_rejects_mixed_policy(workdir, capsys, tmp_path):
     corpus, out = workdir
     run_cli(

@@ -24,3 +24,14 @@ def test_no_program_file_imports_the_test_suite():
         if module.split(".")[0] in test_modules
     ]
     assert offenders == []
+
+
+def test_prompts_imports_nothing_from_the_package_at_run_time():
+    """`clauses` imports `prompts`, and `corpus` imports `clauses`, so an
+    import of `corpus` from `prompts` would be a cycle."""
+    imported = [
+        node.module
+        for node in ast.parse((ROOT / "src/policytrace/prompts.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert imported == []

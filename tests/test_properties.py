@@ -18,10 +18,12 @@ from conftest import build_dataset
 from mock_corpus import build_registry
 from policytrace.clauses import (
     _NUMBERED,
+    _TRAILING_GROUP_RE,
     ClauseId,
     ClauseRegistry,
     Scheme,
     _expand_numbered_mentions,
+    _title_key,
     extract_cited_clauses,
     normalize,
 )
@@ -55,6 +57,7 @@ from policytrace.prtgen import AugmentedDataset, PRTRecord, count_words, prt_sta
 from policytrace.select import select_random
 from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
 from policytrace.significance import CostAccuracyPoint
+from policytrace.tokens import estimate_tokens
 
 REGISTRY = build_registry()
 
@@ -262,6 +265,100 @@ _MENTION_PIECES = [
 def test_expand_numbered_mentions_matches_per_char_masking(pieces):
     text = "".join(pieces)
     assert _expand_numbered_mentions(text) == _per_char_expand(text)
+
+
+def _slice_join_expand(text):
+    """The finditer, slice-and-join loop that one `pattern.sub` pass replaced."""
+    mentions = []
+    for scheme, (pattern, item_re, label) in _NUMBERED.items():
+        if scheme is Scheme.SECTION and "." not in text:
+            continue
+        parts, pos = [], 0
+        for m in pattern.finditer(text):
+            mentions.extend(f"{label} {item}" for item in item_re.findall(m.group(1)))
+            parts += (text[pos : m.start()], " " * (m.end() - m.start()))
+            pos = m.end()
+        text = "".join(parts) + text[pos:]
+    return mentions, text
+
+
+# Plain numbers in other scripts ("٣" is ARABIC-INDIC DIGIT THREE), word
+# characters against numbers, and the line breaks U+2028 and U+0085.
+_EXPAND_PIECES = _MENTION_PIECES + [
+    "Article5(1)(f)", "Articles 5 and 6", "§ 164.502", "164.512(a)", "Article ٣", "Article 1٣",
+    "٣", "١٦٤.٥٠٢", "Article 5x", "x5", "_", "Article 5_", "\u2028", "\x85", "Article\u20285",
+    "Article 5\x85", " and 6", ", 7", "(1)", "a",
+]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_EXPAND_PIECES),
+                          st.text("0123456789٣ .,&()§aeilrst_\u2028\x85", max_size=4)),
+                max_size=12))
+@example(["Article ٣"])
+@example(["Article 5", "x"])
+@example(["Articles 5 and 6", "\u2028", "§ 164.502", "\x85", "164.512(a)"])
+@settings(max_examples=300)
+def test_expand_numbered_mentions_matches_the_slice_and_join_loop(pieces):
+    text = "".join(pieces)
+    assert _expand_numbered_mentions(text) == _slice_join_expand(text)
+
+
+def _resolve_by_regex(registry, mention):
+    """`resolve` with no shortcut: the trailing-group regex decides when to stop."""
+    key = _title_key(mention)
+    while True:
+        clause = registry._alias_index.get(key)
+        if clause is not None:
+            return clause
+        mention, stripped = _TRAILING_GROUP_RE.subn("", mention)
+        if not stripped:
+            return None
+        key = _title_key(mention)
+
+
+_RESOLVE_REGISTRY = ClauseRegistry(policy_id="p")
+for _clause, _title in [(ClauseId("Article 5", Scheme.ARTICLE), ""),
+                        (ClauseId("Article 6(1)", Scheme.ARTICLE), ""),
+                        (ClauseId("Section 164.502(a)", Scheme.SECTION), ""),
+                        (ClauseId("Stay in bounds", Scheme.NAMED), "Stay in bounds")]:
+    _RESOLVE_REGISTRY.add(_clause, title=_title)
+
+
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(["Article 5", "Article 6", "Section 164.502", "Stay in bounds",
+                              "(1)", "(a)", "(", ")", "()", " ", "\n", "\u2028", "\x85",
+                              "\x1c", "\u3000", "x", "."]), max_size=8).map("".join),
+))
+@example("Article 5(1) \x85")
+@example("Article 6(1)(b)\u2028")
+@example("Section 164.502(a)(1)(ii) ")
+@example("Stay in bounds)")
+@settings(max_examples=300)
+def test_resolve_matches_the_regex_only_loop(mention):
+    assert _RESOLVE_REGISTRY.resolve(mention) == _resolve_by_regex(_RESOLVE_REGISTRY, mention)
+
+
+@given(st.text())
+@example("")
+@example("é")
+@example("\U0001f600")
+def test_estimate_tokens_is_a_quarter_of_the_utf8_bytes_rounded_up(text):
+    assert estimate_tokens(text) == math.ceil(len(text.encode("utf-8")) / 4)
+
+
+@given(st.lists(st.tuples(st.sampled_from(list(Scheme)), st.integers(1, 30)), max_size=10,
+                unique=True))
+def test_masterlist_follows_add(adds):
+    registry = ClauseRegistry(policy_id="p")
+    assert registry.masterlist == ""
+    for scheme, number in adds:
+        canonical = f"Section 164.{number:03d}" if scheme is Scheme.SECTION else f"Article {number}"
+        title = f"Title {number} {scheme.value}" if scheme is Scheme.NAMED else ""
+        if scheme is Scheme.NAMED:
+            canonical = title
+        registry.add(ClauseId(canonical, scheme), title=title)
+        assert registry.masterlist == ", ".join(c.canonical for c in registry.canonicals())
 
 
 # No title is a substring of another, so a citation names one title only.

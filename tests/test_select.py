@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from policytrace.gateway import ModelHandle, Provider, RateLimitedError, RetryPolicy, mock_provider
@@ -53,8 +55,22 @@ def test_select_random_k_bounds(pool):
 
 def test_format_candidates_zero_based_display(pool):
     text = format_candidates(pool)
-    assert "Case 1 (Description):" in text
-    assert f"Case {len(pool)} (Relevant Policy Clauses):" in text
+    assert "Case 0 (Description):" in text
+    assert f"Case {len(pool) - 1} (Relevant Policy Clauses):" in text
+
+
+def test_select_relevant_judge_answering_with_labels_gets_those_cases(pool, dataset):
+    class LabelJudge(Provider):
+        """Answers with the labels of the last three candidates in the prompt."""
+
+        def generate(self, model_id, prompt, cfg):
+            labels = re.findall(r"^Case (\d+) \(Description\):", prompt, re.MULTILINE)
+            return ",".join(labels[-3:]), None, 0, 0
+
+    judge = ModelHandle(provider_id="mock", model_id="labels", provider=LabelJudge())
+    result = select_relevant(dataset.by_id("c01"), pool, 3, judge)
+    assert [c.case_id for c, _, _ in result.triples] == ["t04", "t05", "t06"]
+    assert result.flags == []
 
 
 def test_select_relevant_clean_reply(pool, dataset, judge_handle):
