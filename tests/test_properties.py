@@ -317,11 +317,10 @@ def _resolve_by_regex(registry, mention):
 
 
 _RESOLVE_REGISTRY = ClauseRegistry(policy_id="p")
-for _clause, _title in [(ClauseId("Article 5", Scheme.ARTICLE), ""),
-                        (ClauseId("Article 6(1)", Scheme.ARTICLE), ""),
-                        (ClauseId("Section 164.502(a)", Scheme.SECTION), ""),
-                        (ClauseId("Stay in bounds", Scheme.NAMED), "Stay in bounds")]:
-    _RESOLVE_REGISTRY.add(_clause, title=_title)
+_RESOLVE_REGISTRY.add(ClauseId("Article 5", Scheme.ARTICLE))
+_RESOLVE_REGISTRY.add(ClauseId("Article 6(1)", Scheme.ARTICLE))
+_RESOLVE_REGISTRY.add(ClauseId("Section 164.502(a)", Scheme.SECTION))
+_RESOLVE_REGISTRY.add(ClauseId("Stay in bounds", Scheme.NAMED), title="Stay in bounds")
 
 
 @given(st.one_of(
@@ -347,17 +346,17 @@ def test_estimate_tokens_is_a_quarter_of_the_utf8_bytes_rounded_up(text):
     assert estimate_tokens(text) == math.ceil(len(text.encode("utf-8")) / 4)
 
 
-@given(st.lists(st.tuples(st.sampled_from(list(Scheme)), st.integers(1, 30)), max_size=10,
-                unique=True))
-def test_masterlist_follows_add(adds):
+_CLAUSES = [ClauseId(f"Article {n}", Scheme.ARTICLE) for n in range(1, 6)] + [
+    ClauseId(f"Section 164.50{n}", Scheme.SECTION) for n in range(1, 6)] + [
+    ClauseId(title, Scheme.NAMED) for title in ("Lawful Basis", "Access")]
+
+
+@given(st.lists(st.sampled_from(_CLAUSES), max_size=len(_CLAUSES), unique=True))
+def test_masterlist_follows_add(clauses):
     registry = ClauseRegistry(policy_id="p")
     assert registry.masterlist == ""
-    for scheme, number in adds:
-        canonical = f"Section 164.{number:03d}" if scheme is Scheme.SECTION else f"Article {number}"
-        title = f"Title {number} {scheme.value}" if scheme is Scheme.NAMED else ""
-        if scheme is Scheme.NAMED:
-            canonical = title
-        registry.add(ClauseId(canonical, scheme), title=title)
+    for clause in clauses:
+        registry.add(clause, title=clause.canonical if clause.scheme is Scheme.NAMED else "")
         assert registry.masterlist == ", ".join(c.canonical for c in registry.canonicals())
 
 
