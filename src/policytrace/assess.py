@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Optional
 
 from .corpus import (
-    CaseRecord, Dataset, Policy, Split, Verdict, enum_member, read_jsonl, verdict_tokens
+    CaseRecord, Dataset, Policy, Split, Verdict, enum_member, read_jsonl, read_object,
+    verdict_tokens,
 )
 from .gateway import ASSESS_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import (
@@ -257,6 +258,22 @@ def load_results(path: str | Path) -> list[InstanceResult]:
     return results
 
 
+def _manifest_path(results_path: Path) -> Path:
+    return results_path.with_name(results_path.name.replace(".results.jsonl", ".manifest.json"))
+
+
+def load_run(results_path: Path) -> tuple[dict, list[InstanceResult]]:
+    """A run's manifest, checked for the keys `report` reads, and its results."""
+    manifest_path = _manifest_path(results_path)
+    if not manifest_path.exists():
+        raise AssessError(f"manifest not found next to results: {manifest_path}")
+    manifest = read_object(manifest_path, "manifest", AssessError)
+    missing = sorted({"learner_model", "policy_id", "run_id", "strategy"} - manifest.keys())
+    if missing:
+        raise AssessError(f"manifest {manifest_path}: missing {', '.join(missing)}")
+    return manifest, load_results(results_path)
+
+
 @dataclass
 class RunSummary:
     run_id: str
@@ -310,7 +327,6 @@ def run_dataset(
     pool: Optional[AugmentedDataset] = None,
     judge: Optional[ModelHandle] = None,
     seed: int = 0,
-    run_id: Optional[str] = None,
     concurrency: int = 1,
 ) -> tuple[Path, RunSummary]:
     """Assess every test case; resumable and tolerant of per-case failures.
@@ -325,22 +341,16 @@ def run_dataset(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if run_id is None:
-        run_id = f"{policy.policy_id}_{strategy.label()}_{learner.model_id}_s{seed}"
-        run_id = re.sub(r"[^A-Za-z0-9._-]+", "-", run_id)
+    run_id = f"{policy.policy_id}_{strategy.label()}_{learner.model_id}_s{seed}"
+    run_id = re.sub(r"[^A-Za-z0-9._-]+", "-", run_id)
     results_path = out_dir / f"{run_id}.results.jsonl"
-    manifest_path = out_dir / f"{run_id}.manifest.json"
+    manifest_path = _manifest_path(results_path)
 
     manifest = _manifest(run_id, policy, strategy, learner, judge, seed, pool)
     data = results_path.read_bytes() if results_path.exists() else b""
     end = data.rfind(b"\n") + 1
     if data[:end].strip() and manifest_path.exists():
-        try:
-            old = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as err:
-            raise AssessError(f"manifest {manifest_path}: {err}") from err
-        if not isinstance(old, dict):
-            raise AssessError(f"manifest {manifest_path}: not a JSON object")
+        old = read_object(manifest_path, "manifest", AssessError)
         differ = sorted(
             key
             for key in manifest.keys() | old.keys()

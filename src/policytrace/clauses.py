@@ -256,7 +256,6 @@ def normalize(raw: str, registry: ClauseRegistry) -> tuple[list[ClauseId], list[
 @dataclass
 class ExtractionResult:
     cited: set[ClauseId]
-    unknowns: list[str]
     used_fallback: bool = False
 
 
@@ -292,7 +291,7 @@ def extract_cited_clauses(
     is flagged so metric reports can count degraded extractions.
     """
     if judge is None:
-        return ExtractionResult(cited=_regex_extract(reasoning_text, registry), unknowns=[])
+        return ExtractionResult(cited=_regex_extract(reasoning_text, registry))
 
     prompt = render(
         TemplateId.CLAUSE_EXTRACT,
@@ -304,8 +303,8 @@ def extract_cited_clauses(
             response = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt))
         except GatewayError:
             continue
-        ids, unknowns = normalize(response.text, registry)
+        ids, _unknowns = normalize(response.text, registry)
         if ids or not response.text.strip():
-            return ExtractionResult(cited=set(ids), unknowns=unknowns)
+            return ExtractionResult(cited=set(ids))
     cited = _regex_extract(reasoning_text, registry)
-    return ExtractionResult(cited=cited, unknowns=[], used_fallback=True)
+    return ExtractionResult(cited=cited, used_fallback=True)

@@ -1,15 +1,16 @@
 """Operator entry point: manifest-driven runs binding all modules together.
 
 Subcommands: gen, assess, report, export-sft, validate. Configuration comes
-from a JSON file plus flag overrides (flags win); the effective config is
-embedded in every run manifest. Exit code 0 means no errors and no
+from a JSON file plus flag overrides (flags win). gen, report and export-sft
+write the effective config into a command manifest (`<command>.manifest.json`);
+an assess run's manifest records what identifies the run instead (strategy,
+models, seed, pool and template hashes). Exit code 0 means no errors and no
 quarantined/flagged records above the configured thresholds.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -17,18 +18,17 @@ from pathlib import Path
 from typing import Optional
 
 from . import assess as assess_mod
-from . import significance as sig
-from .assess import SelectionMode, Strategy, StrategyKind, load_results
+from .assess import SelectionMode, Strategy, StrategyKind, load_run
 from .clauses import load_registry
-from .corpus import load_dataset, load_policy, split_counts
+from .corpus import load_dataset, load_policy, read_object, split_counts
 from .gateway import ModelHandle, load_provider_config
-from .metrics import accuracy, clause_relevance
 from .prtgen import (
     generate_augmented_dataset,
     load_prt_store,
     prt_stats,
     write_prt_store,
 )
+from .report import build_report, write_report
 from .sftexport import export_sft, split_train_val
 
 DEFAULT_CONFIG = {
@@ -44,21 +44,10 @@ class CliError(ValueError):
     pass
 
 
-def _read_object(path: Path, what: str) -> dict:
-    """The JSON object in the file at `path`; anything else is an error naming the file."""
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        raise CliError(f"{what} {path}: {err}") from err
-    if not isinstance(obj, dict):
-        raise CliError(f"{what} {path}: not a JSON object")
-    return obj
-
-
 def _load_config(args: argparse.Namespace) -> dict:
     config = dict(DEFAULT_CONFIG)
     if args.config:
-        config.update(_read_object(Path(args.config), "config"))
+        config.update(read_object(Path(args.config), "config", CliError))
         config["_config_dir"] = str(Path(args.config).resolve().parent)
     for flag in ("seed", "concurrency", "cache_dir", "out_dir"):
         value = getattr(args, flag, None)
@@ -219,145 +208,24 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_manifest(results_path: Path) -> dict:
-    manifest_path = results_path.with_name(
-        results_path.name.replace(".results.jsonl", ".manifest.json")
-    )
-    if not manifest_path.exists():
-        raise CliError(f"manifest not found next to results: {manifest_path}")
-    manifest = _read_object(manifest_path, "manifest")
-    missing = sorted({"learner_model", "policy_id", "run_id", "strategy"} - manifest.keys())
-    if missing:
-        raise CliError(f"manifest {manifest_path}: missing {', '.join(missing)}")
-    return manifest
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_dir = Path(config["out_dir"])
     _write_manifest(out_dir, "report.manifest.json", "report", config)
 
-    runs = []
-    policy_ids = set()
-    for path_str in args.results:
-        path = Path(path_str)
-        manifest = _run_manifest(path)
-        results = load_results(path)
-        policy_ids.add(manifest["policy_id"])
-        runs.append((manifest, results))
+    runs = [load_run(Path(path)) for path in args.results]
+    policy_ids = sorted({manifest["policy_id"] for manifest, _ in runs})
     if len(policy_ids) > 1:
-        raise CliError(f"mixed-policy inputs rejected: {sorted(policy_ids)}")
+        raise CliError(f"mixed-policy inputs rejected: {policy_ids}")
 
     handles = _load_handles(config) if config.get("providers_file") else {}
-
-    rows = []
-    for manifest, results in runs:
-        acc = accuracy(results)
-        handle = handles.get(manifest["learner_model"])
-        cost = sig.run_cost(results, handle) if handle else None
-        rows.append(
-            {
-                "run_id": manifest["run_id"],
-                "policy_id": manifest["policy_id"],
-                "strategy": manifest["strategy"],
-                "model": manifest["learner_model"],
-                "n": len(results),
-                "accuracy_pct": acc,
-                "cost_usd": cost,
-            }
-        )
-
-    report: dict = {"runs": rows, "comparisons": []}
-
-    # Clause relevance when the corpus config is available (regex extraction
-    # offline; a judge_model upgrades extraction to the LLM route).
+    corpus = judge = None
     if all(k in config for k in ("registry_file", "policy_file", "dataset_file")):
-        registry, _policy, dataset = _load_corpus(config)
+        corpus = _load_corpus(config)  # for clause relevance, by judge if judge_model is set
         judge = _handle(handles, config, "judge") if config.get("judge_model") else None
-        for (manifest, results), row in zip(runs, rows):
-            try:
-                rel = clause_relevance(results, dataset, registry, judge, config["concurrency"])
-            except Exception as err:
-                row["clause_relevance"] = {"error": f"{type(err).__name__}: {err}"}
-                continue
-            row["clause_relevance"] = {
-                "mu_cited": rel.mu_cited,
-                "recall_pct": rel.recall_pct,
-                "exact_match_pct": rel.exact_match_pct,
-                "top_incorrect_clause": (
-                    rel.top_incorrect_clause.canonical if rel.top_incorrect_clause else None
-                ),
-                "coverage": rel.coverage,
-                "fallback_extractions": rel.n_fallback_extractions,
-            }
 
-    # Pairwise one-sided paired t-tests on per-case correctness.
-    raw_ps = []
-    pair_meta = []
-    for i in range(len(runs)):
-        for j in range(i + 1, len(runs)):
-            mi, ri = runs[i]
-            mj, rj = runs[j]
-            by_case_i = {r.case_id: 1.0 if r.correct else 0.0 for r in ri}
-            by_case_j = {r.case_id: 1.0 if r.correct else 0.0 for r in rj}
-            shared = sorted(set(by_case_i) & set(by_case_j))
-            if len(shared) < 2:
-                continue
-            a = [by_case_i[c] for c in shared]
-            b = [by_case_j[c] for c in shared]
-            try:
-                t_res = sig.paired_t_one_sided(a, b, sig.Direction.A_GT_B)
-                d = sig.cohens_d(a, b)
-            except sig.StatsError as err:
-                report["comparisons"].append(
-                    {"a": mi["run_id"], "b": mj["run_id"], "error": str(err)}
-                )
-                continue
-            raw_ps.append(t_res.p)
-            pair_meta.append(
-                {
-                    "a": mi["run_id"],
-                    "b": mj["run_id"],
-                    "n": len(shared),
-                    "t": t_res.t,
-                    "df": t_res.df,
-                    "p_raw": t_res.p,
-                    "cohens_d": d,
-                }
-            )
-    if raw_ps:
-        p_bonf = sig.bonferroni(raw_ps)
-        p_holm = sig.holm(raw_ps)
-        for meta, pb, ph in zip(pair_meta, p_bonf, p_holm):
-            meta["p_bonferroni"] = pb
-            meta["p_holm"] = ph
-            report["comparisons"].append(meta)
-
-    # Cost/accuracy frontier CSV.
-    points = [
-        sig.CostAccuracyPoint(label=r["run_id"], cost=r["cost_usd"], accuracy=r["accuracy_pct"])
-        for r in rows
-        if r["cost_usd"] is not None
-    ]
-    frontier = {p.label for p in sig.pareto_frontier(points)} if points else set()
-    frontier_csv = out_dir / "pareto.csv"
-    with frontier_csv.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "cost_usd", "accuracy_pct", "on_frontier"])
-        for p in points:
-            writer.writerow([p.label, p.cost, p.accuracy, int(p.label in frontier)])
-
-    metrics_csv = out_dir / "metrics.csv"
-    with metrics_csv.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy_id", "model", "strategy", "n", "accuracy_pct", "cost_usd"])
-        for r in rows:
-            writer.writerow(
-                [r["policy_id"], r["model"], r["strategy"], r["n"], r["accuracy_pct"], r["cost_usd"]]
-            )
-
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    report = build_report(runs, handles, corpus, judge, config["concurrency"])
+    write_report(report, out_dir)
     print(json.dumps(report, indent=2))
     return 0
 

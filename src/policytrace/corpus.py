@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, Optional, TypeVar
 
 from .clauses import ClauseId, ClauseRegistry, Scheme, heading_mention, normalize
-from .tokens import Tokenizer, estimate_tokens
+from .tokens import estimate_tokens
 
 
 class CorpusError(ValueError):
@@ -187,7 +187,6 @@ def load_policy(
     registry: ClauseRegistry,
     policy_id: Optional[str] = None,
     title: str = "",
-    tokenizer: Tokenizer = estimate_tokens,
 ) -> Policy:
     """Load a UTF-8 policy text and resolve its clause markers.
 
@@ -206,7 +205,7 @@ def load_policy(
         title=title or (policy_id or registry.policy_id),
         full_text=text,
         headings=_clause_headings(text, registry, path),
-        approx_token_count=tokenizer(text),
+        approx_token_count=estimate_tokens(text),
     )
 
 
@@ -311,6 +310,17 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, objec
             except ValueError as err:
                 raise error(f"{path}:{lineno}: malformed record: {err}") from err
         yield lineno, obj
+
+
+def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
+    """The JSON object in the file at `path`; anything else is an `error` naming the file."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise error(f"{what} {path}: {err}") from err
+    if not isinstance(obj, dict):
+        raise error(f"{what} {path}: not a JSON object")
+    return obj
 
 
 def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:

@@ -255,9 +255,8 @@ class MockProvider(Provider):
     declared order; unmatched prompts fail loudly rather than fabricating
     output."""
 
-    def __init__(self, script: list[MockScriptEntry], tokenizer: Tokenizer = estimate_tokens):
+    def __init__(self, script: list[MockScriptEntry]):
         self.script = list(script)
-        self.tokenizer = tokenizer
         self.call_count = 0
 
     def generate(self, model_id: str, prompt: str, cfg: SamplingConfig):
@@ -267,8 +266,8 @@ class MockProvider(Provider):
                 return (
                     entry.text,
                     entry.raw_cot,
-                    self.tokenizer(prompt),
-                    self.tokenizer(entry.text),
+                    estimate_tokens(prompt),
+                    estimate_tokens(entry.text),
                 )
         head = prompt[:120].replace("\n", "\\n")
         raise UnmatchedPromptError(f"no script pattern matches prompt: {head!r}...")
@@ -279,14 +278,13 @@ def mock_provider(
     model_id: str = "mock-model",
     supports_raw_cot: bool = False,
     cache_dir: Optional[Path] = None,
-    tokenizer: Tokenizer = estimate_tokens,
     price_in_usd_per_1m: float = 0.0,
     price_out_usd_per_1m: float = 0.0,
 ) -> ModelHandle:
     """Build a scripted offline handle for tests and dry runs."""
     if isinstance(script, dict):
         script = [MockScriptEntry(pattern=k, text=v) for k, v in script.items()]
-    provider = MockProvider(script, tokenizer=tokenizer)
+    provider = MockProvider(script)
     return ModelHandle(
         provider_id="mock",
         model_id=model_id,
@@ -294,7 +292,6 @@ def mock_provider(
         price_in_usd_per_1m=price_in_usd_per_1m,
         price_out_usd_per_1m=price_out_usd_per_1m,
         provider=provider,
-        tokenizer=tokenizer,
         cache_dir=cache_dir,
     )
 

@@ -247,7 +247,8 @@ def write_prt_store(aug: AugmentedDataset, path: str | Path) -> None:
 def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
     """Rebuild an augmented dataset from a trace store, re-running validation.
 
-    Exactly one expert model per store file; every case must be a train case.
+    Exactly one expert model per store file; every case must be a train case,
+    and every record must echo its case's gold verdict.
     """
     triples: dict[str, Triple] = {}  # by case id
     experts: set[str] = set()
@@ -268,6 +269,11 @@ def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
             ) from None
         if case.split is not Split.TRAIN:
             raise PRTError(f"{path}:{lineno}: case {record.case_id} is not in the train split")
+        if record.echoed_verdict is not case.gold_verdict:
+            raise PRTError(
+                f"{path}:{lineno}: echoed verdict {record.echoed_verdict.value} of case "
+                f"{record.case_id} is not its gold verdict {case.gold_verdict.value}"
+            )
         failure = validate_prt(record.prt_text, case.gold_verdict)
         if failure is not None:
             raise PRTError(

@@ -177,29 +177,28 @@ def select_relevant(
 ) -> SelectionResult:
     """Pick the k pool triples most similar to the target, judged by an LLM.
 
-    Pools larger than WINDOW_SIZE are judged in windows with a final playoff
-    round among window winners (one prompt cannot hold hundreds of cases).
+    Pools larger than WINDOW_SIZE are judged in windows, with playoff rounds
+    among the window winners (one prompt cannot hold hundreds of cases).
     """
     _check_k(pool, k)
     if len(pool) == 1:
         return SelectionResult(triples=[pool.triples[0]])
 
-    if len(pool) <= WINDOW_SIZE:
-        indices, flags = _select_from_window(target, pool, k, judge, policy_name, seed)
-        return SelectionResult(triples=[pool.triples[i] for i in indices], flags=flags)
-
-    winner_indices: list[int] = []
+    candidates = pool
     flags: list[str] = []
-    for start in range(0, len(pool), WINDOW_SIZE):
-        window = AugmentedDataset(pool.triples[start : start + WINDOW_SIZE])
-        take = min(k, len(window))
-        local, window_flags = _select_from_window(target, window, take, judge, policy_name, seed)
-        winner_indices.extend(start + i for i in local)
-        flags.extend(window_flags)
-
-    playoff = AugmentedDataset(tuple(pool.triples[i] for i in winner_indices))
-    final_local, final_flags = _select_from_window(target, playoff, k, judge, policy_name, seed)
-    flags.extend(final_flags)
-    return SelectionResult(
-        triples=[playoff.triples[i] for i in final_local], flags=flags
-    )
+    # Judge windows and keep their winners, round after round, while they fill more
+    # than one window and a round shrinks them (it cannot when k >= WINDOW_SIZE).
+    while len(candidates) > WINDOW_SIZE:
+        winners: list[Triple] = []
+        for start in range(0, len(candidates), WINDOW_SIZE):
+            window = AugmentedDataset(candidates.triples[start : start + WINDOW_SIZE])
+            take = min(k, len(window))
+            local, window_flags = _select_from_window(target, window, take, judge, policy_name, seed)
+            winners.extend(window.triples[i] for i in local)
+            flags.extend(window_flags)
+        shrank = len(winners) < len(candidates)
+        candidates = AugmentedDataset(tuple(winners))
+        if not shrank:
+            break
+    final, final_flags = _select_from_window(target, candidates, k, judge, policy_name, seed)
+    return SelectionResult(triples=[candidates.triples[i] for i in final], flags=flags + final_flags)

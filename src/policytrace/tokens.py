@@ -1,9 +1,9 @@
 """Token count estimation.
 
-Everything downstream (context-window checks, cost accounting, policy size
-reports) goes through a pluggable tokenizer callable so a real BPE tokenizer
-can be swapped in. The default is a byte-level estimator calibrated to the
-common ~4 bytes/token ratio of BPE vocabularies.
+A model handle counts prompts for its context-window check with a pluggable
+`tokenizer`, so a real BPE tokenizer can be swapped in. The default, also used
+for policy sizes and by the mock provider, is a byte-level estimator calibrated
+to the common ~4 bytes/token ratio of BPE vocabularies.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import policytrace.cli
+from policytrace.gateway import ASSESS_PROFILE, complete
 
 TRACER = Path(__file__).resolve().parents[1] / "prtbench" / "tracer.py"
 
@@ -29,3 +31,25 @@ def test_every_function_the_tracer_wraps_is_a_callable_of_its_module():
 
 def test_the_stand_in_patch_point_exists():
     assert callable(policytrace.cli.load_provider_config)
+
+
+class _Replacement:
+    def generate(self, model_id, prompt, cfg):
+        return "replaced", None, 1, 1
+
+
+def test_every_handle_has_the_attributes_the_stand_in_reads_and_replaces(tmp_path):
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([
+        {"provider_id": "mock", "script": [{"pattern": "", "text": "reply"}],
+         "models": [{"model_id": "m1"}, {"model_id": "m2"}]},
+        {"provider_id": "remote", "base_url": "http://localhost:1", "api_key_env": "NO_SUCH_KEY",
+         "models": [{"model_id": "r1"}]},
+    ]), encoding="utf-8")
+    handles = policytrace.cli.load_provider_config(providers, cache_dir=None)
+    assert sorted(handles) == ["m1", "m2", "r1"]
+    for handle in handles.values():
+        assert isinstance(handle.tokenizer("four"), int)
+        assert callable(handle.provider.generate)
+        handle.provider = _Replacement()  # as the stand-in does: calls now go through it
+        assert complete(handle, "prompt", ASSESS_PROFILE).text == "replaced"

@@ -627,6 +627,27 @@ def test_store_naming_an_unknown_case_is_an_error(workdir, capsys, command):
     assert capsys.readouterr().err == f"error: {store}:3: case zz99 is not in the dataset\n"
 
 
+@pytest.mark.parametrize("command", ["assess", "export-sft"])
+def test_store_record_echoing_another_verdict_is_an_error(workdir, capsys, command):
+    corpus, out = workdir
+    store = _gen(corpus, out)
+    lines = store.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    flipped = {"COMPLIANT": "NONCOMPLIANT", "NONCOMPLIANT": "COMPLIANT"}[record["echoed_verdict"]]
+    lines[1] = json.dumps({**record, "echoed_verdict": flipped})
+    store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    tail = ["--strategy", "fewshot_prt", "--select", "rand"] if command == "assess" else []
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, command, "--prt-store", store, *tail
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {store}:2: echoed verdict {flipped} of case {record['case_id']} "
+        f"is not its gold verdict {record['echoed_verdict']}\n"
+    )
+
+
 def _drop_verdict(line):
     obj = json.loads(line)
     del obj["echoed_verdict"]

@@ -1,9 +1,10 @@
 import re
+from dataclasses import replace
 
 import pytest
 
 from policytrace.gateway import ModelHandle, Provider, RateLimitedError, RetryPolicy, mock_provider
-from policytrace.prtgen import generate_augmented_dataset
+from policytrace.prtgen import AugmentedDataset, generate_augmented_dataset
 from policytrace.select import (
     SelectionError,
     format_candidates,
@@ -81,8 +82,6 @@ def test_select_relevant_clean_reply(pool, dataset, judge_handle):
 
 
 def test_select_relevant_singleton_pool(pool, dataset, judge_handle):
-    from policytrace.prtgen import AugmentedDataset
-
     single = AugmentedDataset(pool.triples[:1])
     result = select_relevant(dataset.by_id("c01"), single, 1, judge_handle)
     assert [c.case_id for c, _, _ in result.triples] == ["t01"]
@@ -135,17 +134,7 @@ def test_select_relevant_judge_unreachable(pool, dataset):
 
 
 def test_select_relevant_windowed_playoff(pool, dataset):
-    # Inflate the pool past the window size by cloning triples under new ids.
-    from dataclasses import replace
-
-    from policytrace.prtgen import AugmentedDataset
-
-    triples = []
-    for i in range(120):
-        case, verdict, prt = pool.triples[i % len(pool)]
-        triples.append((replace(case, case_id=f"x{i:03d}"), verdict, prt))
-    big = AugmentedDataset(tuple(triples))
-
+    big = _clones(pool, 120)  # past the window size
     judge = mock_provider({"compares written case examples": "0,1,2"})
     result = select_relevant(dataset.by_id("c01"), big, 3, judge)
     ids = [c.case_id for c, _, _ in result.triples]
@@ -153,3 +142,48 @@ def test_select_relevant_windowed_playoff(pool, dataset):
     # Window winners are 0,1,2 and 100,101,102; the playoff picks its 0,1,2.
     assert ids == ["x000", "x001", "x002"]
     assert judge.provider.call_count == 3  # two windows plus one playoff
+
+
+def _clones(pool, n):
+    """A pool of n triples cloned from `pool` under new ids x000, x001, ..."""
+    triples = []
+    for i in range(n):
+        case, verdict, prt = pool.triples[i % len(pool)]
+        triples.append((replace(case, case_id=f"x{i:03d}"), verdict, prt))
+    return AugmentedDataset(tuple(triples))
+
+
+class _LastLabelsJudge(Provider):
+    """Answers with the labels of the last k candidates, recording each prompt's count."""
+
+    def __init__(self, k):
+        self.k = k
+        self.candidates: list[int] = []
+
+    def generate(self, model_id, prompt, cfg):
+        labels = re.findall(r"^Case (\d+) \(Description\):", prompt, re.MULTILINE)
+        self.candidates.append(len(labels))
+        return ",".join(labels[-self.k:]), None, 0, 0
+
+
+def test_select_relevant_windows_the_playoff_while_it_exceeds_a_window(pool, dataset, monkeypatch):
+    monkeypatch.setattr("policytrace.select.WINDOW_SIZE", 4)
+    provider = _LastLabelsJudge(2)
+    judge = ModelHandle(provider_id="mock", model_id="labels", provider=provider)
+    result = select_relevant(dataset.by_id("c01"), _clones(pool, 30), 2, judge)
+    # 30 -> 8 windows -> 16 winners -> 4 windows -> 8 -> 2 windows -> 4 -> the final prompt.
+    assert max(provider.candidates) == 4
+    assert len(provider.candidates) == 8 + 4 + 2 + 1
+    assert [c.case_id for c, _, _ in result.triples] == ["x028", "x029"]
+    assert result.flags == []
+
+
+def test_select_relevant_with_k_of_a_window_or_more_ends_in_one_playoff(pool, dataset, monkeypatch):
+    monkeypatch.setattr("policytrace.select.WINDOW_SIZE", 4)
+    provider = _LastLabelsJudge(5)
+    judge = ModelHandle(provider_id="mock", model_id="labels", provider=provider)
+    result = select_relevant(dataset.by_id("c01"), _clones(pool, 30), 5, judge)
+    # Every window passes whole, so no round shrinks the pool: one playoff over all 30.
+    assert provider.candidates[-1] == 30
+    assert len(provider.candidates) == 8 + 1
+    assert [c.case_id for c, _, _ in result.triples] == [f"x0{i}" for i in range(25, 30)]
