@@ -264,6 +264,8 @@ def _manifest_path(results_path: Path) -> Path:
 
 def load_run(results_path: Path) -> tuple[dict, list[InstanceResult]]:
     """A run's manifest, checked for the keys `report` reads, and its results."""
+    if not results_path.name.endswith(".results.jsonl"):
+        raise AssessError(f"{results_path} is not a <run_id>.results.jsonl results file")
     manifest_path = _manifest_path(results_path)
     if not manifest_path.exists():
         raise AssessError(f"manifest not found next to results: {manifest_path}")

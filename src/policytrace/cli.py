@@ -21,7 +21,7 @@ from . import assess as assess_mod
 from .assess import SelectionMode, Strategy, StrategyKind, load_run
 from .clauses import load_registry
 from .corpus import load_dataset, load_policy, read_object, split_counts
-from .gateway import ModelHandle, load_provider_config
+from .gateway import GatewayError, ModelHandle, load_provider_config
 from .prtgen import (
     generate_augmented_dataset,
     load_prt_store,
@@ -323,8 +323,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except GatewayError as err:  # a provider failed past its retries
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
 

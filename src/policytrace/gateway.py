@@ -334,15 +334,20 @@ class OpenAICompatProvider(Provider):
             raise RateLimitedError(resp.text[:500])
         if resp.status_code >= 400:
             raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-        data = resp.json()
-        message = data["choices"][0]["message"]
-        usage = data.get("usage", {})
-        return (
-            message.get("content") or "",
-            message.get("reasoning_content"),
-            usage.get("prompt_tokens", 0),
-            usage.get("completion_tokens", 0),
-        )
+        try:
+            data = resp.json()
+            message = data["choices"][0]["message"]
+            usage = data.get("usage", {})
+            return (
+                message.get("content") or "",
+                message.get("reasoning_content"),
+                usage.get("prompt_tokens", 0),
+                usage.get("completion_tokens", 0),
+            )
+        except (ValueError, LookupError, TypeError, AttributeError) as err:
+            raise ProviderError(
+                f"HTTP {resp.status_code}: malformed reply: {resp.text[:500]}"
+            ) from err
 
 
 def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> dict[str, ModelHandle]:

@@ -67,39 +67,9 @@ _INT_RE = re.compile(r"-?\d+")
 WINDOW_SIZE = 100  # pool triples per judge prompt in select_relevant
 
 
-def _parse_indices(reply: str, pool_size: int, k: int) -> tuple[list[int], bool]:
-    """Parse a judge reply into indices. Returns (indices, clean).
-
-    clean is False when deduplication, range filtering, or count repair
-    changed anything relative to the literal reply.
-    """
-    raw = [int(tok) for tok in _INT_RE.findall(reply)]
-    in_range: list[int] = []
-    seen: set[int] = set()
-    for idx in raw:
-        if 0 <= idx < pool_size and idx not in seen:
-            seen.add(idx)
-            in_range.append(idx)
-    clean = len(raw) == k and in_range == raw
-    return in_range, clean
-
-
-def _top_up(indices: list[int], pool_size: int, k: int) -> list[int]:
-    """Deterministic repair: keep valid picks, fill with lowest unused indices."""
-    result = indices[:k]
-    used = set(result)
-    candidate = 0
-    while len(result) < k:
-        if candidate not in used:
-            result.append(candidate)
-            used.add(candidate)
-        candidate += 1
-    return result
-
-
 def format_candidates(pool: AugmentedDataset) -> str:
     blocks = []
-    # Labelled from 0, as the template's index range and _parse_indices count.
+    # Labelled from 0, as the template's index range and _judge_window count.
     for i, (case, _verdict, _prt) in enumerate(pool.triples):
         clause_list = sorted(c.canonical for c in case.gold_clauses)
         clauses = ", ".join(clause_list) if clause_list else "unannotated"
@@ -110,14 +80,21 @@ def format_candidates(pool: AugmentedDataset) -> str:
     return "\n\n".join(blocks)
 
 
-def _query_judge(
+def _judge_window(
     target: CaseRecord,
     pool: AugmentedDataset,
     k: int,
     judge: ModelHandle,
     policy_name: str,
-    attempt: int,
-) -> str:
+    seed: int,
+) -> tuple[list[Triple], list[str]]:
+    """The judge's k picks from one window, and the flags of any repair.
+
+    A reply naming exactly k distinct in-range indices is taken as it is;
+    otherwise the judge is asked once more, with a new seed. Only that second
+    reply is repaired: cut to k, else filled with the lowest unused indices,
+    else (no valid index, or an error) replaced by select_random's draw.
+    """
     target_clauses = sorted(c.canonical for c in target.gold_clauses)
     prompt = render(
         TemplateId.SELECT_RELEVANT,
@@ -130,41 +107,26 @@ def _query_judge(
             "candidates": format_candidates(pool),
         },
     )
-    return complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt)).text
-
-
-def _select_from_window(
-    target: CaseRecord,
-    pool: AugmentedDataset,
-    k: int,
-    judge: ModelHandle,
-    policy_name: str,
-    seed: int,
-) -> tuple[list[int], list[str]]:
-    flags: list[str] = []
-    unreachable = 0
+    errors = 0
     for attempt in range(2):
         try:
-            reply = _query_judge(target, pool, k, judge, policy_name, attempt)
+            reply = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt)).text
         except GatewayError:
-            unreachable += 1
-            if unreachable == 2:
-                raise SelectionError("judge_unreachable") from None
-            continue
-        indices, clean = _parse_indices(reply, len(pool), k)
-        if clean:
-            return indices, flags
-        if len(indices) >= k:
-            # Usable after dedup/range filtering; flag the repair on retry exhaustion.
-            if attempt == 1:
-                flags.append("indices_repaired")
-                return indices[:k], flags
-        elif indices and attempt == 1:
-            flags.append("indices_topped_up")
-            return _top_up(indices, len(pool), k), flags
-    # parse_failed after retry: fall back to seeded random, flagged.
-    flags.append("fallback_random")
-    return [pool.index[case.case_id] for case, _, _ in select_random(pool, k, seed)], flags
+            errors += 1
+            reply = ""  # names no index, so a second error falls back to random
+        named = [int(tok) for tok in _INT_RE.findall(reply)]
+        picks = list(dict.fromkeys(i for i in named if 0 <= i < len(pool)))
+        if picks == named and len(picks) == k:
+            return [pool.triples[i] for i in picks], []
+    if errors == 2:
+        raise SelectionError("judge_unreachable")
+    if not picks:
+        return select_random(pool, k, seed), ["fallback_random"]
+    if len(picks) >= k:
+        return [pool.triples[i] for i in picks[:k]], ["indices_repaired"]
+    used = set(picks)
+    picks += [i for i in range(len(pool)) if i not in used][: k - len(picks)]
+    return [pool.triples[i] for i in picks], ["indices_topped_up"]
 
 
 def select_relevant(
@@ -193,12 +155,12 @@ def select_relevant(
         for start in range(0, len(candidates), WINDOW_SIZE):
             window = AugmentedDataset(candidates.triples[start : start + WINDOW_SIZE])
             take = min(k, len(window))
-            local, window_flags = _select_from_window(target, window, take, judge, policy_name, seed)
-            winners.extend(window.triples[i] for i in local)
+            picks, window_flags = _judge_window(target, window, take, judge, policy_name, seed)
+            winners.extend(picks)
             flags.extend(window_flags)
         shrank = len(winners) < len(candidates)
         candidates = AugmentedDataset(tuple(winners))
         if not shrank:
             break
-    final, final_flags = _select_from_window(target, candidates, k, judge, policy_name, seed)
-    return SelectionResult(triples=[candidates.triples[i] for i in final], flags=flags + final_flags)
+    final, final_flags = _judge_window(target, candidates, k, judge, policy_name, seed)
+    return SelectionResult(triples=final, flags=flags + final_flags)

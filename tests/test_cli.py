@@ -279,6 +279,31 @@ def test_report_names_a_broken_run_manifest(workdir, capsys, damage, detail):
     assert err.startswith(f"error: manifest {manifest_path}{detail}"), err
 
 
+def test_report_refuses_a_results_file_under_another_name(workdir, capsys):
+    corpus, out = workdir
+    assert run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
+    ) == 0
+    (results,) = out.glob("*.results.jsonl")
+    renamed = shutil.copy(results, out / "renamed.jsonl")
+    capsys.readouterr()
+    code = run_cli("--config", corpus / "config.json", "--out-dir", out, "report", renamed)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {renamed} is not a <run_id>.results.jsonl results file\n", err
+
+
+def test_gen_reports_a_provider_error_and_exits_2(workdir, capsys):
+    corpus, out = workdir
+    providers = json.loads((corpus / "providers.json").read_text(encoding="utf-8"))
+    providers["script"] = [{"pattern": "no prompt holds this", "text": "unused"}]
+    (corpus / "providers.json").write_text(json.dumps(providers), encoding="utf-8")
+    code = run_cli("--config", corpus / "config.json", "--out-dir", out, "gen")
+    assert code == 2  # not 1, which means the quarantine threshold was exceeded
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnmatchedPromptError: no script pattern matches prompt"), err
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [("[1, 2]", ": not a JSON object"), ("{", ": Expecting property name"), (None, ": [Errno 2]")],

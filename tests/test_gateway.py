@@ -14,7 +14,9 @@ from policytrace.gateway import (
     MockScriptEntry,
     ModelHandle,
     ModelResponse,
+    OpenAICompatProvider,
     Provider,
+    ProviderError,
     RateLimitedError,
     RetryPolicy,
     SamplingConfig,
@@ -359,3 +361,23 @@ def test_run_ordered_close_cancels_queued_calls():
     threading.Timer(0.2, release.set).start()
     outcomes.close()  # cancels the queued calls, then waits for the two running ones
     assert release.is_set() and set(started) <= {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"<html>bad gateway</html>", b"{}", b'{"choices": []}', b'{"choices": [{"message": null}]}'],
+    ids=["not_json", "no_choices", "empty_choices", "null_message"],
+)
+def test_malformed_http_200_reply_is_a_provider_error(monkeypatch, body):
+    import requests
+
+    def post(url, json, headers, timeout):
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = body
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    provider = OpenAICompatProvider("http://localhost:1", "NO_SUCH_KEY_ENV")
+    with pytest.raises(ProviderError, match=r"^HTTP 200: malformed reply: "):
+        provider.generate("m", "prompt", ASSESS_PROFILE)

@@ -3,7 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from policytrace.gateway import ModelHandle, Provider, RateLimitedError, RetryPolicy, mock_provider
+from policytrace.gateway import (
+    ModelHandle,
+    Provider,
+    ProviderError,
+    RateLimitedError,
+    RetryPolicy,
+    mock_provider,
+)
 from policytrace.prtgen import AugmentedDataset, generate_augmented_dataset
 from policytrace.select import (
     SelectionError,
@@ -131,6 +138,57 @@ def test_select_relevant_judge_unreachable(pool, dataset):
     with pytest.raises(SelectionError) as err:
         select_relevant(dataset.by_id("c01"), pool, 3, judge)
     assert "judge_unreachable" in str(err.value)
+
+
+class _Scripted(Provider):
+    """Plays back its replies in order; an exception in the script is raised."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.call_count = 0
+
+    def generate(self, model_id, prompt, cfg):
+        reply = self.replies[self.call_count]
+        self.call_count += 1
+        if isinstance(reply, Exception):
+            raise reply
+        return reply, None, 0, 0
+
+
+def _scripted_judge(*replies):
+    return ModelHandle(
+        provider_id="mock",
+        model_id="scripted",
+        provider=_Scripted(*replies),
+        retry=RetryPolicy(base_delay_s=0.0, max_attempts=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "replies, ids, flags",
+    [
+        (["no numbers, sorry", "3,4,5"], ["t04", "t05", "t06"], []),
+        ([ProviderError("down"), "5, 4, 3, 2, 1"], ["t06", "t05", "t04"], ["indices_repaired"]),
+        ([ProviderError("down"), "0,1,2"], ["t01", "t02", "t03"], []),
+    ],
+    ids=["garbage_then_clean", "error_then_unclean", "error_then_clean"],
+)
+def test_select_relevant_takes_or_repairs_the_second_reply(pool, dataset, replies, ids, flags):
+    judge = _scripted_judge(*replies)
+    result = select_relevant(dataset.by_id("c01"), pool, 3, judge)
+    assert [c.case_id for c, _, _ in result.triples] == ids
+    assert result.flags == flags
+    assert judge.provider.call_count == 2
+
+
+def test_select_relevant_does_not_repair_a_first_reply_followed_by_an_error(pool, dataset):
+    judge = _scripted_judge("5, 4, 3, 2, 1", ProviderError("down"))
+    result = select_relevant(dataset.by_id("c01"), pool, 3, judge, seed=5)
+    ids = [c.case_id for c, _, _ in result.triples]
+    assert ids == [c.case_id for c, _, _ in select_random(pool, 3, seed=5)]
+    assert ids != ["t06", "t05", "t04"]  # the first reply's repair
+    assert result.flags == ["fallback_random"]
+    assert judge.provider.call_count == 2
 
 
 def test_select_relevant_windowed_playoff(pool, dataset):
