@@ -49,6 +49,11 @@ def _load_config(args: argparse.Namespace) -> dict:
     if args.config:
         config.update(read_object(Path(args.config), "config", CliError))
         config["_config_dir"] = str(Path(args.config).resolve().parent)
+        for key, default in DEFAULT_CONFIG.items():  # a float default also takes an int
+            value = config[key]
+            if isinstance(value, bool) or not isinstance(value, (int, type(default))):
+                kind = "an integer" if isinstance(default, int) else "a number"
+                raise CliError(f"config {args.config}: {key} must be {kind}, got {value!r}")
     for flag in ("seed", "concurrency", "cache_dir", "out_dir"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -119,7 +124,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     quarantine_path = out_dir / "quarantine.json"
     quarantine_path.write_text(
         json.dumps(
-            [{"case_id": q.case_id, "reason": q.reason, "detail": q.detail} for q in quarantine],
+            [{"case_id": cid, "reason": err.reason, "detail": str(err)} for cid, err in quarantine],
             indent=2,
         )
         + "\n",

@@ -142,40 +142,23 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _cache_read(cache_dir: Path, key: str) -> Optional[ModelResponse]:
-    path = _cache_path(cache_dir, key)
-    if not path.exists():
+    try:
+        text = _cache_path(cache_dir, key).read_text(encoding="utf-8")
+    except FileNotFoundError:
         return None
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return ModelResponse(
-        text=data["text"],
-        raw_cot=data.get("raw_cot"),
-        prompt_tokens=data["prompt_tokens"],
-        completion_tokens=data["completion_tokens"],
-        latency_ms=data.get("latency_ms", 0),
-        cache_hit=True,
-    )
+    return ModelResponse(**json.loads(text), cache_hit=True)
 
 
 def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
+    # An entry is the response's fields in declared order, without cache_hit.
     # Readers only open <key>.json, and each writer renames its own temp file
     # onto it, so concurrent writers (threads or processes) never tear an entry.
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
+    entry = {name: value for name, value in vars(response).items() if name != "cache_hit"}
     try:
-        tmp.write_text(
-            json.dumps(
-                {
-                    "text": response.text,
-                    "raw_cot": response.raw_cot,
-                    "prompt_tokens": response.prompt_tokens,
-                    "completion_tokens": response.completion_tokens,
-                    "latency_ms": response.latency_ms,
-                },
-                ensure_ascii=False,
-            ),
-            encoding="utf-8",
-        )
+        tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -337,7 +320,7 @@ class OpenAICompatProvider(Provider):
         try:
             data = resp.json()
             message = data["choices"][0]["message"]
-            usage = data.get("usage", {})
+            usage = data.get("usage") or {}  # some servers send "usage": null
             return (
                 message.get("content") or "",
                 message.get("reasoning_content"),

@@ -29,37 +29,30 @@ from .prompts import TemplateId, render
 class PRTError(ValueError):
     def __init__(self, message: str, reason: str = "validation_failed") -> None:
         super().__init__(message)
-        self.reason = reason  # the quarantine reason when generation gives up
-
-
-@dataclass(frozen=True)
-class ValidationFailure:
-    reason: str  # format | ambiguous | missing_verdict | verdict_mismatch
-    detail: str = ""
+        self.reason = reason  # the quarantine reason, e.g. validate_prt's "format"
 
 
 _ENUM_LINE_RE = re.compile(r"^\s*\d+\.\s*\S")
 
 
-def validate_prt(text: str, gold: Verdict) -> Optional[ValidationFailure]:
-    """Check trace structure and verdict consistency; None means valid."""
+def validate_prt(text: str, gold: Verdict) -> Optional[PRTError]:
+    """Check trace structure and verdict consistency; None means valid, else
+    the error that says why not."""
     enum_lines = (line for line in reversed(text.splitlines()) if _ENUM_LINE_RE.match(line))
     final = next(enum_lines, None)
     if next(enum_lines, None) is None:  # the scan went back to the first line
         found = 0 if final is None else 1
-        return ValidationFailure("format", f"found {found} enumerated lines, need >= 2")
+        return PRTError(f"found {found} enumerated lines, need >= 2", "format")
 
     stated_verdicts = {verdict for _, verdict in verdict_tokens(final)}
     if len(stated_verdicts) > 1:
-        return ValidationFailure("ambiguous", "final line contains both verdict tokens")
+        return PRTError("final line contains both verdict tokens", "ambiguous")
     if not stated_verdicts:
-        return ValidationFailure("missing_verdict", "final enumerated line states no verdict")
+        return PRTError("final enumerated line states no verdict", "missing_verdict")
 
     stated = stated_verdicts.pop()
     if stated is not gold:
-        return ValidationFailure(
-            "verdict_mismatch", f"trace states {stated.value}, gold is {gold.value}"
-        )
+        return PRTError(f"trace states {stated.value}, gold is {gold.value}", "verdict_mismatch")
     return None
 
 
@@ -107,13 +100,6 @@ class PRTRecord:
 
 
 Triple = tuple[CaseRecord, Verdict, PRTRecord]
-
-
-@dataclass
-class QuarantinedCase:
-    case_id: str
-    reason: str
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -172,37 +158,36 @@ def generate_prt(case: CaseRecord, policy: Policy, expert: ModelHandle) -> PRTRe
     )
     prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
-    last_failure: Optional[ValidationFailure] = None
     for attempt in range(2):
         response = complete(expert, prompt, PRT_GEN_PROFILE.for_attempt(attempt))
         failure = validate_prt(response.text, case.gold_verdict)
         if failure is None:
             return _build_record(case, expert.model_id, response.text, prompt_hash)
-        last_failure = failure
-    assert last_failure is not None
     raise PRTError(
-        f"validation_failed({last_failure.reason}) for case {case.case_id}: {last_failure.detail}",
-        reason=last_failure.reason,
-    )
+        f"validation_failed({failure.reason}) for case {case.case_id}: {failure}",
+        reason=failure.reason,
+    ) from failure
 
 
 def generate_augmented_dataset(
     dataset: Dataset, policy: Policy, expert: ModelHandle, concurrency: int = 1
-) -> tuple[AugmentedDataset, list[QuarantinedCase]]:
-    """Generate traces for every train case; quarantine the irreparable ones.
+) -> tuple[AugmentedDataset, list[tuple[str, PRTError]]]:
+    """Generate traces for every train case; quarantine the irreparable ones
+    as (case id, the PRTError that refused it) pairs.
 
     Up to `concurrency` cases are generated at once. Output order follows
     dataset order either way. Errors other than PRTError propagate.
     """
     triples: list[Triple] = []
-    quarantine: list[QuarantinedCase] = []
+    quarantine: list[tuple[str, PRTError]] = []
     outcomes = run_ordered(
         lambda case: generate_prt(case, policy, expert), dataset.train, concurrency
     )
     with closing(outcomes) as ordered:
         for case, record, err in ordered:
             if isinstance(err, PRTError):
-                quarantine.append(QuarantinedCase(case.case_id, err.reason, str(err)))
+                # dropping the traceback frees the frames that hold the case's prompt
+                quarantine.append((case.case_id, err.with_traceback(None)))
             elif err is not None:
                 raise err
             else:
@@ -277,7 +262,7 @@ def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
         failure = validate_prt(record.prt_text, case.gold_verdict)
         if failure is not None:
             raise PRTError(
-                f"{path}:{lineno}: stored trace fails validation ({failure.reason}): {failure.detail}"
+                f"{path}:{lineno}: stored trace fails validation ({failure.reason}): {failure}"
             )
         if record.case_id in triples:
             raise PRTError(f"{path}:{lineno}: duplicate trace for case {record.case_id}")

@@ -107,19 +107,20 @@ def _judge_window(
             "candidates": format_candidates(pool),
         },
     )
-    errors = 0
+    errors: list[GatewayError] = []
     for attempt in range(2):
         try:
             reply = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt)).text
-        except GatewayError:
-            errors += 1
+        except GatewayError as err:
+            errors.append(err)
             reply = ""  # names no index, so a second error falls back to random
         named = [int(tok) for tok in _INT_RE.findall(reply)]
         picks = list(dict.fromkeys(i for i in named if 0 <= i < len(pool)))
         if picks == named and len(picks) == k:
             return [pool.triples[i] for i in picks], []
-    if errors == 2:
-        raise SelectionError("judge_unreachable")
+    if len(errors) == 2:
+        err = errors[-1]
+        raise SelectionError(f"judge_unreachable: {type(err).__name__}: {err}") from err
     if not picks:
         return select_random(pool, k, seed), ["fallback_random"]
     if len(picks) >= k:

@@ -319,6 +319,32 @@ def test_a_config_file_that_is_not_a_json_object_is_an_error(tmp_path, capsys, t
     assert err.startswith(f"error: config {config}{detail}"), err
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("concurrency", "8", "an integer"),
+        ("k", "3", "an integer"),
+        ("seed", "x", "an integer"),
+        ("seed", True, "an integer"),
+        ("k", 3.0, "an integer"),
+        ("flag_threshold", "0.5", "a number"),
+        ("quarantine_threshold", None, "a number"),
+    ],
+    ids=["concurrency_str", "k_str", "seed_str", "seed_bool", "k_float", "threshold_str",
+         "threshold_null"],
+)
+def test_a_config_value_of_the_wrong_type_is_an_error(workdir, capsys, key, value, kind):
+    corpus, _ = workdir
+    config_path = corpus / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config[key] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli("--config", config_path, "validate")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {config_path}: {key} must be {kind}, got {value!r}\n"
+
+
 def test_export_sft_command(workdir, capsys):
     corpus, out = workdir
     store = _gen(corpus, out)

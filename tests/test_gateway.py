@@ -147,6 +147,23 @@ def test_cache_key_golden():
     )
 
 
+def test_cache_entry_golden(tmp_path):
+    # Pins an entry file's bytes: ModelResponse's fields in order, without cache_hit.
+    key = "ab" + "0" * 62
+    response = ModelResponse(
+        text="Artículo 5 — COMPLIANT", raw_cot="naïve ✓", prompt_tokens=12,
+        completion_tokens=3, latency_ms=250,
+    )
+    _cache_write(tmp_path, key, response)
+    assert (tmp_path / "ab" / f"{key}.json").read_text(encoding="utf-8") == (
+        '{"text": "Artículo 5 — COMPLIANT", "raw_cot": "naïve ✓", "prompt_tokens": 12, '
+        '"completion_tokens": 3, "latency_ms": 250}'
+    )
+    cached = _cache_read(tmp_path, key)
+    assert cached == ModelResponse(**{**vars(response), "cache_hit": True})
+    assert cached.cache_hit is True
+
+
 @pytest.mark.parametrize("concurrency", [1, 2])
 def test_complete_without_cache_dir_computes_no_key(monkeypatch, concurrency):
     def no_key(*args):
@@ -381,3 +398,27 @@ def test_malformed_http_200_reply_is_a_provider_error(monkeypatch, body):
     provider = OpenAICompatProvider("http://localhost:1", "NO_SUCH_KEY_ENV")
     with pytest.raises(ProviderError, match=r"^HTTP 200: malformed reply: "):
         provider.generate("m", "prompt", ASSESS_PROFILE)
+
+
+@pytest.mark.parametrize(
+    "body, tokens",
+    [
+        (b'{"choices": [{"message": {"content": "0,1,2"}}], "usage": null}', (0, 0)),
+        (b'{"choices": [{"message": {"content": "0,1,2"}}]}', (0, 0)),
+        (b'{"choices": [{"message": {"content": "0,1,2"}}], '
+         b'"usage": {"prompt_tokens": 7, "completion_tokens": 3}}', (7, 3)),
+    ],
+    ids=["null_usage", "no_usage", "usage"],
+)
+def test_http_200_reply_reads_missing_usage_as_zero_tokens(monkeypatch, body, tokens):
+    import requests
+
+    def post(url, json, headers, timeout):
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = body
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    provider = OpenAICompatProvider("http://localhost:1", "NO_SUCH_KEY_ENV")
+    assert provider.generate("m", "prompt", ASSESS_PROFILE) == ("0,1,2", None, *tokens)

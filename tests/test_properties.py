@@ -736,7 +736,7 @@ def _validate_prt_collecting_every_line(text, gold):
     if len(enum_lines) < 2:
         return ("format", f"found {len(enum_lines)} enumerated lines, need >= 2")
     failure = validate_prt(f"0. x\n{enum_lines[-1]}", gold)  # the final-line checks alone
-    return failure and (failure.reason, failure.detail)
+    return failure and (failure.reason, str(failure))
 
 
 @given(
@@ -747,6 +747,6 @@ def _validate_prt_collecting_every_line(text, gold):
 def test_validate_prt_matches_a_scan_of_every_line(lines, gold):
     text = "\n".join(lines)
     failure = validate_prt(text, gold)
-    assert (failure and (failure.reason, failure.detail)) == _validate_prt_collecting_every_line(
+    assert (failure and (failure.reason, str(failure))) == _validate_prt_collecting_every_line(
         text, gold
     )

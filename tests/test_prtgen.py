@@ -110,8 +110,15 @@ def test_generate_augmented_dataset_quarantines(dataset, policy, concurrency):
     stubborn = mock_provider({"### OUTPUT:": COMPLIANT_TRACE})
     aug, quarantine = generate_augmented_dataset(dataset, policy, stubborn, concurrency)
     assert [c.case_id for c, _, _ in aug.triples] == ["t01", "t03", "t05"]
-    assert [q.case_id for q in quarantine] == ["t02", "t04", "t06"]
-    assert all(q.reason == "verdict_mismatch" for q in quarantine)
+    assert [case_id for case_id, _ in quarantine] == ["t02", "t04", "t06"]
+    assert all(err.reason == "verdict_mismatch" for _, err in quarantine)
+
+
+def test_quarantined_errors_hold_no_traceback(dataset, policy):
+    # A traceback's frames would keep each quarantined case's prompt alive.
+    stubborn = mock_provider({"### OUTPUT:": COMPLIANT_TRACE})
+    _, quarantine = generate_augmented_dataset(dataset, policy, stubborn)
+    assert quarantine and all(err.__traceback__ is None for _, err in quarantine)
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])

@@ -137,7 +137,8 @@ def test_select_relevant_judge_unreachable(pool, dataset):
     )
     with pytest.raises(SelectionError) as err:
         select_relevant(dataset.by_id("c01"), pool, 3, judge)
-    assert "judge_unreachable" in str(err.value)
+    assert str(err.value) == "judge_unreachable: RateLimitedError: exhausted 1 attempts"
+    assert isinstance(err.value.__cause__, RateLimitedError)
 
 
 class _Scripted(Provider):
