@@ -14,17 +14,18 @@ import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from enum import Enum
 from pathlib import Path
+from types import NoneType
 from typing import Optional
 
 from .corpus import (
-    CaseRecord, Dataset, Policy, Split, Verdict, enum_member, read_jsonl, read_object,
-    verdict_tokens,
+    CaseRecord, Dataset, Policy, Split, Verdict, check_types, enum_member, read_jsonl,
+    read_object, verdict_tokens,
 )
 from .gateway import ASSESS_PROFILE, ModelHandle, complete, run_ordered
-from .prompts import (
-    DEMO_TEMPLATES, PRT_DEMO_TEMPLATES, DemoBlock, TemplateId, render, template_hash
+from .prompts import (  # re-exports StrategyKind and SelectionMode
+    DEMO_TEMPLATES, PRT_DEMO_TEMPLATES, DemoBlock, SelectionMode, StrategyKind, TemplateId,
+    render, template_hash,
 )
 from .prtgen import AugmentedDataset
 from .select import SelectionResult, Triple, select_random, select_relevant
@@ -32,19 +33,6 @@ from .select import SelectionResult, Triple, select_random, select_relevant
 
 class AssessError(ValueError):
     pass
-
-
-class StrategyKind(str, Enum):
-    BASE = "base"
-    FEWSHOT = "fewshot"
-    FEWSHOT_PRT = "fewshot_prt"
-    SELFREFINE = "selfrefine"
-    SELFREFINE_PRT = "selfrefine_prt"
-
-
-class SelectionMode(str, Enum):
-    RAND = "rand"
-    REL = "rel"
 
 
 # Each turn renders its template with the policy, the case, the replies so far
@@ -235,7 +223,20 @@ def result_to_obj(result: InstanceResult) -> dict:
     }
 
 
+_RESULT_TYPES = {
+    "case_id": (str,), "strategy": (str,), "turns": (list,),
+    "parsed_verdict": (str, NoneType), "correct": (bool, NoneType), "flags": (list,),
+}
+_TURN_TYPES = {
+    "template_id": (str,), "prompt_hash": (str,), "response_text": (str,),
+    "raw_cot": (str, NoneType), "prompt_tokens": (int,), "completion_tokens": (int,),
+}
+
+
 def result_from_obj(obj: dict) -> InstanceResult:
+    check_types(obj, _RESULT_TYPES)
+    for turn in obj["turns"]:
+        check_types(turn, _TURN_TYPES)
     return InstanceResult(
         case_id=obj["case_id"],
         strategy=obj["strategy"],

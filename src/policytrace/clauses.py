@@ -153,11 +153,17 @@ def load_registry(path: str | Path) -> ClauseRegistry:
     try:
         registry = ClauseRegistry(policy_id=data["policy_id"])
         for entry in data["clauses"]:
+            for key in ("canonical", "title"):
+                if not isinstance(entry.get(key, ""), str):
+                    raise TypeError(f"{key} must be a string, got {entry[key]!r}")
+            aliases = entry.get("aliases", [])
+            if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
+                raise TypeError(f"aliases must be a list of strings, got {aliases!r}")
             clause = ClauseId(canonical=entry["canonical"], scheme=Scheme(entry["scheme"]))
-            registry.add(clause, title=entry.get("title", ""), aliases=entry.get("aliases", []))
+            registry.add(clause, title=entry.get("title", ""), aliases=aliases)
     except KeyError as err:
         raise RegistryError(f"registry {path}: missing key {err}") from err
-    except (AttributeError, TypeError) as err:  # an object where the schema has another type
+    except (AttributeError, TypeError, ValueError) as err:  # a type or value the schema refuses
         raise RegistryError(f"registry {path}: malformed: {err}") from err
     return registry
 

@@ -6,6 +6,9 @@ write the effective config into a command manifest (`<command>.manifest.json`);
 an assess run's manifest records what identifies the run instead (strategy,
 models, seed, pool and template hashes). Exit code 0 means no errors and no
 quarantined/flagged records above the configured thresholds.
+
+Each command imports what only it runs when it runs, so `validate` and `gen`
+start without loading `assess`, `select`, `report` and the rest.
 """
 
 from __future__ import annotations
@@ -13,22 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from . import assess as assess_mod
-from .assess import SelectionMode, Strategy, StrategyKind, load_run
 from .clauses import load_registry
 from .corpus import load_dataset, load_policy, read_object, split_counts
 from .gateway import GatewayError, ModelHandle, load_provider_config
-from .prtgen import (
-    generate_augmented_dataset,
-    load_prt_store,
-    prt_stats,
-    write_prt_store,
-)
-from .report import build_report, write_report
+from .prompts import SelectionMode, StrategyKind
+
+# Kept at module level for the benchmark: its stand-in provider replaces
+# `load_provider_config` here, and `prtbench/tracer.py` finds every module it
+# wraps in `sys.modules`, `sftexport` too when a run never exports.
 from .sftexport import export_sft, split_train_val
 
 DEFAULT_CONFIG = {
@@ -100,6 +98,8 @@ def _load_corpus(config: dict):
 
 
 def _write_manifest(out_dir: Path, name: str, command: str, config: dict) -> None:
+    from datetime import datetime, timezone
+
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "command": command,
@@ -110,6 +110,8 @@ def _write_manifest(out_dir: Path, name: str, command: str, config: dict) -> Non
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .prtgen import generate_augmented_dataset, prt_stats, write_prt_store
+
     config = _load_config(args)
     out_dir = Path(config["out_dir"])
     _write_manifest(out_dir, "gen.manifest.json", "gen", config)
@@ -153,17 +155,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_strategy(args: argparse.Namespace, config: dict) -> Strategy:
-    kind = StrategyKind(args.strategy)
-    selection = SelectionMode(args.select) if args.select else None
-    k = args.k if args.k is not None else config["k"]
-    return Strategy(kind=kind, selection=selection, k=k)
-
-
 def cmd_assess(args: argparse.Namespace) -> int:
+    from .assess import Strategy, run_dataset
+    from .prtgen import load_prt_store
+
     config = _load_config(args)
     out_dir = Path(config["out_dir"])
-    strategy = _parse_strategy(args, config)
+    strategy = Strategy(
+        kind=StrategyKind(args.strategy),
+        selection=SelectionMode(args.select) if args.select else None,
+        k=args.k if args.k is not None else config["k"],
+    )
 
     registry, policy, dataset = _load_corpus(config)
     handles = _load_handles(config)
@@ -177,7 +179,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
             raise CliError("--prt-store (or config prt_store) required for this strategy")
         pool = load_prt_store(store, dataset)
 
-    results_path, summary = assess_mod.run_dataset(
+    results_path, summary = run_dataset(
         dataset,
         policy,
         strategy,
@@ -214,6 +216,9 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .assess import load_run
+    from .report import build_report, write_report
+
     config = _load_config(args)
     out_dir = Path(config["out_dir"])
     _write_manifest(out_dir, "report.manifest.json", "report", config)
@@ -236,6 +241,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_export_sft(args: argparse.Namespace) -> int:
+    from .prtgen import load_prt_store
+
     config = _load_config(args)
     out_dir = Path(config["out_dir"])
     _write_manifest(out_dir, "export-sft.manifest.json", "export-sft", config)

@@ -312,6 +312,15 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, objec
         yield lineno, obj
 
 
+def check_types(obj: dict, types: dict[str, tuple[type, ...]]) -> None:
+    """A TypeError unless each key of `types` that `obj` holds has one of its
+    types. The match is exact, so JSON's `true` is not taken for an integer."""
+    for key, allowed in types.items():
+        if key in obj and type(obj[key]) not in allowed:
+            names = " or ".join(t.__name__ for t in allowed)
+            raise TypeError(f"{key} must be {names}, got {obj[key]!r}")
+
+
 def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
     """The JSON object in the file at `path`; anything else is an `error` naming the file."""
     try:

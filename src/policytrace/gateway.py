@@ -333,6 +333,13 @@ class OpenAICompatProvider(Provider):
             ) from err
 
 
+# The JSON types of a model's optional fields, matched exactly: `true` is no integer.
+_MODEL_TYPES = {
+    "supports_raw_cot": (bool,), "price_in_usd_per_1m": (int, float),
+    "price_out_usd_per_1m": (int, float), "context_window": (int,),
+}
+
+
 def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> dict[str, ModelHandle]:
     """Load a provider config file into a model_id -> ModelHandle map.
 
@@ -365,6 +372,11 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
                     api_key_env=config["api_key_env"],
                 )
             for model in config.get("models", []):
+                for key, types in _MODEL_TYPES.items():
+                    if key in model and type(model[key]) not in types:
+                        names = " or ".join(t.__name__ for t in types)
+                        raise TypeError(f"model {model['model_id']!r}: {key} must be {names}, "
+                                        f"got {model[key]!r}")
                 handle = ModelHandle(
                     provider_id=provider_id,
                     model_id=model["model_id"],

@@ -48,6 +48,21 @@ class TemplateId(str, Enum):
     POLICY_SUMMARIZE = "policy_summarize"
 
 
+# The assessment strategies and demo selection modes, here so that the CLI
+# parser can list them without importing `assess`.
+class StrategyKind(str, Enum):
+    BASE = "base"
+    FEWSHOT = "fewshot"
+    FEWSHOT_PRT = "fewshot_prt"
+    SELFREFINE = "selfrefine"
+    SELFREFINE_PRT = "selfrefine_prt"
+
+
+class SelectionMode(str, Enum):
+    RAND = "rand"
+    REL = "rel"
+
+
 # Templates that take `{demos}`, and those whose demo blocks carry PRT text.
 PRT_DEMO_TEMPLATES = frozenset(
     {TemplateId.FEWSHOT_PRT, TemplateId.SELFREFINE_PRT_CRITIQUE_JUDGMENT}

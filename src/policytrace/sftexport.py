@@ -13,10 +13,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .clauses import ClauseId
 from .corpus import Policy, Split, jsonl_lines
-from .prtgen import AugmentedDataset
+
+if TYPE_CHECKING:  # an annotation only: `validate` loads this module, and needs no prtgen
+    from .prtgen import AugmentedDataset
 
 
 class SFTExportError(ValueError):

@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import policytrace.cli
@@ -53,3 +56,28 @@ def test_every_handle_has_the_attributes_the_stand_in_reads_and_replaces(tmp_pat
         assert callable(handle.provider.generate)
         handle.provider = _Replacement()  # as the stand-in does: calls now go through it
         assert complete(handle, "prompt", ASSESS_PROFILE).text == "replaced"
+
+
+def test_every_module_the_tracer_wraps_is_loaded_after_a_run_without_export(corpus_dir, tmp_path):
+    """The tracer looks each wrapped module up in `sys.modules` once gen, assess
+    and report have run, and a workload may never run export-sft."""
+    src = Path(policytrace.cli.__file__).resolve().parents[1]
+    probe = (
+        "import contextlib, io, pathlib, sys\n"
+        "from policytrace.cli import main\n"
+        "common = ['--config', sys.argv[1], '--out-dir', sys.argv[2]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(common + ['gen']), main(common + ['assess', '--strategy', 'base'])]\n"
+        "    (results,) = pathlib.Path(sys.argv[2]).glob('*.results.jsonl')\n"
+        "    codes.append(main(common + ['report', str(results)]))\n"
+        "print(*codes, *sorted(m for m in sys.modules if m.startswith('policytrace.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(corpus_dir / "config.json"), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = proc.stdout.split()[:3], proc.stdout.split()[3:]
+    assert codes == ["0", "0", "0"]
+    wrapped = {f"policytrace.{module}" for module, _attr, _span, _hook in _tracer().TARGETS}
+    assert wrapped - set(loaded) == set()

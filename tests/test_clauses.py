@@ -1,3 +1,5 @@
+import json
+import re
 import sys
 import threading
 
@@ -120,6 +122,26 @@ def test_registry_round_trip(registry, tmp_path):
     loaded = load_registry(path)
     assert set(loaded.canonicals()) == set(registry.canonicals())
     assert loaded.policy_id == registry.policy_id
+
+
+@pytest.mark.parametrize(
+    "field,value,detail",
+    [
+        ("aliases", "Art 1", "aliases must be a list of strings, got 'Art 1'"),
+        ("aliases", [1], "aliases must be a list of strings, got [1]"),
+        ("canonical", 1, "canonical must be a string, got 1"),
+        ("title", ["Lawfulness"], "title must be a string, got ['Lawfulness']"),
+        ("scheme", "chapter", "'chapter' is not a valid Scheme"),
+    ],
+    ids=["aliases-string", "aliases-int", "canonical-int", "title-list", "scheme-unknown"],
+)
+def test_registry_entry_of_the_wrong_type_is_an_error(tmp_path, field, value, detail):
+    entry = {"canonical": "Article 1", "scheme": "article", "title": "", "aliases": ["Art 1"]}
+    entry[field] = value
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps({"policy_id": "p", "clauses": [entry]}), encoding="utf-8")
+    with pytest.raises(RegistryError, match=re.escape(f"registry {path}: malformed: {detail}")):
+        load_registry(path)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 import policytrace
 from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry
 from mock_corpus import LEARNER_SCRIPT, dataset_jsonl_lines
-from policytrace import cli
+from policytrace import cli, prtgen
 from policytrace.clauses import save_registry
 from policytrace.cli import main
 
@@ -94,13 +94,13 @@ def test_assess_reports_each_failed_case_on_stderr(workdir, capsys):
 
 def test_gen_passes_concurrency(workdir, capsys, monkeypatch):
     seen = []
-    real = cli.generate_augmented_dataset
+    real = prtgen.generate_augmented_dataset
 
     def spy(dataset, policy, expert, concurrency):
         seen.append(concurrency)
         return real(dataset, policy, expert, concurrency)
 
-    monkeypatch.setattr(cli, "generate_augmented_dataset", spy)
+    monkeypatch.setattr(prtgen, "generate_augmented_dataset", spy)
     corpus, out = workdir
     code = run_cli("--config", corpus / "config.json", "--out-dir", out, "--concurrency", 3, "gen")
     assert code == 0
@@ -645,6 +645,34 @@ def test_importing_cli_does_not_load_the_thread_pool():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "command,unused",
+    [
+        ("validate", {"assess", "prtgen", "select", "report", "metrics", "significance"}),
+        ("gen", {"assess", "select", "report", "metrics", "significance"}),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(workdir, command, unused):
+    corpus, out = workdir
+    src = str(Path(policytrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import contextlib, io, sys\n"
+        "from policytrace.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('policytrace.')))\n"
+    )
+    argv = ["--config", str(corpus / "config.json"), "--out-dir", str(out), command]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert {f"policytrace.{name}" for name in unused}.isdisjoint(loaded), loaded
+
+
 def test_run_mock_experiment_script(tmp_path):
     """The documented offline walkthrough runs every command to the end, from
     a copy of scripts/ with no tests/ beside it."""
@@ -705,11 +733,26 @@ def _drop_verdict(line):
     return json.dumps(obj)
 
 
+def _set(key, value):
+    def damage(line):
+        obj = json.loads(line)
+        obj[key] = value
+        return json.dumps(obj)
+
+    return damage
+
+
 @pytest.mark.parametrize("command", ["assess", "export-sft"])
 @pytest.mark.parametrize(
     "damage,detail",
-    [(_drop_verdict, "'echoed_verdict'"), (lambda line: line[:12], "Expecting value")],
-    ids=["missing-field", "bad-json"],
+    [
+        (_drop_verdict, "'echoed_verdict'"),
+        (lambda line: line[:12], "Expecting value"),
+        (_set("prt_text", 5), "prt_text must be str, got 5"),
+        (_set("expert_model", ["x"]), "expert_model must be str, got ['x']"),
+        (_set("word_count", "3"), "word_count must be int, got '3'"),
+    ],
+    ids=["missing-field", "bad-json", "prt-text-int", "expert-model-list", "word-count-string"],
 )
 def test_malformed_store_record_is_an_error(workdir, capsys, command, damage, detail):
     corpus, out = workdir
@@ -725,6 +768,41 @@ def test_malformed_store_record_is_an_error(workdir, capsys, command, damage, de
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {store}:2: malformed record: {detail}"), err
+
+
+def _set_turn(key, value):
+    def damage(line):
+        obj = json.loads(line)
+        obj["turns"][0][key] = value
+        return json.dumps(obj)
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage,detail",
+    [
+        (_set("correct", "no"), "correct must be bool or NoneType, got 'no'"),
+        (_set("flags", "unparsed_verdict"), "flags must be list, got 'unparsed_verdict'"),
+        (_set_turn("prompt_tokens", "12"), "prompt_tokens must be int, got '12'"),
+        (_set_turn("completion_tokens", True), "completion_tokens must be int, got True"),
+        (_set_turn("raw_cot", 5), "raw_cot must be str or NoneType, got 5"),
+    ],
+    ids=["correct-string", "flags-string", "prompt-tokens-string", "tokens-bool", "raw-cot-int"],
+)
+def test_a_results_record_field_of_the_wrong_type_is_an_error(workdir, capsys, damage, detail):
+    corpus, out = workdir
+    assert run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
+    ) == 0
+    (results,) = out.glob("*.results.jsonl")
+    lines = results.read_text(encoding="utf-8").splitlines()
+    lines[1] = damage(lines[1])
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {results}:2: malformed record: {detail}\n"
 
 
 def test_report_names_the_file_and_line_of_a_torn_record(workdir, capsys):

@@ -282,6 +282,35 @@ def test_load_provider_config_mock(tmp_path):
     assert handles["m1"].price_in_usd_per_1m == 0.4
 
 
+@pytest.mark.parametrize(
+    "key,value,what",
+    [
+        ("supports_raw_cot", "no", "bool"),
+        ("supports_raw_cot", 1, "bool"),
+        ("context_window", "big", "int"),
+        ("context_window", 4096.0, "int"),
+        ("context_window", True, "int"),
+        ("price_in_usd_per_1m", "0.4", "int or float"),
+        ("price_out_usd_per_1m", None, "int or float"),
+    ],
+    ids=["flag-string", "flag-int", "window-string", "window-float", "window-bool",
+         "price-string", "price-null"],
+)
+def test_a_model_option_of_the_wrong_type_is_an_error(tmp_path, key, value, what):
+    import json
+
+    from policytrace.gateway import ProviderConfigError, load_provider_config
+
+    config = {"provider_id": "mock", "script": [], "models": [{"model_id": "m1", key: value}]}
+    path = tmp_path / "providers.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(ProviderConfigError) as info:
+        load_provider_config(path)
+    assert str(info.value) == (
+        f"providers file {path}: malformed: model 'm1': {key} must be {what}, got {value!r}"
+    )
+
+
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_run_ordered_keeps_input_order_and_yields_errors(concurrency):
     def square(i):
