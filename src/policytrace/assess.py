@@ -15,19 +15,16 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from types import NoneType
 from typing import Optional
 
-from .corpus import (
-    CaseRecord, Dataset, Policy, Split, Verdict, check_types, enum_member, read_jsonl,
-    read_object, verdict_tokens,
-)
+from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, read_jsonl, verdict_tokens
 from .gateway import ASSESS_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import (  # re-exports StrategyKind and SelectionMode
     DEMO_TEMPLATES, PRT_DEMO_TEMPLATES, DemoBlock, SelectionMode, StrategyKind, TemplateId,
     render, template_hash,
 )
 from .prtgen import AugmentedDataset
+from .records import from_json, read_object
 from .select import SelectionResult, Triple, select_random, select_relevant
 
 
@@ -101,6 +98,10 @@ class InstanceResult:
     parsed_verdict: Optional[Verdict]
     correct: Optional[bool]
     flags: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if (self.correct is None) is not (self.parsed_verdict is None):
+            raise AssessError(f"correct must be None iff parsed_verdict is, got {self.correct!r}")
 
 
 _MARKER_RE = re.compile(r"final\s+judgment\s*:|final\s+verdict|verdict\s*:", re.IGNORECASE)
@@ -213,47 +214,16 @@ def run_instance(
 
 
 def result_to_obj(result: InstanceResult) -> dict:
-    return {
-        "case_id": result.case_id,
-        "strategy": result.strategy,
-        "turns": [vars(t) for t in result.turns],  # keys in Turn field order
-        "parsed_verdict": result.parsed_verdict.value if result.parsed_verdict else None,
-        "correct": result.correct,
-        "flags": result.flags,
-    }
-
-
-_RESULT_TYPES = {
-    "case_id": (str,), "strategy": (str,), "turns": (list,),
-    "parsed_verdict": (str, NoneType), "correct": (bool, NoneType), "flags": (list,),
-}
-_TURN_TYPES = {
-    "template_id": (str,), "prompt_hash": (str,), "response_text": (str,),
-    "raw_cot": (str, NoneType), "prompt_tokens": (int,), "completion_tokens": (int,),
-}
-
-
-def result_from_obj(obj: dict) -> InstanceResult:
-    check_types(obj, _RESULT_TYPES)
-    for turn in obj["turns"]:
-        check_types(turn, _TURN_TYPES)
-    return InstanceResult(
-        case_id=obj["case_id"],
-        strategy=obj["strategy"],
-        turns=[Turn(**t) for t in obj["turns"]],
-        parsed_verdict=(
-            enum_member(Verdict, obj["parsed_verdict"]) if obj.get("parsed_verdict") else None
-        ),
-        correct=obj.get("correct"),
-        flags=obj.get("flags", []),
-    )
+    """The result's fields, and each turn's, in declared order."""
+    verdict = result.parsed_verdict and result.parsed_verdict.value
+    return {**vars(result), "turns": [vars(t) for t in result.turns], "parsed_verdict": verdict}
 
 
 def load_results(path: str | Path) -> list[InstanceResult]:
     results = []
     for lineno, obj in read_jsonl(Path(path), AssessError):
         try:
-            results.append(result_from_obj(obj))
+            results.append(from_json(InstanceResult, obj))
         except (KeyError, TypeError, ValueError) as err:
             raise AssessError(f"{path}:{lineno}: malformed record: {err}") from err
     return results

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete
 from .prompts import TemplateId, render
+from .records import from_json, read_object
 
 
 class Scheme(str, Enum):
@@ -38,6 +39,14 @@ class ClauseId:
 
 class RegistryError(ValueError):
     pass
+
+
+@dataclass
+class _RegistryEntry:  # one entry of a registry file's "clauses" list
+    canonical: str
+    scheme: Scheme
+    title: str = ""
+    aliases: list[str] = field(default_factory=list)
 
 
 _PUNCT_TABLE = str.maketrans("()", "  ", string.punctuation.replace("(", "").replace(")", ""))
@@ -146,24 +155,15 @@ def load_registry(path: str | Path) -> ClauseRegistry:
     Schema: {"policy_id": str, "clauses": [{"canonical", "scheme", "title", "aliases"}]}
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        raise RegistryError(f"registry {path}: {err}") from err
+    data = read_object(path, "registry", RegistryError)
     try:
         registry = ClauseRegistry(policy_id=data["policy_id"])
-        for entry in data["clauses"]:
-            for key in ("canonical", "title"):
-                if not isinstance(entry.get(key, ""), str):
-                    raise TypeError(f"{key} must be a string, got {entry[key]!r}")
-            aliases = entry.get("aliases", [])
-            if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-                raise TypeError(f"aliases must be a list of strings, got {aliases!r}")
-            clause = ClauseId(canonical=entry["canonical"], scheme=Scheme(entry["scheme"]))
-            registry.add(clause, title=entry.get("title", ""), aliases=aliases)
+        for obj in data["clauses"]:
+            entry = from_json(_RegistryEntry, obj)
+            registry.add(ClauseId(entry.canonical, entry.scheme), entry.title, entry.aliases)
     except KeyError as err:
         raise RegistryError(f"registry {path}: missing key {err}") from err
-    except (AttributeError, TypeError, ValueError) as err:  # a type or value the schema refuses
+    except (TypeError, ValueError) as err:  # a type or value the schema refuses
         raise RegistryError(f"registry {path}: malformed: {err}") from err
     return registry
 

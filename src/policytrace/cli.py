@@ -16,13 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import make_dataclass
 from pathlib import Path
 from typing import Optional
 
 from .clauses import load_registry
-from .corpus import load_dataset, load_policy, read_object, split_counts
+from .corpus import load_dataset, load_policy, split_counts
 from .gateway import GatewayError, ModelHandle, load_provider_config
 from .prompts import SelectionMode, StrategyKind
+from .records import from_json, read_object
 
 # Kept at module level for the benchmark: its stand-in provider replaces
 # `load_provider_config` here, and `prtbench/tracer.py` finds every module it
@@ -36,6 +38,8 @@ DEFAULT_CONFIG = {
     "quarantine_threshold": 0.25,
     "flag_threshold": 0.5,
 }
+# A config file's value of each of these keys must have its default's type.
+_DEFAULTS = make_dataclass("ConfigDefaults", [(k, type(v), v) for k, v in DEFAULT_CONFIG.items()])
 
 
 class CliError(ValueError):
@@ -47,11 +51,10 @@ def _load_config(args: argparse.Namespace) -> dict:
     if args.config:
         config.update(read_object(Path(args.config), "config", CliError))
         config["_config_dir"] = str(Path(args.config).resolve().parent)
-        for key, default in DEFAULT_CONFIG.items():  # a float default also takes an int
-            value = config[key]
-            if isinstance(value, bool) or not isinstance(value, (int, type(default))):
-                kind = "an integer" if isinstance(default, int) else "a number"
-                raise CliError(f"config {args.config}: {key} must be {kind}, got {value!r}")
+        try:
+            from_json(_DEFAULTS, {key: config[key] for key in DEFAULT_CONFIG})
+        except TypeError as err:
+            raise CliError(f"config {args.config}: {err}") from err
     for flag in ("seed", "concurrency", "cache_dir", "out_dir"):
         value = getattr(args, flag, None)
         if value is not None:

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Optional, TypeVar
+from typing import Iterator, Optional
 
 from .clauses import ClauseId, ClauseRegistry, Scheme, heading_mention, normalize
+from .records import enum_member
 from .tokens import estimate_tokens
 
 
@@ -65,19 +66,6 @@ def verdict_tokens(text: str) -> list[tuple[int, Verdict]]:
 class Split(str, Enum):
     TRAIN = "train"
     TEST = "test"
-
-
-_Label = TypeVar("_Label", Verdict, Split)
-_MEMBERS = {e: {m.value: m for m in e} for e in (Verdict, Split)}
-
-
-def enum_member(enum: type[_Label], value: object) -> _Label:
-    """`enum(value)`, the same member or the same error, by one dict lookup
-    for a label as written."""
-    try:
-        return _MEMBERS[enum][value]
-    except (KeyError, TypeError):  # another value, or an unhashable one
-        return enum(value)
 
 
 @dataclass(frozen=True)
@@ -271,8 +259,10 @@ def _record_from_obj(
         if not isinstance(case_text, str):
             raise CorpusError("case_text must be a string")
         case_text.encode("utf-8")  # raises on a lone surrogate ("\ud800"), which no file can hold
-        # not `verdict` but `obj["verdict"]`: a missing key stays a KeyError
-        gold_verdict = _MEMBERS[Verdict].get(verdict) or Verdict.parse(obj["verdict"])
+        try:
+            gold_verdict = enum_member(Verdict, verdict)
+        except ValueError:  # another spelling; `obj["verdict"]` keeps a missing key a KeyError
+            gold_verdict = Verdict.parse(obj["verdict"])
         return CaseRecord(case_id, case_text, gold_verdict, gold, enum_member(Split, obj["split"]))
     except (KeyError, ValueError) as err:
         raise CorpusError(f"malformed record: {err}") from err
@@ -310,26 +300,6 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, objec
             except ValueError as err:
                 raise error(f"{path}:{lineno}: malformed record: {err}") from err
         yield lineno, obj
-
-
-def check_types(obj: dict, types: dict[str, tuple[type, ...]]) -> None:
-    """A TypeError unless each key of `types` that `obj` holds has one of its
-    types. The match is exact, so JSON's `true` is not taken for an integer."""
-    for key, allowed in types.items():
-        if key in obj and type(obj[key]) not in allowed:
-            names = " or ".join(t.__name__ for t in allowed)
-            raise TypeError(f"{key} must be {names}, got {obj[key]!r}")
-
-
-def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
-    """The JSON object in the file at `path`; anything else is an `error` naming the file."""
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        raise error(f"{what} {path}: {err}") from err
-    if not isinstance(obj, dict):
-        raise error(f"{what} {path}: not a JSON object")
-    return obj
 
 
 def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
+from .records import from_json
 from .tokens import Tokenizer, estimate_tokens
 
 
@@ -110,7 +111,7 @@ class ModelHandle:
     provider: Optional[Provider] = None
     tokenizer: Tokenizer = estimate_tokens
     cache_dir: Optional[Path] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    retry: RetryPolicy = field(default_factory=RetryPolicy, metadata={"json": False})
 
     def __post_init__(self) -> None:
         if not self.model_id:
@@ -333,19 +334,12 @@ class OpenAICompatProvider(Provider):
             ) from err
 
 
-# The JSON types of a model's optional fields, matched exactly: `true` is no integer.
-_MODEL_TYPES = {
-    "supports_raw_cot": (bool,), "price_in_usd_per_1m": (int, float),
-    "price_out_usd_per_1m": (int, float), "context_window": (int,),
-}
-
-
 def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> dict[str, ModelHandle]:
     """Load a provider config file into a model_id -> ModelHandle map.
 
-    Schema: {"provider_id", "base_url", "api_key_env", "models": [...]}, or a
-    list of such objects. provider_id "mock" takes a "script" list of
-    {"pattern", "text", "raw_cot"?} entries instead of base_url.
+    Schema: {"provider_id", "base_url", "api_key_env", "models": [...]}, or a list
+    of such objects; a model is `ModelHandle`'s JSON fields but provider_id. provider_id
+    "mock" takes a "script" list of `MockScriptEntry` objects instead of base_url.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -357,14 +351,7 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
         for config in configs:
             provider_id = config["provider_id"]
             if provider_id == "mock":
-                script = [
-                    MockScriptEntry(
-                        pattern=entry["pattern"],
-                        text=entry["text"],
-                        raw_cot=entry.get("raw_cot"),
-                    )
-                    for entry in config.get("script", [])
-                ]
+                script = [from_json(MockScriptEntry, entry) for entry in config.get("script", [])]
                 provider: Provider = MockProvider(script)
             else:
                 provider = OpenAICompatProvider(
@@ -372,22 +359,9 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
                     api_key_env=config["api_key_env"],
                 )
             for model in config.get("models", []):
-                for key, types in _MODEL_TYPES.items():
-                    if key in model and type(model[key]) not in types:
-                        names = " or ".join(t.__name__ for t in types)
-                        raise TypeError(f"model {model['model_id']!r}: {key} must be {names}, "
-                                        f"got {model[key]!r}")
-                handle = ModelHandle(
-                    provider_id=provider_id,
-                    model_id=model["model_id"],
-                    supports_raw_cot=model.get("supports_raw_cot", False),
-                    price_in_usd_per_1m=model.get("price_in_usd_per_1m", 0.0),
-                    price_out_usd_per_1m=model.get("price_out_usd_per_1m", 0.0),
-                    context_window=model.get("context_window", 131072),
-                    provider=provider,
-                    cache_dir=cache_dir,
-                )
-                handles[model["model_id"]] = handle
+                handle = from_json(ModelHandle, model, provider_id=provider_id, provider=provider,
+                                   cache_dir=cache_dir)
+                handles[handle.model_id] = handle
     except KeyError as err:
         raise ProviderConfigError(f"providers file {path}: missing key {err}") from err
     except (AttributeError, TypeError) as err:  # an object where the schema has another type

@@ -19,12 +19,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Optional
 
-from .corpus import (
-    CaseRecord, Dataset, Policy, Split, Verdict, check_types, enum_member, read_jsonl,
-    verdict_tokens,
-)
+from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, read_jsonl, verdict_tokens
 from .gateway import PRT_GEN_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import TemplateId, render
+from .records import from_json
 
 
 class PRTError(ValueError):
@@ -230,12 +228,6 @@ def write_prt_store(aug: AugmentedDataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-_STORE_TYPES = {
-    **dict.fromkeys(("case_id", "expert_model", "prt_text", "prompt_hash", "created_at"), (str,)),
-    **dict.fromkeys(("word_count", "sentence_count"), (int,)),
-}
-
-
 def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
     """Rebuild an augmented dataset from a trace store, re-running validation.
 
@@ -246,9 +238,7 @@ def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
     experts: set[str] = set()
     for lineno, obj in read_jsonl(Path(path), PRTError):
         try:
-            check_types(obj, _STORE_TYPES)
-            obj["echoed_verdict"] = enum_member(Verdict, obj["echoed_verdict"])
-            record = PRTRecord(**obj)
+            record = from_json(PRTRecord, obj)
         except (KeyError, TypeError, ValueError) as err:
             raise PRTError(f"{path}:{lineno}: malformed record: {err}") from err
         experts.add(record.expert_model)

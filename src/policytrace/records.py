@@ -1,0 +1,92 @@
+"""JSON record readers: a file's JSON object, an enum member by value, a dataclass
+from a JSON object. It imports nothing from the package, so every module may import it."""
+
+import dataclasses
+import json
+from enum import Enum
+from functools import partial
+from pathlib import Path
+from types import NoneType, UnionType
+from typing import Any, Callable, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
+
+_T = TypeVar("_T")
+_MEMBERS: dict[type[Enum], dict] = {}
+# class -> (name, exact JSON types, converter or None, required) of each JSON-typed field
+_FIELDS: dict[type, list[tuple[str, tuple[type, ...], Optional[Callable], bool]]] = {}
+
+
+def enum_member(enum: type[_T], value: object) -> _T:
+    """`enum(value)`, the same member or the same error, by one dict lookup
+    for a value as written; each enum's table is built on first use."""
+    try:
+        return _MEMBERS[enum][value]
+    except (KeyError, TypeError):  # another value, an unhashable one, or an enum not seen yet
+        if enum not in _MEMBERS:
+            _MEMBERS[enum] = {m.value: m for m in enum}
+            return enum_member(enum, value)
+        return enum(value)
+
+
+def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
+    """The JSON object in the file at `path`; anything else is an `error` naming the file."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise error(f"{what} {path}: {err}") from err
+    if not isinstance(obj, dict):
+        raise error(f"{what} {path}: not a JSON object")
+    return obj
+
+
+def _spec(name: str, hint: Any) -> Optional[tuple[tuple[type, ...], Optional[Callable]]]:
+    """(exact JSON types, converter or None) of a field; None if JSON holds no such value."""
+    args = get_args(hint)
+    if get_origin(hint) in (Union, UnionType) and len(args) == 2 and NoneType in args:
+        inner = _spec(name, args[args[0] is NoneType])  # the converter skips None
+        return inner and ((*inner[0], NoneType), inner[1])
+    if get_origin(hint) is list:
+        inner = _spec(name, args[0])
+        return inner and ((list,), partial(_list_of, name, *inner))
+    if hint in (str, int, float, bool):
+        return (int, float) if hint is float else (hint,), None
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return tuple({type(m.value): 0 for m in hint}), partial(enum_member, hint)
+    return ((dict,), partial(from_json, hint)) if dataclasses.is_dataclass(hint) else None
+
+
+def _list_of(name: str, types: tuple, convert: Optional[Callable], values: list) -> list:
+    if any(type(value) not in types for value in values):
+        raise TypeError(f"{name} must be list of {' or '.join(t.__name__ for t in types)}, "
+                        f"got {values!r}")
+    return values if convert is None else [convert(value) for value in values]
+
+
+def from_json(cls: type[_T], obj: object, **given: object) -> _T:
+    """Dataclass `cls` from JSON object `obj` and the fields in `given`. Each key must
+    name a field that `_spec` types (and no `metadata={"json": False}` one) and hold
+    exactly such a value (`true` is no `int`, an `int` is a `float`), else it is a
+    TypeError `<field> must be <types>, got <value!r>`; a missing required field, a KeyError."""
+    fields = _FIELDS.get(cls)
+    if fields is None:
+        hints = get_type_hints(cls)
+        fields = _FIELDS[cls] = [
+            (f.name, *spec, f.default is f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)
+            if f.metadata.get("json", True) and (spec := _spec(f.name, hints[f.name]))
+        ]
+    if type(obj) is not dict:
+        raise TypeError(f"{cls.__name__} must be dict, got {obj!r}")
+    kwargs = {}
+    for name, types, convert, required in fields:
+        if name not in obj or name in given:  # a given field is never read
+            if required and name not in given:
+                raise KeyError(name)
+            continue
+        value = obj[name]
+        if type(value) not in types:
+            raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, "
+                            f"got {value!r}")
+        kwargs[name] = value if convert is None or value is None else convert(value)
+    if len(kwargs) != len(obj):
+        raise TypeError(f"unknown key {next(k for k in obj if k not in kwargs)!r}")
+    return cls(**kwargs, **given)

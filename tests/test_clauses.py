@@ -127,10 +127,10 @@ def test_registry_round_trip(registry, tmp_path):
 @pytest.mark.parametrize(
     "field,value,detail",
     [
-        ("aliases", "Art 1", "aliases must be a list of strings, got 'Art 1'"),
-        ("aliases", [1], "aliases must be a list of strings, got [1]"),
-        ("canonical", 1, "canonical must be a string, got 1"),
-        ("title", ["Lawfulness"], "title must be a string, got ['Lawfulness']"),
+        ("aliases", "Art 1", "aliases must be list, got 'Art 1'"),
+        ("aliases", [1], "aliases must be list of str, got [1]"),
+        ("canonical", 1, "canonical must be str, got 1"),
+        ("title", ["Lawfulness"], "title must be str, got ['Lawfulness']"),
         ("scheme", "chapter", "'chapter' is not a valid Scheme"),
     ],
     ids=["aliases-string", "aliases-int", "canonical-int", "title-list", "scheme-unknown"],

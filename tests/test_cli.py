@@ -322,13 +322,13 @@ def test_a_config_file_that_is_not_a_json_object_is_an_error(tmp_path, capsys, t
 @pytest.mark.parametrize(
     "key, value, kind",
     [
-        ("concurrency", "8", "an integer"),
-        ("k", "3", "an integer"),
-        ("seed", "x", "an integer"),
-        ("seed", True, "an integer"),
-        ("k", 3.0, "an integer"),
-        ("flag_threshold", "0.5", "a number"),
-        ("quarantine_threshold", None, "a number"),
+        ("concurrency", "8", "int"),
+        ("k", "3", "int"),
+        ("seed", "x", "int"),
+        ("seed", True, "int"),
+        ("k", 3.0, "int"),
+        ("flag_threshold", "0.5", "int or float"),
+        ("quarantine_threshold", None, "int or float"),
     ],
     ids=["concurrency_str", "k_str", "seed_str", "seed_bool", "k_float", "threshold_str",
          "threshold_null"],
@@ -599,7 +599,8 @@ def _drop_key(path, key):
     [
         ("registry.json", lambda p: p.write_text('{"clauses": []}', "utf-8"), "validate",
          "missing key 'policy_id'"),
-        ("registry.json", lambda p: p.write_text("[]", "utf-8"), "validate", "malformed"),
+        ("registry.json", lambda p: p.write_text("[]", "utf-8"), "validate",
+         ": not a JSON object"),
         ("providers.json", lambda p: _drop_key(p, "provider_id"), "gen",
          "missing key 'provider_id'"),
         ("registry.json", lambda p: p.write_text("{not json", "utf-8"), "validate",
@@ -787,8 +788,15 @@ def _set_turn(key, value):
         (_set_turn("prompt_tokens", "12"), "prompt_tokens must be int, got '12'"),
         (_set_turn("completion_tokens", True), "completion_tokens must be int, got True"),
         (_set_turn("raw_cot", 5), "raw_cot must be str or NoneType, got 5"),
+        (_set("parsed_verdict", ""), "'' is not a valid Verdict"),
+        (_set("flags", [1]), "flags must be list of str, got [1]"),
+        (lambda line: _set("correct", True)(_set("parsed_verdict", None)(line)),
+         "correct must be None iff parsed_verdict is, got True"),
+        (_set("correct", None),
+         "correct must be None iff parsed_verdict is, got None"),
     ],
-    ids=["correct-string", "flags-string", "prompt-tokens-string", "tokens-bool", "raw-cot-int"],
+    ids=["correct-string", "flags-string", "prompt-tokens-string", "tokens-bool", "raw-cot-int",
+         "verdict-empty", "flags-int", "correct-without-verdict", "verdict-without-correct"],
 )
 def test_a_results_record_field_of_the_wrong_type_is_an_error(workdir, capsys, damage, detail):
     corpus, out = workdir

@@ -283,32 +283,39 @@ def test_load_provider_config_mock(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key,value,what",
+    "entry,key,value,detail",
     [
-        ("supports_raw_cot", "no", "bool"),
-        ("supports_raw_cot", 1, "bool"),
-        ("context_window", "big", "int"),
-        ("context_window", 4096.0, "int"),
-        ("context_window", True, "int"),
-        ("price_in_usd_per_1m", "0.4", "int or float"),
-        ("price_out_usd_per_1m", None, "int or float"),
+        ("models", "supports_raw_cot", "no", "supports_raw_cot must be bool, got 'no'"),
+        ("models", "supports_raw_cot", 1, "supports_raw_cot must be bool, got 1"),
+        ("models", "context_window", "big", "context_window must be int, got 'big'"),
+        ("models", "context_window", 4096.0, "context_window must be int, got 4096.0"),
+        ("models", "context_window", True, "context_window must be int, got True"),
+        ("models", "price_in_usd_per_1m", "0.4",
+         "price_in_usd_per_1m must be int or float, got '0.4'"),
+        ("models", "price_out_usd_per_1m", None,
+         "price_out_usd_per_1m must be int or float, got None"),
+        ("models", "colour", "red", "unknown key 'colour'"),
+        ("script", "pattern", 5, "pattern must be str, got 5"),
     ],
     ids=["flag-string", "flag-int", "window-string", "window-float", "window-bool",
-         "price-string", "price-null"],
+         "price-string", "price-null", "model-unknown-key", "script-pattern-int"],
 )
-def test_a_model_option_of_the_wrong_type_is_an_error(tmp_path, key, value, what):
+def test_a_model_option_of_the_wrong_type_is_an_error(tmp_path, entry, key, value, detail):
     import json
 
     from policytrace.gateway import ProviderConfigError, load_provider_config
 
-    config = {"provider_id": "mock", "script": [], "models": [{"model_id": "m1", key: value}]}
+    config = {
+        "provider_id": "mock",
+        "script": [{"pattern": "ping", "text": "pong"}],
+        "models": [{"model_id": "m1"}],
+    }
+    config[entry][0][key] = value
     path = tmp_path / "providers.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     with pytest.raises(ProviderConfigError) as info:
         load_provider_config(path)
-    assert str(info.value) == (
-        f"providers file {path}: malformed: model 'm1': {key} must be {what}, got {value!r}"
-    )
+    assert str(info.value) == f"providers file {path}: malformed: {detail}"
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,12 +28,16 @@ def test_no_program_file_imports_the_test_suite():
     assert offenders == []
 
 
-def test_prompts_imports_nothing_from_the_package_at_run_time():
-    """`clauses` imports `prompts`, and `corpus` imports `clauses`, so an
-    import of `corpus` from `prompts` would be a cycle."""
+@pytest.mark.parametrize("module", ["prompts", "records", "tokens"])
+def test_a_leaf_module_imports_nothing_from_the_package_at_run_time(module):
+    """`clauses` imports `prompts` and `records`, `gateway` imports `records`
+    and `tokens`, and `corpus` imports `clauses`, so an import of `corpus`
+    from any of these would be a cycle."""
     imported = [
         node.module
-        for node in ast.parse((ROOT / "src/policytrace/prompts.py").read_text(encoding="utf-8")).body
+        for node in ast.parse(
+            (ROOT / f"src/policytrace/{module}.py").read_text(encoding="utf-8")
+        ).body
         if isinstance(node, ast.ImportFrom) and node.level
     ]
     assert imported == []

@@ -27,7 +27,7 @@ from policytrace.clauses import (
     extract_cited_clauses,
     normalize,
 )
-from policytrace.assess import parse_verdict
+from policytrace.assess import InstanceResult, Turn, parse_verdict, result_to_obj
 from policytrace.corpus import (
     CaseRecord,
     CorpusError,
@@ -36,7 +36,6 @@ from policytrace.corpus import (
     Verdict,
     _clause_headings,
     _record_from_obj,
-    enum_member,
     read_jsonl,
     split_disjointness_check,
     text_hash,
@@ -53,7 +52,10 @@ from policytrace.prompts import (
     placeholders,
     render,
 )
-from policytrace.prtgen import AugmentedDataset, PRTRecord, count_words, prt_stats, validate_prt
+from policytrace.prtgen import (
+    AugmentedDataset, PRTRecord, count_words, prt_record_to_obj, prt_stats, validate_prt,
+)
+from policytrace.records import enum_member, from_json
 from policytrace.select import select_random
 from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
 from policytrace.significance import CostAccuracyPoint
@@ -726,7 +728,7 @@ def test_label_fast_paths_match_the_enum_parsers(verdict, split):
     except ValueError as err:
         expected = f"malformed record: {err}"
     assert read == expected
-    for enum in (Verdict, Split):
+    for enum in (Verdict, Split, Scheme):
         for label in (verdict, split):
             assert _outcome(lambda: enum_member(enum, label)) == _outcome(lambda: enum(label))
 
@@ -750,3 +752,43 @@ def test_validate_prt_matches_a_scan_of_every_line(lines, gold):
     assert (failure and (failure.reason, str(failure))) == _validate_prt_collecting_every_line(
         text, gold
     )
+
+
+_FIELD_TEXT = st.text(max_size=12)
+_COUNTS = st.integers(min_value=0, max_value=10**12)
+_TURNS = st.builds(
+    Turn, _FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT, st.none() | _FIELD_TEXT, _COUNTS, _COUNTS
+)
+
+
+@st.composite
+def _instance_results(draw):
+    verdict = draw(st.none() | st.sampled_from(Verdict))
+    return InstanceResult(
+        case_id=draw(_FIELD_TEXT),
+        strategy=draw(_FIELD_TEXT),
+        turns=draw(st.lists(_TURNS, min_size=1, max_size=3)),
+        parsed_verdict=verdict,
+        correct=None if verdict is None else draw(st.booleans()),
+        flags=draw(st.lists(_FIELD_TEXT, max_size=2)),
+    )
+
+
+@settings(max_examples=50, derandomize=True)
+@given(_instance_results())
+def test_a_results_record_reads_back_as_it_was_written(result):
+    obj = json.loads(json.dumps(result_to_obj(result)))
+    assert from_json(InstanceResult, obj) == result
+
+
+@settings(max_examples=50, derandomize=True)
+@given(
+    st.builds(
+        PRTRecord, _FIELD_TEXT, _FIELD_TEXT, st.text(min_size=1, max_size=40),
+        st.sampled_from(Verdict), st.integers(min_value=1), st.integers(min_value=1),
+        _FIELD_TEXT, _FIELD_TEXT,
+    )
+)
+def test_a_store_record_reads_back_as_it_was_written(record):
+    obj = json.loads(json.dumps(prt_record_to_obj(record)))
+    assert from_json(PRTRecord, obj) == record
