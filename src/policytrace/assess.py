@@ -251,12 +251,19 @@ def load_run(results_path: Path) -> tuple[dict, list[InstanceResult]]:
 class RunSummary:
     run_id: str
     total: int
-    executed: int
-    skipped: int
-    correct: int
-    unparsed: int
+    executed: int = 0
+    skipped: int = 0
+    correct: int = 0
+    unparsed: int = 0
     failure_reasons: dict[str, str] = field(default_factory=dict)  # case id -> "ExcClass: msg"
     flagged_cases: list[str] = field(default_factory=list)
+
+    def count(self, result: InstanceResult) -> None:
+        """Count one result that the results file holds."""
+        self.correct += bool(result.correct)
+        self.unparsed += result.parsed_verdict is None
+        if result.flags:
+            self.flagged_cases.append(result.case_id)
 
     @property
     def failed_cases(self) -> list[str]:
@@ -291,6 +298,28 @@ def _manifest(
     }
 
 
+_TAIL_BLOCK = 1 << 16
+
+
+def _whole_lines_end(path: Path) -> tuple[int, int]:
+    """(size, offset just past the last b"\n") of the file at `path`, (0, 0) if it
+    is missing; the tail is read backwards in blocks until a b"\n" turns up."""
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        return 0, 0
+    with fh:
+        size = pos = fh.seek(0, os.SEEK_END)
+        while pos:
+            start = max(0, pos - _TAIL_BLOCK)
+            fh.seek(start)
+            newline = fh.read(pos - start).rfind(b"\n")
+            if newline >= 0:
+                return size, start + newline + 1
+            pos = start
+    return size, 0
+
+
 def run_dataset(
     dataset: Dataset,
     policy: Policy,
@@ -310,7 +339,7 @@ def run_dataset(
     half-written by a crash, and refuses to mix records made under a
     different manifest (anything but `started_at`). The results file is
     read once, on resume only; the summary counts the records it held plus
-    each record written.
+    each record written, and keeps none of them.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -320,9 +349,8 @@ def run_dataset(
     manifest_path = _manifest_path(results_path)
 
     manifest = _manifest(run_id, policy, strategy, learner, judge, seed, pool)
-    data = results_path.read_bytes() if results_path.exists() else b""
-    end = data.rfind(b"\n") + 1
-    if data[:end].strip() and manifest_path.exists():
+    size, end = _whole_lines_end(results_path)
+    if end and manifest_path.exists():
         old = read_object(manifest_path, "manifest", AssessError)
         differ = sorted(
             key
@@ -336,15 +364,17 @@ def run_dataset(
             )
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
-    if end < len(data):  # a crash left the last record half-written
+    if end < size:  # a crash left the last record half-written
         os.truncate(results_path, end)
-    results = load_results(results_path) if end else []
-    done_ids = {result.case_id for result in results}
-
     test_cases = dataset.test
+    summary = RunSummary(run_id=run_id, total=len(test_cases))
+    done_ids: set[str] = set()
+    for result in load_results(results_path) if end else []:
+        done_ids.add(result.case_id)
+        summary.count(result)
+    summary.skipped = len(done_ids)
+
     todo = [c for c in test_cases if c.case_id not in done_ids]
-    failure_reasons: dict[str, str] = {}
-    executed = 0
 
     def _run_one(case: CaseRecord) -> InstanceResult:
         return run_instance(
@@ -355,21 +385,10 @@ def run_dataset(
     with results_path.open("a", encoding="utf-8") as fh, outcomes as ordered:
         for case, result, err in ordered:
             if err is not None:
-                failure_reasons[case.case_id] = f"{type(err).__name__}: {err}"
+                summary.failure_reasons[case.case_id] = f"{type(err).__name__}: {err}"
                 continue
             fh.write(json.dumps(result_to_obj(result), ensure_ascii=False) + "\n")
             fh.flush()
-            results.append(result)
-            executed += 1
-
-    summary = RunSummary(
-        run_id=run_id,
-        total=len(test_cases),
-        executed=executed,
-        skipped=len(done_ids),
-        correct=sum(1 for r in results if r.correct),
-        unparsed=sum(1 for r in results if r.parsed_verdict is None),
-        failure_reasons=failure_reasons,
-        flagged_cases=[r.case_id for r in results if r.flags],
-    )
+            summary.count(result)
+            summary.executed += 1
     return results_path, summary

@@ -3,7 +3,8 @@
 Datasets are JSON Lines, one record per line:
 {"case_id": str, "case_text": str, "verdict": "COMPLIANT"|"NONCOMPLIANT",
  "clauses": [str], "split": "train"|"test"}
-`read_jsonl` reads them, and the trace store and results files too. A line
+`read_jsonl` reads them, and the trace store and results files too, one line
+at a time, so its memory follows the longest record and not the file. A line
 ends at "\n" alone (a "\r" before it is JSON whitespace): U+2028, U+2029 and
 U+0085 inside a string, which writers using `ensure_ascii=False` leave raw,
 stay part of their record.
@@ -268,9 +269,20 @@ def _record_from_obj(
         raise CorpusError(f"malformed record: {err}") from err
 
 
-def jsonl_lines(path: Path) -> list[str]:
-    """The lines of a JSON Lines file, split at "\n" alone: no newline translation."""
-    return path.read_bytes().decode("utf-8").split("\n")
+def jsonl_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
+    """(line number, text without its "\n") of each line of a JSON Lines file, read
+    one line at a time. A line ends at b"\n" alone: no newline translation. A file
+    that cannot be read, or a line that is not UTF-8, is an `error` naming the file
+    (and line)."""
+    lineno = 0
+    try:
+        with path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.removesuffix(b"\n").decode("utf-8")
+    except OSError as err:  # missing or unreadable
+        raise error(f"{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}:{lineno}: {err}") from err
 
 
 _DECODER = json.JSONDecoder()
@@ -282,12 +294,8 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, objec
     A line is read as `json.loads` reads it: one `raw_decode` that consumes it
     whole, else `json.loads` itself. Errors name the file (and line) as `error`s.
     """
-    try:
-        lines = jsonl_lines(path)
-    except (OSError, ValueError) as err:  # missing, unreadable or not UTF-8
-        raise error(f"{path}: {err}") from err
     decode = _DECODER.raw_decode
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in jsonl_lines(path, error):
         try:
             obj, end = decode(line)
         except ValueError:

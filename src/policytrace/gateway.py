@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
-from .records import from_json
+from .records import from_json, write_atomic
 from .tokens import Tokenizer, estimate_tokens
 
 
@@ -152,18 +152,11 @@ def _cache_read(cache_dir: Path, key: str) -> Optional[ModelResponse]:
 
 def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
     # An entry is the response's fields in declared order, without cache_hit.
-    # Readers only open <key>.json, and each writer renames its own temp file
-    # onto it, so concurrent writers (threads or processes) never tear an entry.
+    # Readers only open <key>.json, which write_atomic replaces whole.
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
     entry = {name: value for name, value in vars(response).items() if name != "cache_hit"}
-    try:
-        tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, [json.dumps(entry, ensure_ascii=False)])
 
 
 def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResponse:
@@ -364,7 +357,7 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
                 handles[handle.model_id] = handle
     except KeyError as err:
         raise ProviderConfigError(f"providers file {path}: missing key {err}") from err
-    except (AttributeError, TypeError) as err:  # an object where the schema has another type
+    except (AttributeError, TypeError, ValueError) as err:  # a wrong type or a refused value
         raise ProviderConfigError(f"providers file {path}: malformed: {err}") from err
     return handles
 

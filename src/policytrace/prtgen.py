@@ -22,7 +22,7 @@ from typing import Optional
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, read_jsonl, verdict_tokens
 from .gateway import PRT_GEN_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import TemplateId, render
-from .records import from_json
+from .records import from_json, write_atomic
 
 
 class PRTError(ValueError):
@@ -224,8 +224,8 @@ def prt_record_to_obj(record: PRTRecord) -> dict:
 
 
 def write_prt_store(aug: AugmentedDataset, path: str | Path) -> None:
-    lines = [json.dumps(prt_record_to_obj(prt), ensure_ascii=False) for _, _, prt in aug.triples]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(Path(path), (json.dumps(prt_record_to_obj(prt), ensure_ascii=False) + "\n"
+                              for _, _, prt in aug.triples))
 
 
 def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:

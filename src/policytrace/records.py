@@ -1,13 +1,17 @@
 """JSON record readers: a file's JSON object, an enum member by value, a dataclass
-from a JSON object. It imports nothing from the package, so every module may import it."""
+from a JSON object; and `write_atomic`, which replaces a file whole (the JSON Lines
+outputs and the cache entries). It imports nothing from the package, so every module
+may import it."""
 
 import dataclasses
 import json
+import os
 from enum import Enum
 from functools import partial
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, Callable, Optional, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import (Any, Callable, Iterable, Optional, TypeVar, Union, get_args, get_origin,
+                    get_type_hints)
 
 _T = TypeVar("_T")
 _MEMBERS: dict[type[Enum], dict] = {}
@@ -36,6 +40,24 @@ def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
     if not isinstance(obj, dict):
         raise error(f"{what} {path}: not a JSON object")
     return obj
+
+
+def write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the strings of `chunks`, as UTF-8 with no newline translation, to `path`.
+
+    They go one at a time to a temp file beside `path`, which is then renamed onto
+    it. On any exception, raised by `chunks` too, the temp file is deleted and an
+    existing `path` is left as it was. Each writer renames its own temp file, so
+    concurrent writers (threads or processes) never tear the file a reader opens.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _spec(name: str, hint: Any) -> Optional[tuple[tuple[type, ...], Optional[Callable]]]:

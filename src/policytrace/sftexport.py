@@ -13,10 +13,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .clauses import ClauseId
 from .corpus import Policy, Split, jsonl_lines
+from .records import write_atomic
 
 if TYPE_CHECKING:  # an annotation only: `validate` loads this module, and needs no prtgen
     from .prtgen import AugmentedDataset
@@ -58,23 +59,26 @@ class ExportSummary:
 
 
 def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path) -> ExportSummary:
-    """Write one instruction-tuning record per triple, in deterministic case order."""
-    records = []
+    """Write one instruction-tuning record per triple, in deterministic case order.
+
+    Records are written one line at a time, and `out` is replaced only once all are:
+    a test-split case or an unresolvable clause leaves no partial file."""
     fallbacks: list[str] = []
     triples = sorted(aug.triples, key=lambda t: t[0].case_id)
-    for case, verdict, prt in triples:
-        if case.split is not Split.TRAIN:
-            raise SFTExportError(f"case {case.case_id}: test-split case in export input")
-        if case.gold_clauses:
-            parts = [clause_text(policy, clause) for clause in sorted(case.gold_clauses)]
-            policy_context = "\n\n".join(parts)
-            flagged = False
-        else:
-            policy_context = policy.full_text
-            flagged = True
-            fallbacks.append(case.case_id)
-        records.append(
-            {
+
+    def lines() -> Iterator[str]:
+        for case, verdict, prt in triples:
+            if case.split is not Split.TRAIN:
+                raise SFTExportError(f"case {case.case_id}: test-split case in export input")
+            if case.gold_clauses:
+                parts = [clause_text(policy, clause) for clause in sorted(case.gold_clauses)]
+                policy_context = "\n\n".join(parts)
+                flagged = False
+            else:
+                policy_context = policy.full_text
+                flagged = True
+                fallbacks.append(case.case_id)
+            record = {
                 "instruction": INSTRUCTION,
                 "policy_context": policy_context,
                 "case": case.case_text,
@@ -82,14 +86,13 @@ def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path) -> Export
                 "case_id": case.case_id,
                 "full_policy_fallback": flagged,
             }
-        )
+            yield json.dumps(record, ensure_ascii=False) + "\n"
 
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r, ensure_ascii=False) for r in records]
-    out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(out, lines())
     return ExportSummary(
-        n_records=len(records),
+        n_records=len(triples),
         n_full_policy_fallbacks=len(fallbacks),
         flagged_case_ids=fallbacks,
     )
@@ -106,15 +109,10 @@ def split_train_val(
     everything in train."""
     if not 0 <= val_fraction < 1:
         raise SFTExportError(f"invalid_fraction: {val_fraction}")
-    lines = [l for l in jsonl_lines(Path(records_path)) if l.strip()]
-    rng = random.Random(seed)
-    shuffled = list(lines)
-    rng.shuffle(shuffled)
-    n_val = int(len(shuffled) * val_fraction)
-    val_lines = shuffled[:n_val]
-    train_lines = shuffled[n_val:]
-    Path(train_out).write_text(
-        "\n".join(train_lines) + ("\n" if train_lines else ""), encoding="utf-8"
-    )
-    Path(val_out).write_text("\n".join(val_lines) + ("\n" if val_lines else ""), encoding="utf-8")
-    return len(train_lines), len(val_lines)
+    lines = [line + "\n" for _, line in jsonl_lines(Path(records_path), SFTExportError)
+             if line.strip()]
+    random.Random(seed).shuffle(lines)
+    n_val = int(len(lines) * val_fraction)
+    write_atomic(Path(train_out), lines[n_val:])
+    write_atomic(Path(val_out), lines[:n_val])
+    return len(lines) - n_val, n_val

@@ -4,6 +4,8 @@ flow), plus the same clauses under the section scheme."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from mock_corpus import (
@@ -44,6 +46,21 @@ def build_section_registry() -> ClauseRegistry:
     for n, title in ARTICLE_TITLES.items():
         registry.add(ClauseId(f"Section {SECTIONS[n]}", Scheme.SECTION), title=title)
     return registry
+
+
+def traced_peak(fn) -> int:
+    """The most bytes that `fn()` held allocated at once, as tracemalloc counts them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def build_dataset(registry: ClauseRegistry) -> Dataset:

@@ -317,6 +317,29 @@ def test_run_dataset_resumed_summary_counts_match_an_uninterrupted_run(
     assert whole.skipped == 0 and resumed.failed_cases == whole.failed_cases == []
 
 
+@pytest.mark.parametrize("cut_line", [0, 2], ids=["no-newline", "long-last-line"])
+def test_run_dataset_resumes_after_a_torn_line_longer_than_a_block(
+    tmp_path, dataset, policy, cut_line
+):
+    # Every record is longer than the 64 KiB blocks in which a resume reads the
+    # file's tail backwards, and so is the torn line.
+    learner = mock_provider(
+        {case.case_text: "word " * 14_000 + "Final Judgment: COMPLIANT" for case in dataset.test}
+    )
+    strategy = Strategy(StrategyKind.BASE)
+    whole_path, whole = run_dataset(dataset, policy, strategy, learner, tmp_path / "a")
+    lines = whole_path.read_bytes().splitlines(keepends=True)
+    assert min(map(len, lines)) > 1 << 16
+    torn_path = tmp_path / "b" / whole_path.name
+    torn_path.parent.mkdir()
+    torn_path.write_bytes(b"".join(lines[:cut_line]) + lines[cut_line][:-100])
+
+    _, resumed = run_dataset(dataset, policy, strategy, learner, tmp_path / "b")
+    assert torn_path.read_bytes() == whole_path.read_bytes()
+    assert (resumed.skipped, resumed.executed) == (cut_line, whole.executed - cut_line)
+    assert (resumed.correct, resumed.unparsed) == (whole.correct, whole.unparsed)
+
+
 def test_run_dataset_concurrency_matches_sequential(tmp_path, dataset, policy, learner_handle):
     strategy = Strategy(StrategyKind.FEWSHOT_PRT, SelectionMode.RAND, k=3)
     expert = mock_provider(EXPERT_SCRIPT)

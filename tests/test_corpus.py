@@ -11,9 +11,11 @@ from policytrace.corpus import (
     Verdict,
     load_dataset,
     load_policy,
+    read_jsonl,
     split_counts,
     split_disjointness_check,
 )
+from conftest import traced_peak
 from mock_corpus import POLICY_TEXT, dataset_jsonl_lines
 
 
@@ -193,6 +195,28 @@ def test_load_dataset_resolves_each_clause_string_once(tmp_path, registry, monke
     strings = [c for line in dataset_jsonl_lines() for c in json.loads(line)["clauses"]]
     assert len(set(strings)) < len(strings)
     assert sorted(calls) == sorted(set(strings))
+
+
+def test_read_jsonl_holds_one_line_at_a_time(tmp_path):
+    # About 1 MB of records: what the reader holds follows one line, not the file.
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(
+        json.dumps({"case_id": f"c{i:04d}", "case_text": "Artículo 5 — x " * 70}) + "\n"
+        for i in range(600)
+    ), encoding="utf-8")
+
+    def drain():
+        for _ in read_jsonl(path, CorpusError):
+            pass
+
+    assert traced_peak(drain) < 0.25 * path.stat().st_size
+
+
+def test_read_jsonl_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n{"a": 3}\n')
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:2: 'utf-8' codec"):
+        list(read_jsonl(path, CorpusError))
 
 
 def test_split_overlap_detected(tmp_path, registry):

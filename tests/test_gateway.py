@@ -296,9 +296,12 @@ def test_load_provider_config_mock(tmp_path):
          "price_out_usd_per_1m must be int or float, got None"),
         ("models", "colour", "red", "unknown key 'colour'"),
         ("script", "pattern", 5, "pattern must be str, got 5"),
+        ("models", "price_in_usd_per_1m", -1, "prices must be >= 0"),
+        ("models", "model_id", "", "model_id must be non-empty"),
     ],
     ids=["flag-string", "flag-int", "window-string", "window-float", "window-bool",
-         "price-string", "price-null", "model-unknown-key", "script-pattern-int"],
+         "price-string", "price-null", "model-unknown-key", "script-pattern-int",
+         "price-negative", "model-id-empty"],
 )
 def test_a_model_option_of_the_wrong_type_is_an_error(tmp_path, entry, key, value, detail):
     import json

@@ -1,0 +1,24 @@
+import pytest
+
+from policytrace.records import write_atomic
+
+
+def test_write_atomic_writes_the_chunks_unchanged(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_atomic(path, iter(['{"a": "é\u2028"}\r\n', "", '{"b": 2}\n']))
+    assert path.read_bytes() == '{"a": "é\u2028"}\r\n{"b": 2}\n'.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+def test_write_atomic_whose_chunks_fail_leaves_the_old_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"old": 1}\n')
+
+    def chunks():
+        yield '{"new": 1}\n' * 10_000
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == b'{"old": 1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import SECTION_POLICY_TEXT, build_section_registry
+from conftest import SECTION_POLICY_TEXT, build_section_registry, traced_peak
 from policytrace.clauses import ClauseId, ClauseRegistry, Scheme
 from policytrace.corpus import load_policy
 from policytrace.prtgen import generate_augmented_dataset
@@ -176,6 +176,27 @@ def test_export_rejects_test_split(tmp_path, aug, dataset, policy):
     aug = replace(aug, triples=aug.triples + ((c01, c01.gold_verdict, prt),))
     with pytest.raises(SFTExportError):
         export_sft(aug, policy, tmp_path / "sft.jsonl")
+
+
+def test_export_that_meets_a_test_case_last_writes_nothing(tmp_path, aug, dataset, policy):
+    test_case = replace(dataset.by_id("c01"), case_id="zz")  # sorts after every train case
+    _, verdict, prt = aug.triples[0]
+    aug = replace(aug, triples=aug.triples + ((test_case, verdict, prt),))
+    with pytest.raises(SFTExportError, match="case zz: test-split case"):
+        export_sft(aug, policy, tmp_path / "export" / "sft.jsonl")
+    assert list(tmp_path.glob("export/*")) == []
+
+
+def test_export_holds_one_record_at_a_time(tmp_path, aug, policy):
+    # About 1 MB of records: what the export holds follows one record, not the file.
+    many = tuple(
+        (replace(case, case_id=f"{case.case_id}-{i:03d}"), verdict,
+         replace(prt, case_id=f"{case.case_id}-{i:03d}"))
+        for i in range(200) for case, verdict, prt in aug.triples
+    )
+    out = tmp_path / "sft.jsonl"
+    peak = traced_peak(lambda: export_sft(replace(aug, triples=many), policy, out))
+    assert peak < 0.5 * out.stat().st_size
 
 
 def test_split_train_val(tmp_path, aug, policy):
