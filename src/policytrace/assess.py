@@ -24,7 +24,7 @@ from .prompts import (  # re-exports StrategyKind and SelectionMode
     render, template_hash,
 )
 from .prtgen import AugmentedDataset
-from .records import from_json, read_object
+from .records import from_json, read_object, write_atomic
 from .select import SelectionResult, Triple, select_random, select_relevant
 
 
@@ -220,13 +220,17 @@ def result_to_obj(result: InstanceResult) -> dict:
 
 
 def load_results(path: str | Path) -> list[InstanceResult]:
-    results = []
+    """The results file's records, in file order; at most one per case."""
+    results: dict[str, InstanceResult] = {}  # by case id
     for lineno, obj in read_jsonl(Path(path), AssessError):
         try:
-            results.append(from_json(InstanceResult, obj))
+            result = from_json(InstanceResult, obj)
         except (KeyError, TypeError, ValueError) as err:
             raise AssessError(f"{path}:{lineno}: malformed record: {err}") from err
-    return results
+        if result.case_id in results:
+            raise AssessError(f"{path}:{lineno}: duplicate result for case {result.case_id}")
+        results[result.case_id] = result
+    return list(results.values())
 
 
 def _manifest_path(results_path: Path) -> Path:
@@ -362,7 +366,7 @@ def run_dataset(
                 f"cannot resume {results_path.name}: configuration differs from its "
                 f"manifest in {', '.join(differ)}"
             )
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_atomic(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
     if end < size:  # a crash left the last record half-written
         os.truncate(results_path, end)

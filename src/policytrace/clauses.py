@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete
+from .gateway import ASSESS_PROFILE, ModelHandle, ask_twice
 from .prompts import TemplateId, render
 from .records import from_json, read_object
 
@@ -292,9 +292,9 @@ def extract_cited_clauses(
 ) -> ExtractionResult:
     """Extract the set of registry clauses cited in a reasoning text.
 
-    Judge-based extraction is primary when a judge handle is supplied; one
-    retry on malformed output, then the regex fallback engages and the record
-    is flagged so metric reports can count degraded extractions.
+    Judge-based extraction is primary when a judge handle is supplied; one re-ask
+    (`ask_twice`) on malformed output or an error, then the regex fallback engages
+    and the record is flagged so metric reports can count degraded extractions.
     """
     if judge is None:
         return ExtractionResult(cited=_regex_extract(reasoning_text, registry))
@@ -304,13 +304,9 @@ def extract_cited_clauses(
         {"policy_section_masterlist": registry.masterlist, "reasoning_text": reasoning_text},
     )
 
-    for attempt in range(2):
-        try:
-            response = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt))
-        except GatewayError:
-            continue
-        ids, _unknowns = normalize(response.text, registry)
-        if ids or not response.text.strip():
+    for reply, err in ask_twice(judge, prompt, ASSESS_PROFILE):
+        ids, _unknowns = normalize(reply, registry)
+        if err is None and (ids or not reply.strip()):
             return ExtractionResult(cited=set(ids))
     cited = _regex_extract(reasoning_text, registry)
     return ExtractionResult(cited=cited, used_fallback=True)

@@ -62,13 +62,6 @@ class SamplingConfig:
         if self.max_new_tokens <= 0:
             raise ValueError(f"max_new_tokens must be positive: {self.max_new_tokens}")
 
-    def for_attempt(self, attempt: int) -> "SamplingConfig":
-        """This config for a caller's 0-based attempt at one request. A retry
-        is seeded with its attempt number, so its cache key differs and it
-        reaches the model instead of replaying the cached reply; attempt 0's
-        key is unchanged."""
-        return self if attempt == 0 else replace(self, seed=attempt)
-
 
 # Named sampling profiles: trace generation is capped at 2048 new tokens to
 # avoid runaway traces; every other call gets the full 8192 budget.
@@ -90,7 +83,7 @@ class ModelResponse:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     latency_ms: int = 0
-    cache_hit: bool = False
+    cache_hit: bool = field(default=False, metadata={"json": False})
 
 
 class Provider:
@@ -143,11 +136,14 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _cache_read(cache_dir: Path, key: str) -> Optional[ModelResponse]:
+    path = _cache_path(cache_dir, key)
     try:
-        text = _cache_path(cache_dir, key).read_text(encoding="utf-8")
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        return from_json(ModelResponse, obj, cache_hit=True)
     except FileNotFoundError:
         return None
-    return ModelResponse(**json.loads(text), cache_hit=True)
+    except (KeyError, TypeError, ValueError) as err:  # local corruption, not a provider failure
+        raise ValueError(f"cache entry {path}: malformed: {err}") from err
 
 
 def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
@@ -218,6 +214,19 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
                 time.sleep(delay)
                 delay *= handle.retry.factor
     raise RateLimitedError(f"exhausted {handle.retry.max_attempts} attempts") from last_err
+
+
+def ask_twice(handle: ModelHandle, prompt: str,
+              cfg: SamplingConfig) -> Iterator[tuple[str, Optional[GatewayError]]]:
+    """The one re-ask rule: yield (reply, None), or ("", err) for a GatewayError; a caller
+    that reads on gets a second ask with seed 1, whose cache key differs from the first's."""
+    for attempt in range(2):
+        try:
+            text = complete(handle, prompt, replace(cfg, seed=1) if attempt else cfg).text
+        except GatewayError as err:
+            yield "", err
+        else:
+            yield text, None
 
 
 @dataclass

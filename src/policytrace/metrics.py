@@ -16,7 +16,7 @@ from typing import Optional
 from .assess import InstanceResult
 from .clauses import ClauseId, ClauseRegistry, extract_cited_clauses
 from .corpus import Dataset
-from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete, run_ordered
+from .gateway import ASSESS_PROFILE, ModelHandle, ask_twice, run_ordered
 from .prompts import TemplateId, render
 
 
@@ -121,12 +121,8 @@ def _count_references(raw_cot: str, judge: ModelHandle) -> tuple[int, bool]:
     """Ask the judge for a reference count; non-integer reply retried once,
     then counted as 0 and flagged."""
     prompt = render(TemplateId.UTILIZATION_COUNT, {"reasoning_text": raw_cot})
-    for attempt in range(2):
-        try:
-            reply = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt)).text
-        except GatewayError:
-            continue
-        m = _INT_REPLY_RE.search(reply)
+    for reply, _err in ask_twice(judge, prompt, ASSESS_PROFILE):
+        m = _INT_REPLY_RE.search(reply)  # finds nothing in the "" of an error
         if m is not None:
             return max(0, int(m.group())), False
     return 0, True

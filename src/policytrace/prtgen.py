@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Optional
 
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, read_jsonl, verdict_tokens
-from .gateway import PRT_GEN_PROFILE, ModelHandle, complete, run_ordered
+from .gateway import PRT_GEN_PROFILE, ModelHandle, ask_twice, run_ordered
 from .prompts import TemplateId, render
 from .records import from_json, write_atomic
 
@@ -157,11 +157,12 @@ def generate_prt(case: CaseRecord, policy: Policy, expert: ModelHandle) -> PRTRe
     )
     prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
-    for attempt in range(2):
-        response = complete(expert, prompt, PRT_GEN_PROFILE.for_attempt(attempt))
-        failure = validate_prt(response.text, case.gold_verdict)
+    for reply, err in ask_twice(expert, prompt, PRT_GEN_PROFILE):
+        if err is not None:
+            raise err
+        failure = validate_prt(reply, case.gold_verdict)
         if failure is None:
-            return _build_record(case, expert.model_id, response.text, prompt_hash)
+            return _build_record(case, expert.model_id, reply, prompt_hash)
     raise PRTError(
         f"validation_failed({failure.reason}) for case {case.case_id}: {failure}",
         reason=failure.reason,

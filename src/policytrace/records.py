@@ -1,7 +1,7 @@
 """JSON record readers: a file's JSON object, an enum member by value, a dataclass
 from a JSON object; and `write_atomic`, which replaces a file whole (the JSON Lines
-outputs and the cache entries). It imports nothing from the package, so every module
-may import it."""
+outputs, run manifests and cache entries). It imports nothing from the package, so
+every module may import it."""
 
 import dataclasses
 import json

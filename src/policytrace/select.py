@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .corpus import CaseRecord
-from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, complete
+from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, ask_twice
 from .prompts import TemplateId, render
 from .prtgen import AugmentedDataset, Triple
 
@@ -91,7 +91,7 @@ def _judge_window(
     """The judge's k picks from one window, and the flags of any repair.
 
     A reply naming exactly k distinct in-range indices is taken as it is;
-    otherwise the judge is asked once more, with a new seed. Only that second
+    otherwise the judge is asked once more (`ask_twice`). Only that second
     reply is repaired: cut to k, else filled with the lowest unused indices,
     else (no valid index, or an error) replaced by select_random's draw.
     """
@@ -108,12 +108,9 @@ def _judge_window(
         },
     )
     errors: list[GatewayError] = []
-    for attempt in range(2):
-        try:
-            reply = complete(judge, prompt, ASSESS_PROFILE.for_attempt(attempt)).text
-        except GatewayError as err:
+    for reply, err in ask_twice(judge, prompt, ASSESS_PROFILE):
+        if err is not None:  # its "" names no index, so a second error falls back to random
             errors.append(err)
-            reply = ""  # names no index, so a second error falls back to random
         named = [int(tok) for tok in _INT_RE.findall(reply)]
         picks = list(dict.fromkeys(i for i in named if 0 <= i < len(pool)))
         if picks == named and len(picks) == k:

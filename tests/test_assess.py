@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -249,6 +250,29 @@ def test_run_dataset_resumes(tmp_path, dataset, policy, learner_handle):
     assert second.skipped == 6
     assert second.executed == 0
     assert learner_handle.provider.call_count == before  # no new model calls
+
+
+def test_run_dataset_leaves_the_old_manifest_when_its_write_fails(
+    tmp_path, monkeypatch, dataset, policy, learner_handle
+):
+    out = tmp_path / "runs"
+    strategy = Strategy(StrategyKind.BASE)
+    _, first = run_dataset(dataset, policy, strategy, learner_handle, out, seed=42)
+    manifest_path = out / f"{first.run_id}.manifest.json"
+    before = manifest_path.read_bytes()
+    replace = os.replace
+
+    def fail_once(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail_once)
+    with pytest.raises(OSError, match="No space left"):
+        run_dataset(dataset, policy, strategy, learner_handle, out, seed=42)
+    assert manifest_path.read_bytes() == before
+    assert list(out.glob("*.tmp")) == []
+    _, resumed = run_dataset(dataset, policy, strategy, learner_handle, out, seed=42)
+    assert (resumed.skipped, resumed.executed) == (6, 0)
 
 
 def test_run_dataset_collects_failures(tmp_path, dataset, policy):

@@ -846,3 +846,44 @@ def test_a_reply_holding_unicode_line_separators_survives_resume_and_report(work
     assert run_cli(*assess) == 0  # the resume reads every record back
     assert json.loads(capsys.readouterr().out)["skipped"] == 6
     assert run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results) == 0
+
+
+@pytest.mark.parametrize("command", ["assess", "report"])
+def test_a_results_file_holding_a_case_twice_is_an_error(workdir, capsys, command):
+    # As two assess processes appending to one results file would leave it.
+    corpus, out = workdir
+    assess = ("--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base")
+    assert run_cli(*assess) == 0
+    (results,) = out.glob("*.results.jsonl")
+    results.write_text(results.read_text(encoding="utf-8") * 2, encoding="utf-8")
+    capsys.readouterr()
+    if command == "assess":  # a resume
+        code = run_cli(*assess)
+    else:
+        code = run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {results}:7: duplicate result for case c01\n"
+
+
+@pytest.mark.parametrize(
+    "data, detail",
+    [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"text": "x", "extra": 1}', "unknown key 'extra'"),
+        (b'{"text": 5}', "text must be str, got 5"),
+        (b'{"text": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 10"),
+    ],
+    ids=["empty", "unknown_key", "text_not_str", "not_utf8"],
+)
+def test_a_malformed_cache_entry_is_an_error_naming_it(workdir, capsys, data, detail):
+    corpus, out = workdir
+    gen = ("--config", corpus / "config.json", "--cache-dir", out / "cache", "--out-dir", out,
+           "gen")
+    assert run_cli(*gen) == 0
+    entry = sorted((out / "cache").rglob("*.json"))[0]
+    entry.write_bytes(data)
+    capsys.readouterr()
+    assert run_cli(*gen) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cache entry {entry}: malformed: {detail}"), err
+    assert err.count("\n") == 1

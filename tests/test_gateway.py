@@ -23,6 +23,7 @@ from policytrace.gateway import (
     UnmatchedPromptError,
     _cache_read,
     _cache_write,
+    ask_twice,
     cache_key,
     complete,
     mock_provider,
@@ -162,6 +163,43 @@ def test_cache_entry_golden(tmp_path):
     cached = _cache_read(tmp_path, key)
     assert cached == ModelResponse(**{**vars(response), "cache_hit": True})
     assert cached.cache_hit is True
+
+
+def test_ask_twice_yields_an_error_and_reasks_with_seed_1():
+    seeds = []
+
+    class FailsFirst(Provider):
+        def generate(self, model_id, prompt, cfg):
+            seeds.append(cfg.seed)
+            if len(seeds) == 1:
+                raise ProviderError("down")
+            return "reply", None, 1, 1
+
+    handle = ModelHandle(provider_id="p", model_id="m", provider=FailsFirst())
+    (text, err), second = ask_twice(handle, "q", ASSESS_PROFILE)
+    assert text == "" and isinstance(err, ProviderError) and str(err) == "down"
+    assert second == ("reply", None)
+    assert seeds == [None, 1]
+
+
+def test_ask_twice_asks_again_only_when_the_caller_reads_on(tmp_path):
+    handle = mock_provider({"q": "a"}, cache_dir=tmp_path)
+    asks = ask_twice(handle, "q", ASSESS_PROFILE)
+    assert next(asks) == ("a", None)
+    assert handle.provider.call_count == 1
+    assert next(asks) == ("a", None)  # seed 1 misses the first ask's cache entry
+    assert handle.provider.call_count == 2
+    assert next(asks, None) is None
+
+
+def test_ask_twice_does_not_take_a_malformed_cache_entry_for_a_provider_error(tmp_path):
+    handle = mock_provider({"q": "a"}, cache_dir=tmp_path)
+    key = cache_key(handle, "q", ASSESS_PROFILE)
+    (tmp_path / key[:2]).mkdir()
+    (tmp_path / key[:2] / f"{key}.json").write_text("{", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^cache entry .*{key}.json: malformed: "):
+        next(ask_twice(handle, "q", ASSESS_PROFILE))
+    assert handle.provider.call_count == 0
 
 
 @pytest.mark.parametrize("concurrency", [1, 2])

@@ -41,3 +41,35 @@ def test_a_leaf_module_imports_nothing_from_the_package_at_run_time(module):
         if isinstance(node, ast.ImportFrom) and node.level
     ]
     assert imported == []
+
+
+def _handlers(node: ast.AST, scope: str):
+    """(enclosing def's dotted name, handler) of every `except` clause under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _handlers(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.ExceptHandler):
+            yield scope, child
+        yield from _handlers(child, scope)
+
+
+def test_only_the_gateway_and_the_cli_catch_gateway_errors():
+    """`gateway` catches provider errors (the rate-limit retries, `ask_twice`) and
+    `cli.main` prints them; a caller that caught one itself could drop it unrecorded.
+    Handlers are matched by the names of `GatewayError` and its subclasses."""
+    from policytrace import gateway
+
+    names = {name for name, value in vars(gateway).items()
+             if isinstance(value, type) and issubclass(value, gateway.GatewayError)}
+    sites = {
+        f"{path.stem}{scope}"
+        for path in sorted((ROOT / "src/policytrace").rglob("*.py"))
+        for scope, handler in _handlers(ast.parse(path.read_text(encoding="utf-8")), "")
+        if handler.type is not None and names & {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(handler.type)
+        }
+    }
+    assert {"cli.main", "gateway.ask_twice"} <= sites
+    assert [s for s in sorted(sites) if s != "cli.main" and not s.startswith("gateway.")] == []

@@ -133,6 +133,8 @@ def test_generate_augmented_dataset_raises_other_errors(dataset, policy, concurr
     silent = mock_provider({"no prompt contains this": COMPLIANT_TRACE})
     with pytest.raises(UnmatchedPromptError):
         generate_augmented_dataset(dataset, policy, silent, concurrency)
+    if concurrency == 1:  # the first error ends the run: no re-ask, no next case
+        assert silent.provider.call_count == 1
 
 
 def test_prt_stats_population_sigma():
