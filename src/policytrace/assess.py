@@ -345,6 +345,8 @@ def run_dataset(
     read once, on resume only; the summary counts the records it held plus
     each record written, and keeps none of them.
     """
+    if strategy.selection is SelectionMode.REL and judge is None:
+        raise AssessError("relevance selection requires a judge handle")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_id = f"{policy.policy_id}_{strategy.label()}_{learner.model_id}_s{seed}"

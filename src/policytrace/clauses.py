@@ -19,7 +19,7 @@ from typing import Optional
 
 from .gateway import ASSESS_PROFILE, ModelHandle, ask_twice
 from .prompts import TemplateId, render
-from .records import from_json, read_object
+from .records import from_json, read_object, write_atomic
 
 
 class Scheme(str, Enum):
@@ -181,7 +181,7 @@ def save_registry(registry: ClauseRegistry, path: str | Path) -> None:
             for c, meta in registry.entries.items()
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomic(Path(path), [json.dumps(payload, indent=2) + "\n"])
 
 
 def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:

@@ -1,8 +1,8 @@
 """Operator entry point: manifest-driven runs binding all modules together.
 
 Subcommands: gen, assess, report, export-sft, validate. Configuration comes
-from a JSON file plus flag overrides (flags win). gen, report and export-sft
-write the effective config into a command manifest (`<command>.manifest.json`);
+from a JSON file plus flag overrides (flags win). `main` writes the effective
+config of gen, report and export-sft into a command manifest (`<command>.manifest.json`);
 an assess run's manifest records what identifies the run instead (strategy,
 models, seed, pool and template hashes). Exit code 0 means no errors and no
 quarantined/flagged records above the configured thresholds.
@@ -24,7 +24,7 @@ from .clauses import load_registry
 from .corpus import load_dataset, load_policy, split_counts
 from .gateway import GatewayError, ModelHandle, load_provider_config
 from .prompts import SelectionMode, StrategyKind
-from .records import from_json, read_object
+from .records import from_json, read_object, write_atomic
 
 # Kept at module level for the benchmark: its stand-in provider replaces
 # `load_provider_config` here, and `prtbench/tracer.py` finds every module it
@@ -40,6 +40,10 @@ DEFAULT_CONFIG = {
 }
 # A config file's value of each of these keys must have its default's type.
 _DEFAULTS = make_dataclass("ConfigDefaults", [(k, type(v), v) for k, v in DEFAULT_CONFIG.items()])
+
+
+# The commands that write `<command>.manifest.json` with their effective config.
+_MANIFEST_COMMANDS = ("gen", "report", "export-sft")
 
 
 class CliError(ValueError):
@@ -100,7 +104,7 @@ def _load_corpus(config: dict):
     return registry, policy, dataset
 
 
-def _write_manifest(out_dir: Path, name: str, command: str, config: dict) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
     from datetime import datetime, timezone
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -109,15 +113,12 @@ def _write_manifest(out_dir: Path, name: str, command: str, config: dict) -> Non
         "effective_config": {k: v for k, v in config.items() if not k.startswith("_")},
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_atomic(out_dir / f"{command}.manifest.json",
+                 [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
     from .prtgen import generate_augmented_dataset, prt_stats, write_prt_store
-
-    config = _load_config(args)
-    out_dir = Path(config["out_dir"])
-    _write_manifest(out_dir, "gen.manifest.json", "gen", config)
 
     registry, policy, dataset = _load_corpus(config)
     expert = _handle(_load_handles(config), config, "expert")
@@ -125,16 +126,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     aug, quarantine = generate_augmented_dataset(dataset, policy, expert, config["concurrency"])
     store_path = out_dir / f"{policy.policy_id}_{expert.model_id}.prts.jsonl"
     write_prt_store(aug, store_path)
-
-    quarantine_path = out_dir / "quarantine.json"
-    quarantine_path.write_text(
-        json.dumps(
-            [{"case_id": cid, "reason": err.reason, "detail": str(err)} for cid, err in quarantine],
-            indent=2,
-        )
-        + "\n",
-        "utf-8",
-    )
+    quarantined = [{"case_id": cid, "reason": err.reason, "detail": str(err)}
+                   for cid, err in quarantine]
+    write_atomic(out_dir / "quarantine.json", [json.dumps(quarantined, indent=2) + "\n"])
 
     summary: dict = {
         "store": str(store_path),
@@ -149,21 +143,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "mu_sent": stats.mu_sent,
             "sigma_sent": stats.sigma_sent,
         }
-    print(json.dumps(summary, indent=2))
 
     total = len(aug) + len(quarantine)
     if total and len(quarantine) / total > config["quarantine_threshold"]:
         print(f"quarantine fraction exceeds threshold {config['quarantine_threshold']}", file=sys.stderr)
-        return 1
-    return 0
+        return summary, 1
+    return summary, 0
 
 
-def cmd_assess(args: argparse.Namespace) -> int:
+def cmd_assess(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
     from .assess import Strategy, run_dataset
     from .prtgen import load_prt_store
 
-    config = _load_config(args)
-    out_dir = Path(config["out_dir"])
     strategy = Strategy(
         kind=StrategyKind(args.strategy),
         selection=SelectionMode(args.select) if args.select else None,
@@ -193,38 +184,25 @@ def cmd_assess(args: argparse.Namespace) -> int:
         seed=config["seed"],
         concurrency=config["concurrency"],
     )
-    print(
-        json.dumps(
-            {
-                "results": str(results_path),
-                "run_id": summary.run_id,
-                "total": summary.total,
-                "executed": summary.executed,
-                "skipped": summary.skipped,
-                "accuracy_pct": summary.accuracy_pct,
-                "unparsed": summary.unparsed,
-                "failed_cases": summary.failed_cases,
-                "flagged_cases": summary.flagged_cases,
-            },
-            indent=2,
-        )
-    )
     for case_id, reason in summary.failure_reasons.items():
         print(f"error: case {case_id}: {reason}", file=sys.stderr)
-    if summary.failed_cases:
-        return 1
-    if summary.total and len(summary.flagged_cases) / summary.total > config["flag_threshold"]:
-        return 1
-    return 0
+    flagged = summary.total and len(summary.flagged_cases) / summary.total > config["flag_threshold"]
+    return {
+        "results": str(results_path),
+        "run_id": summary.run_id,
+        "total": summary.total,
+        "executed": summary.executed,
+        "skipped": summary.skipped,
+        "accuracy_pct": summary.accuracy_pct,
+        "unparsed": summary.unparsed,
+        "failed_cases": summary.failed_cases,
+        "flagged_cases": summary.flagged_cases,
+    }, 1 if summary.failed_cases or flagged else 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
     from .assess import load_run
     from .report import build_report, write_report
-
-    config = _load_config(args)
-    out_dir = Path(config["out_dir"])
-    _write_manifest(out_dir, "report.manifest.json", "report", config)
 
     runs = [load_run(Path(path)) for path in args.results]
     policy_ids = sorted({manifest["policy_id"] for manifest, _ in runs})
@@ -239,17 +217,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     report = build_report(runs, handles, corpus, judge, config["concurrency"])
     write_report(report, out_dir)
-    print(json.dumps(report, indent=2))
-    return 0
+    return report, 0
 
 
-def cmd_export_sft(args: argparse.Namespace) -> int:
+def cmd_export_sft(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
     from .prtgen import load_prt_store
 
-    config = _load_config(args)
-    out_dir = Path(config["out_dir"])
-    _write_manifest(out_dir, "export-sft.manifest.json", "export-sft", config)
-
+    if not 0 <= args.val_fraction < 1:
+        raise CliError(f"invalid_fraction: {args.val_fraction}")
     _registry, policy, dataset = _load_corpus(config)
     store = args.prt_store or config.get("prt_store")
     if not store:
@@ -274,23 +249,19 @@ def cmd_export_sft(args: argparse.Namespace) -> int:
         )
         result["train_records"] = n_train
         result["val_records"] = n_val
-    print(json.dumps(result, indent=2))
-    return 0
+    return result, 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_validate(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
     registry, policy, dataset = _load_corpus(config)  # refuses a train/test overlap
-    summary = {
+    return {
         "policy_id": policy.policy_id,
         "policy_tokens": policy.approx_token_count,
         "clauses": len(policy.clause_ids),
         "registry_entries": len(registry),
         "splits": split_counts(dataset),
         "disjoint": True,
-    }
-    print(json.dumps(summary, indent=2))
-    return 0
+    }, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,14 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load the config, write the command's manifest if it has one
+    (before any other side effect), run it and print its JSON summary. A refused
+    input, a provider failing past its retries or a failed read or write, the
+    summary's print too, is one `error:` line and exit 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args)
+        out_dir = Path(config["out_dir"])
+        if args.command in _MANIFEST_COMMANDS:
+            _write_manifest(out_dir, args.command, config)
+        summary, code = args.func(args, config, out_dir)
+        print(json.dumps(summary, indent=2))
+        return code
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except GatewayError as err:  # a provider failed past its retries
+    except (GatewayError, OSError) as err:  # a provider failed past its retries, or a file
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

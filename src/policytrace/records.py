@@ -1,7 +1,8 @@
 """JSON record readers: a file's JSON object, an enum member by value, a dataclass
-from a JSON object; and `write_atomic`, which replaces a file whole (the JSON Lines
-outputs, run manifests and cache entries). It imports nothing from the package, so
-every module may import it."""
+from a JSON object; and `write_atomic`, which replaces a file whole: every whole file
+the package writes goes through it, and the results appender of `assess.run_dataset`
+is the one other writer. It imports nothing from the package, so every module may
+import it."""
 
 import dataclasses
 import json

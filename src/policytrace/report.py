@@ -4,6 +4,7 @@ and paired t-tests between runs, written as report.json, metrics.csv and pareto.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from itertools import combinations
 from pathlib import Path
@@ -15,6 +16,7 @@ from .clauses import ClauseRegistry
 from .corpus import Dataset, Policy
 from .gateway import ModelHandle
 from .metrics import accuracy, clause_relevance
+from .records import write_atomic
 
 
 def build_report(
@@ -102,8 +104,9 @@ def write_report(report: dict, out_dir: Path) -> None:
                         report["runs"]),
     }
     for name, (columns, rows) in tables.items():
-        with (out_dir / name).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows([row[c] for c in columns] for row in rows)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+        write_atomic(out_dir / name, [text.getvalue()])
+    write_atomic(out_dir / "report.json", [json.dumps(report, indent=2) + "\n"])

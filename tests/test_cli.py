@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -132,6 +133,25 @@ def test_assess_prt_strategy_requires_store(workdir, capsys):
     )
     assert code == 2
     assert "prt-store" in capsys.readouterr().err
+
+
+def test_assess_rel_without_a_judge_is_refused_before_the_run_starts(workdir, capsys):
+    corpus, out = workdir
+    store = _gen(corpus, out)
+    capsys.readouterr()
+    config = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
+    del config["judge_model"]
+    (corpus / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess",
+        "--strategy", "fewshot_prt", "--select", "rel", "--prt-store", store,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: relevance selection requires a judge handle\n"
+    assert captured.out == ""
+    assert sorted(out.glob("*.results.jsonl")) == []
+    assert sorted(p.name for p in out.glob("*.manifest.json")) == ["gen.manifest.json"]
 
 
 def test_assess_fewshot_prt_with_store(workdir, capsys):
@@ -304,6 +324,83 @@ def test_gen_reports_a_provider_error_and_exits_2(workdir, capsys):
     assert err.startswith("error: UnmatchedPromptError: no script pattern matches prompt"), err
 
 
+def _fail_replace(monkeypatch, name):
+    """Make every `os.replace` onto a file whose name matches glob `name` raise ENOSPC."""
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).match(name):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def _command_argv(corpus, out, command):
+    """The argv of `command` over the mock corpus, after the runs it reads."""
+    argv = ["--config", corpus / "config.json", "--out-dir", out, command]
+    if command == "export-sft":
+        return argv + ["--prt-store", _gen(corpus, out)]
+    if command == "report":
+        assert run_cli(*argv[:4], "assess", "--strategy", "base") == 0
+        return argv + sorted(out.glob("*.results.jsonl"))
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("gen", "*.prts.jsonl"),
+        ("gen", "quarantine.json"),
+        ("report", "report.json"),
+        ("gen", "gen.manifest.json"),
+        ("report", "report.manifest.json"),
+        ("export-sft", "export-sft.manifest.json"),
+        ("export-sft", "sft.jsonl"),
+    ],
+)
+def test_a_failed_write_is_one_error_line_and_exit_2(workdir, capsys, monkeypatch, command, name):
+    corpus, out = workdir
+    argv = _command_argv(corpus, out, command)
+    capsys.readouterr()
+    _fail_replace(monkeypatch, name)
+    assert run_cli(*argv) == 2  # not 1, which means cases were flagged or quarantined
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: OSError: [Errno 28] No space left on device: "), captured
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(out.glob("*.tmp")) == []
+
+
+def test_a_report_whose_metrics_write_fails_leaves_the_old_metrics(workdir, capsys, monkeypatch):
+    corpus, out = workdir
+    argv = _command_argv(corpus, out, "report")
+    assert run_cli(*argv) == 0
+    before = (out / "metrics.csv").read_bytes()
+    assert b"\r\n" in before
+    store = _gen(corpus, out)
+    assert run_cli(*argv[:4], "assess", "--strategy", "fewshot_prt", "--select", "rand",
+                   "--prt-store", store) == 0
+    capsys.readouterr()
+    _fail_replace(monkeypatch, "metrics.csv")
+    assert run_cli(*argv[:5], *sorted(out.glob("*.results.jsonl"))) == 2
+    assert capsys.readouterr().err.startswith("error: OSError: ")
+    assert (out / "metrics.csv").read_bytes() == before
+    assert list(out.glob("*.tmp")) == []
+
+
+def test_a_failed_summary_print_is_one_error_line_and_exit_2(workdir, capsys, monkeypatch):
+    corpus, _ = workdir
+
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert run_cli("--config", corpus / "config.json", "validate") == 2
+    assert capsys.readouterr().err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [("[1, 2]", ": not a JSON object"), ("{", ": Expecting property name"), (None, ": [Errno 2]")],
@@ -367,6 +464,22 @@ def test_export_sft_command(workdir, capsys):
     assert payload["val_records"] == 3
     assert (out / "sft.jsonl").exists()
     assert (out / "export-sft.manifest.json").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "1", "-0.5", "nan"])
+def test_export_sft_refuses_a_val_fraction_outside_0_1_before_exporting(
+    workdir, capsys, fraction
+):
+    corpus, out = workdir
+    store = _gen(corpus, out)
+    capsys.readouterr()
+    code = run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "export-sft",
+        "--prt-store", store, "--val-fraction", fraction,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: invalid_fraction: {float(fraction)}\n"
+    assert list(out.glob("sft*.jsonl")) == []
 
 
 def _section_corpus(corpus, policy_text):

@@ -43,15 +43,22 @@ def test_a_leaf_module_imports_nothing_from_the_package_at_run_time(module):
     assert imported == []
 
 
-def _handlers(node: ast.AST, scope: str):
-    """(enclosing def's dotted name, handler) of every `except` clause under `node`."""
+def _scoped(node: ast.AST, kind: type, scope: str = ""):
+    """(enclosing def's dotted name, node) of every `kind` node under `node`."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _handlers(child, f"{scope}.{child.name}")
+            yield from _scoped(child, kind, f"{scope}.{child.name}")
             continue
-        if isinstance(child, ast.ExceptHandler):
+        if isinstance(child, kind):
             yield scope, child
-        yield from _handlers(child, scope)
+        yield from _scoped(child, kind, scope)
+
+
+def _program_nodes(kind: type):
+    """(module.scope, node) of every `kind` node in `src/policytrace`."""
+    for path in sorted((ROOT / "src/policytrace").rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), kind):
+            yield f"{path.stem}{scope}", node
 
 
 def test_only_the_gateway_and_the_cli_catch_gateway_errors():
@@ -63,9 +70,8 @@ def test_only_the_gateway_and_the_cli_catch_gateway_errors():
     names = {name for name, value in vars(gateway).items()
              if isinstance(value, type) and issubclass(value, gateway.GatewayError)}
     sites = {
-        f"{path.stem}{scope}"
-        for path in sorted((ROOT / "src/policytrace").rglob("*.py"))
-        for scope, handler in _handlers(ast.parse(path.read_text(encoding="utf-8")), "")
+        site
+        for site, handler in _program_nodes(ast.ExceptHandler)
         if handler.type is not None and names & {
             getattr(node, "id", None) or getattr(node, "attr", None)
             for node in ast.walk(handler.type)
@@ -73,3 +79,26 @@ def test_only_the_gateway_and_the_cli_catch_gateway_errors():
     }
     assert {"cli.main", "gateway.ask_twice"} <= sites
     assert [s for s in sorted(sites) if s != "cli.main" and not s.startswith("gateway.")] == []
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether `call` is a `.write_text`/`.write_bytes`, or an `open`/`.open` whose
+    mode is not a constant or holds `w`, `a`, `x` or `+`."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if getattr(func, "id", None) != "open" and getattr(func, "attr", None) != "open":
+        return False
+    position = 1 if isinstance(func, ast.Name) else 0  # open(path, mode), path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:][:1]
+    return any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+")
+               for mode in modes)
+
+
+def test_only_write_atomic_and_the_results_appender_write_files():
+    """`records.write_atomic` writes every whole file through a temp file and a
+    rename, and `assess.run_dataset` appends results one record at a time; a
+    writer elsewhere could leave a torn file behind a failed write."""
+    sites = {site for site, call in _program_nodes(ast.Call) if _writes(call)}
+    assert {"records.write_atomic", "assess.run_dataset"} <= sites
+    assert sorted(sites - {"records.write_atomic", "assess.run_dataset"}) == []
