@@ -368,7 +368,7 @@ def run_dataset(
                 f"cannot resume {results_path.name}: configuration differs from its "
                 f"manifest in {', '.join(differ)}"
             )
-    write_atomic(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    write_atomic({manifest_path: [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]})
 
     if end < size:  # a crash left the last record half-written
         os.truncate(results_path, end)

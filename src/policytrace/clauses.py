@@ -181,7 +181,7 @@ def save_registry(registry: ClauseRegistry, path: str | Path) -> None:
             for c, meta in registry.entries.items()
         ],
     }
-    write_atomic(Path(path), [json.dumps(payload, indent=2) + "\n"])
+    write_atomic({Path(path): [json.dumps(payload, indent=2) + "\n"]})
 
 
 def _expand_numbered_mentions(text: str) -> tuple[list[str], str]:

@@ -113,8 +113,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
         "effective_config": {k: v for k, v in config.items() if not k.startswith("_")},
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
-    write_atomic(out_dir / f"{command}.manifest.json",
-                 [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    write_atomic({out_dir / f"{command}.manifest.json":
+                  [json.dumps(payload, indent=2, sort_keys=True) + "\n"]})
 
 
 def cmd_gen(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
@@ -125,10 +125,10 @@ def cmd_gen(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict
 
     aug, quarantine = generate_augmented_dataset(dataset, policy, expert, config["concurrency"])
     store_path = out_dir / f"{policy.policy_id}_{expert.model_id}.prts.jsonl"
-    write_prt_store(aug, store_path)
     quarantined = [{"case_id": cid, "reason": err.reason, "detail": str(err)}
                    for cid, err in quarantine]
-    write_atomic(out_dir / "quarantine.json", [json.dumps(quarantined, indent=2) + "\n"])
+    write_prt_store(aug, store_path,  # quarantine.json first, the store last
+                    {out_dir / "quarantine.json": [json.dumps(quarantined, indent=2) + "\n"]})
 
     summary: dict = {
         "store": str(store_path),

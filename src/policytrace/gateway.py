@@ -1,6 +1,6 @@
 """Uniform access to chat/reasoning model providers.
 
-Handles retries with exponential backoff, content-addressed response caching
+Handles retries with full-jitter exponential backoff, content-addressed response caching
 on disk, raw chain-of-thought capture, a deterministic scripted mock provider
 for offline runs and tests, and the ordered executor that fans per-case model
 work out over worker threads; its concurrency bounds the model calls in flight,
@@ -14,10 +14,11 @@ import functools
 import hashlib
 import json
 import os
+import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .records import from_json, write_atomic
 from .tokens import Tokenizer, estimate_tokens
@@ -27,11 +28,15 @@ class GatewayError(Exception):
     pass
 
 
-class RateLimitedError(GatewayError):
+class ProviderError(GatewayError):
     pass
 
 
-class ProviderError(GatewayError):
+class TransientError(ProviderError):
+    retry_after_s: Optional[float] = None  # the one failure `complete` retries, after this if set
+
+
+class RateLimitedError(TransientError):
     pass
 
 
@@ -67,6 +72,8 @@ class SamplingConfig:
 # avoid runaway traces; every other call gets the full 8192 budget.
 PRT_GEN_PROFILE = SamplingConfig(temperature=0.7, max_new_tokens=2048)
 ASSESS_PROFILE = SamplingConfig(temperature=0.7, max_new_tokens=8192)
+
+MAX_RETRY_DELAY_S = 60.0  # caps every wait between attempts, a server's Retry-After too
 
 
 @dataclass(frozen=True)
@@ -152,16 +159,16 @@ def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {name: value for name, value in vars(response).items() if name != "cache_hit"}
-    write_atomic(path, [json.dumps(entry, ensure_ascii=False)])
+    write_atomic({path: [json.dumps(entry, ensure_ascii=False)]})
 
 
 def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResponse:
     """Send one prompt, honoring cache, context window, and retry policy.
 
-    Context overflow is never retried; rate limiting is retried with
-    exponential backoff up to the configured attempt bound. No cache key is
-    computed for a handle without a cache_dir. Inside a run_ordered item,
-    the cache entry is left for run_ordered to write.
+    Context overflow is never retried; a TransientError is, up to the attempt bound, after
+    its Retry-After or else a full-jitter draw from [0, base_delay_s * factor**n] before retry
+    n+1, capped at MAX_RETRY_DELAY_S. No cache key is computed for a handle without a
+    cache_dir. Inside a run_ordered item, the cache entry is left for run_ordered to write.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
@@ -184,36 +191,29 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
         if cached is not None:
             return cached
 
-    delay = handle.retry.base_delay_s
-    last_err: Optional[Exception] = None
     for attempt in range(handle.retry.max_attempts):
         try:
             start = time.monotonic()
-            text, raw_cot, in_tok, out_tok = handle.provider.generate(
-                handle.model_id, prompt, cfg
-            )
-            latency_ms = int((time.monotonic() - start) * 1000)
-            if not handle.supports_raw_cot:
-                raw_cot = None
-            response = ModelResponse(
-                text=text,
-                raw_cot=raw_cot,
-                prompt_tokens=in_tok,
-                completion_tokens=out_tok,
-                latency_ms=latency_ms,
-            )
-            if handle.cache_dir is not None:
-                if entries is None:
-                    _cache_write(handle.cache_dir, key, response)
-                else:
-                    entries[handle.cache_dir, key] = response  # run_ordered writes it
-            return response
-        except RateLimitedError as err:
-            last_err = err
-            if attempt + 1 < handle.retry.max_attempts:
-                time.sleep(delay)
-                delay *= handle.retry.factor
-    raise RateLimitedError(f"exhausted {handle.retry.max_attempts} attempts") from last_err
+            text, raw_cot, in_tok, out_tok = handle.provider.generate(handle.model_id, prompt, cfg)
+            break
+        except TransientError as err:
+            if attempt + 1 == handle.retry.max_attempts:
+                raise type(err)(f"exhausted {handle.retry.max_attempts} attempts") from err
+            wait = err.retry_after_s
+            if wait is None:
+                wait = random.uniform(0, handle.retry.base_delay_s * handle.retry.factor ** attempt)
+            time.sleep(min(wait, MAX_RETRY_DELAY_S))
+    else:
+        raise ValueError(f"max_attempts must be >= 1, got {handle.retry.max_attempts}")
+    response = ModelResponse(text, raw_cot if handle.supports_raw_cot else None,
+                             prompt_tokens=in_tok, completion_tokens=out_tok,
+                             latency_ms=int((time.monotonic() - start) * 1000))
+    if handle.cache_dir is not None:
+        if entries is None:
+            _cache_write(handle.cache_dir, key, response)
+        else:
+            entries[handle.cache_dir, key] = response  # run_ordered writes it
+    return response
 
 
 def ask_twice(handle: ModelHandle, prompt: str,
@@ -259,27 +259,41 @@ class MockProvider(Provider):
         raise UnmatchedPromptError(f"no script pattern matches prompt: {head!r}...")
 
 
-def mock_provider(
-    script: list[MockScriptEntry] | dict[str, str],
-    model_id: str = "mock-model",
-    supports_raw_cot: bool = False,
-    cache_dir: Optional[Path] = None,
-    price_in_usd_per_1m: float = 0.0,
-    price_out_usd_per_1m: float = 0.0,
-) -> ModelHandle:
-    """Build a scripted offline handle for tests and dry runs."""
+def mock_provider(script: list[MockScriptEntry] | dict[str, str], model_id: str = "mock-model",
+                  **fields) -> ModelHandle:
+    """Build a scripted offline handle for tests and dry runs; `fields` are ModelHandle's."""
     if isinstance(script, dict):
         script = [MockScriptEntry(pattern=k, text=v) for k, v in script.items()]
-    provider = MockProvider(script)
-    return ModelHandle(
-        provider_id="mock",
-        model_id=model_id,
-        supports_raw_cot=supports_raw_cot,
-        price_in_usd_per_1m=price_in_usd_per_1m,
-        price_out_usd_per_1m=price_out_usd_per_1m,
-        provider=provider,
-        cache_dir=cache_dir,
-    )
+    return ModelHandle("mock", model_id, provider=MockProvider(script), **fields)
+
+
+def _post(url: str, body: bytes, headers: dict[str, str],
+          timeout: float) -> tuple[int, Mapping[str, str], bytes]:
+    """POST `body` to `url` and return the (status, headers, body) of the reply, whatever
+    its status; a 3xx is returned, not followed. Tests replace this function."""
+    import urllib.request  # about 30 ms, paid only by a call to a remote provider
+
+    no_redirect = urllib.request.HTTPRedirectHandler()
+    no_redirect.redirect_request = lambda *args: None  # the API key goes to `url` alone
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        reply = urllib.request.build_opener(no_redirect).open(fullurl=request, timeout=timeout)
+    except urllib.request.HTTPError as err:  # a reply with an error status
+        reply = err
+    with reply:
+        return reply.status, reply.headers, reply.read()
+
+
+def _retry_after_s(value: str) -> Optional[float]:
+    """Seconds from a Retry-After of delta-seconds or an HTTP-date (RFC 9110 10.2.3)."""
+    from email.utils import parsedate_to_datetime
+
+    try:
+        if value.strip().isdecimal():
+            return float(value)
+        return max(0.0, parsedate_to_datetime(value).timestamp() - time.time())
+    except (TypeError, ValueError):
+        return None  # absent or unreadable
 
 
 class OpenAICompatProvider(Provider):
@@ -290,12 +304,14 @@ class OpenAICompatProvider(Provider):
     """
 
     def __init__(self, base_url: str, api_key_env: str, timeout_s: float = 120.0):
+        if base_url.partition(":")[0].lower() not in ("http", "https"):
+            raise ValueError(f"base_url must be an http or https URL, got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
 
     def generate(self, model_id: str, prompt: str, cfg: SamplingConfig):
-        import requests
+        import http.client  # loaded by _post's urllib.request anyway
 
         api_key = os.environ.get(self.api_key_env, "")
         body = {
@@ -308,32 +324,28 @@ class OpenAICompatProvider(Provider):
         if cfg.seed is not None:
             body["seed"] = cfg.seed
         try:
-            resp = requests.post(
-                f"{self.base_url}/chat/completions",
-                json=body,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.timeout_s,
+            status, headers, data = _post(
+                f"{self.base_url}/chat/completions", json.dumps(body).encode("utf-8"),
+                {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
+                self.timeout_s,
             )
-        except requests.RequestException as err:
-            raise ProviderError(str(err)) from err
-        if resp.status_code == 429:
-            raise RateLimitedError(resp.text[:500])
-        if resp.status_code >= 400:
-            raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+        except (OSError, http.client.HTTPException) as err:  # no reply, or one cut short
+            raise TransientError(f"{type(err).__name__}: {err}") from err
+        head = data[:500].decode("utf-8", "replace")
+        if status in (408, 409, 429) or status >= 500:
+            exc = (RateLimitedError if status == 429 else TransientError)(f"HTTP {status}: {head}")
+            exc.retry_after_s = _retry_after_s(headers.get("Retry-After", ""))
+            raise exc
+        if status != 200:  # a 3xx too: _post follows no redirect
+            raise ProviderError(f"HTTP {status}: {head}")
         try:
-            data = resp.json()
-            message = data["choices"][0]["message"]
-            usage = data.get("usage") or {}  # some servers send "usage": null
-            return (
-                message.get("content") or "",
-                message.get("reasoning_content"),
-                usage.get("prompt_tokens", 0),
-                usage.get("completion_tokens", 0),
-            )
+            reply = json.loads(data)
+            message = reply["choices"][0]["message"]
+            usage = reply.get("usage") or {}  # some servers send "usage": null
+            return (message.get("content") or "", message.get("reasoning_content"),
+                    usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
         except (ValueError, LookupError, TypeError, AttributeError) as err:
-            raise ProviderError(
-                f"HTTP {resp.status_code}: malformed reply: {resp.text[:500]}"
-            ) from err
+            raise TransientError(f"HTTP {status}: malformed reply: {head}") from err
 
 
 def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> dict[str, ModelHandle]:

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, read_jsonl, verdict_tokens
 from .gateway import PRT_GEN_PROFILE, ModelHandle, ask_twice, run_ordered
@@ -224,9 +224,11 @@ def prt_record_to_obj(record: PRTRecord) -> dict:
     return {**vars(record), "echoed_verdict": record.echoed_verdict.value}
 
 
-def write_prt_store(aug: AugmentedDataset, path: str | Path) -> None:
-    write_atomic(Path(path), (json.dumps(prt_record_to_obj(prt), ensure_ascii=False) + "\n"
-                              for _, _, prt in aug.triples))
+def write_prt_store(aug: AugmentedDataset, path: str | Path,
+                    others: Mapping[Path, Iterable[str]] = MappingProxyType({})) -> None:
+    """Write the store after the files of `others`, as one set (see `write_atomic`)."""
+    write_atomic({**others, Path(path): (json.dumps(prt_record_to_obj(prt), ensure_ascii=False)
+                                         + "\n" for _, _, prt in aug.triples)})
 
 
 def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:

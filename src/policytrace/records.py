@@ -11,8 +11,8 @@ from enum import Enum
 from functools import partial
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (Any, Callable, Iterable, Optional, TypeVar, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (Any, Callable, Iterable, Mapping, Optional, TypeVar, Union, get_args,
+                    get_origin, get_type_hints)
 
 _T = TypeVar("_T")
 _MEMBERS: dict[type[Enum], dict] = {}
@@ -43,21 +43,24 @@ def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
     return obj
 
 
-def write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Write the strings of `chunks`, as UTF-8 with no newline translation, to `path`.
+def write_atomic(files: Mapping[Path, Iterable[str]]) -> None:
+    """Write each file's strings, as UTF-8 with no newline translation, to its path.
 
-    They go one at a time to a temp file beside `path`, which is then renamed onto
-    it. On any exception, raised by `chunks` too, the temp file is deleted and an
-    existing `path` is left as it was. Each writer renames its own temp file, so
-    concurrent writers (threads or processes) never tear the file a reader opens.
+    They go one at a time to a temp file beside the path; once every file is written, each
+    temp file is renamed onto its path, in order. On any exception, raised by the strings
+    too, the temp files are deleted and each path not yet renamed onto is left as it was.
+    Each writer renames its own temp files, so concurrent writers never tear a file.
     """
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmps = {path: path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp") for path in files}
     try:
-        with tmp.open("w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            with tmps[path].open("w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -103,10 +103,12 @@ def write_report(report: dict, out_dir: Path) -> None:
         "metrics.csv": (["policy_id", "model", "strategy", "n", "accuracy_pct", "cost_usd"],
                         report["runs"]),
     }
+    files = {}
     for name, (columns, rows) in tables.items():
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(columns)
         writer.writerows([row[c] for c in columns] for row in rows)
-        write_atomic(out_dir / name, [text.getvalue()])
-    write_atomic(out_dir / "report.json", [json.dumps(report, indent=2) + "\n"])
+        files[out_dir / name] = [text.getvalue()]
+    files[out_dir / "report.json"] = [json.dumps(report, indent=2) + "\n"]
+    write_atomic(files)  # report.json last

@@ -90,7 +90,7 @@ def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path) -> Export
 
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(out, lines())
+    write_atomic({out: lines()})
     return ExportSummary(
         n_records=len(triples),
         n_full_policy_fallbacks=len(fallbacks),
@@ -113,6 +113,5 @@ def split_train_val(
              if line.strip()]
     random.Random(seed).shuffle(lines)
     n_val = int(len(lines) * val_fraction)
-    write_atomic(Path(train_out), lines[n_val:])
-    write_atomic(Path(val_out), lines[:n_val])
+    write_atomic({Path(train_out): lines[n_val:], Path(val_out): lines[:n_val]})
     return len(lines) - n_val, n_val

@@ -12,9 +12,10 @@ import pytest
 import policytrace
 from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry
 from mock_corpus import LEARNER_SCRIPT, dataset_jsonl_lines
-from policytrace import cli, prtgen
+from policytrace import cli, gateway, prtgen
 from policytrace.clauses import save_registry
 from policytrace.cli import main
+from policytrace.gateway import MockProvider, MockScriptEntry
 
 
 def run_cli(*args):
@@ -389,6 +390,36 @@ def test_a_report_whose_metrics_write_fails_leaves_the_old_metrics(workdir, caps
     assert list(out.glob("*.tmp")) == []
 
 
+def test_a_report_whose_second_file_fails_to_write_leaves_all_three(workdir, capsys,
+                                                                    monkeypatch):
+    """`report` replaces pareto.csv, metrics.csv and report.json only once all three
+    are written, so a full disk while writing metrics.csv leaves the old report whole."""
+    corpus, out = workdir
+    argv = _command_argv(corpus, out, "report")
+    assert run_cli(*argv) == 0
+    names = ["pareto.csv", "metrics.csv", "report.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    store = _gen(corpus, out)
+    assert run_cli(*argv[:4], "assess", "--strategy", "fewshot_prt", "--select", "rand",
+                   "--prt-store", store) == 0
+    capsys.readouterr()
+    real_open = Path.open
+
+    def open_(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if path.name.startswith("metrics.csv.") and path.suffix == ".tmp":
+            fh.write("metr")
+            fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_)
+    assert run_cli(*argv[:5], *sorted(out.glob("*.results.jsonl"))) == 2
+    assert capsys.readouterr().err.startswith("error: OSError: [Errno 28] No space left")
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert list(out.glob("*.tmp")) == []
+
+
 def test_a_failed_summary_print_is_one_error_line_and_exit_2(workdir, capsys, monkeypatch):
     corpus, _ = workdir
 
@@ -734,6 +765,74 @@ def test_a_corpus_file_missing_a_key_is_an_error_naming_file_and_key(
     assert str(corpus / filename) in err and detail in err, err
 
 
+def test_a_providers_file_with_a_base_url_that_is_not_http_is_an_error(workdir, capsys):
+    corpus, out = workdir
+    path = corpus / "providers.json"
+    providers = json.loads(path.read_text(encoding="utf-8"))
+    del providers["script"]
+    providers.update(provider_id="remote", base_url="file:///etc/hostname",
+                     api_key_env="NO_SUCH_KEY_ENV")
+    path.write_text(json.dumps(providers), encoding="utf-8")
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "gen") == 2
+    assert capsys.readouterr().err == (
+        f"error: providers file {path}: malformed: base_url must be an http or https URL, "
+        "got 'file:///etc/hostname'\n"
+    )
+
+
+def _remote_providers(corpus):
+    """Point the providers file at an OpenAI-compatible endpoint; return its mock
+    script as a provider, for a `gateway._post` stand-in to answer with."""
+    path = corpus / "providers.json"
+    providers = json.loads(path.read_text(encoding="utf-8"))
+    script = MockProvider([MockScriptEntry(**entry) for entry in providers.pop("script")])
+    providers.update(provider_id="remote", base_url="http://127.0.0.1:9/v1",
+                     api_key_env="NO_SUCH_KEY_ENV")
+    path.write_text(json.dumps(providers), encoding="utf-8")
+    return script
+
+
+def _answer_as(script, busy_every):
+    """A `gateway._post` stand-in answering as `script` does, but with a 503 to every
+    `busy_every`-th call (none for 0); `post.statuses` lists what it answered."""
+    statuses = []
+
+    def post(url, body, headers, timeout):
+        if busy_every and len(statuses) % busy_every == busy_every - 1:
+            statuses.append(503)
+            return 503, {"Retry-After": "0"}, b"busy"
+        statuses.append(200)
+        text, raw_cot, prompt_tokens, completion_tokens = script.generate(
+            "m", json.loads(body)["messages"][0]["content"], None)
+        reply = {"choices": [{"message": {"content": text, "reasoning_content": raw_cot}}],
+                 "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens}}
+        return 200, {}, json.dumps(reply).encode("utf-8")
+
+    post.statuses = statuses
+    return post
+
+
+def test_assess_retries_a_provider_that_answers_every_third_call_with_503(
+    workdir, tmp_path, capsys, monkeypatch
+):
+    corpus, _ = workdir
+    script = _remote_providers(corpus)
+    runs = {}
+    for busy_every in (0, 3):
+        post = _answer_as(script, busy_every)
+        monkeypatch.setattr(gateway, "_post", post)
+        out = tmp_path / f"out{busy_every}"
+        assert run_cli("--config", corpus / "config.json", "--out-dir", out, "assess",
+                       "--strategy", "selfrefine") == 0
+        assert json.loads(capsys.readouterr().out)["failed_cases"] == []
+        [results] = [path.read_bytes() for path in out.glob("*.results.jsonl")]
+        runs[busy_every] = post.statuses, results
+    (clean, clean_results), (busy, busy_results) = runs[0], runs[3]
+    assert busy_results == clean_results
+    assert busy.count(503) == len(busy) // 3 > 0
+    assert busy.count(200) == len(clean)  # each 503 cost one more call, and nothing else
+
+
 def test_validate_refuses_a_case_text_shared_across_splits(workdir, capsys):
     corpus, out = workdir
     cases = corpus / "cases.jsonl"
@@ -749,14 +848,16 @@ def test_validate_refuses_a_case_text_shared_across_splits(workdir, capsys):
 
 
 def test_importing_cli_does_not_load_the_thread_pool():
+    """Nor the HTTP transport, which only a call to a remote provider imports."""
     src = str(Path(policytrace.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, policytrace.cli; print('concurrent.futures' in sys.modules)"
+    probe = ("import sys, policytrace.cli; print(*(m for m in ('concurrent.futures', "
+             "'urllib.request', 'http.client', 'ssl') if m in sys.modules))")
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == ""
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import stat
@@ -20,6 +21,7 @@ from policytrace.gateway import (
     RateLimitedError,
     RetryPolicy,
     SamplingConfig,
+    TransientError,
     UnmatchedPromptError,
     _cache_read,
     _cache_write,
@@ -457,21 +459,28 @@ def test_run_ordered_close_cancels_queued_calls():
     assert release.is_set() and set(started) <= {0, 1, 2}
 
 
+def _answer(outcome, body=b"", headers=None):
+    """A `gateway._post` stand-in that answers every call with HTTP status `outcome`,
+    or raises `outcome` if it is an exception, and logs the calls' JSON bodies."""
+    calls = []
+
+    def post(url, body_, headers_, timeout):
+        calls.append(json.loads(body_))
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome, headers or {}, body
+
+    post.calls = calls
+    return post
+
+
 @pytest.mark.parametrize(
     "body",
     [b"<html>bad gateway</html>", b"{}", b'{"choices": []}', b'{"choices": [{"message": null}]}'],
     ids=["not_json", "no_choices", "empty_choices", "null_message"],
 )
 def test_malformed_http_200_reply_is_a_provider_error(monkeypatch, body):
-    import requests
-
-    def post(url, json, headers, timeout):
-        resp = requests.Response()
-        resp.status_code = 200
-        resp._content = body
-        return resp
-
-    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(gateway, "_post", _answer(200, body))
     provider = OpenAICompatProvider("http://localhost:1", "NO_SUCH_KEY_ENV")
     with pytest.raises(ProviderError, match=r"^HTTP 200: malformed reply: "):
         provider.generate("m", "prompt", ASSESS_PROFILE)
@@ -488,14 +497,134 @@ def test_malformed_http_200_reply_is_a_provider_error(monkeypatch, body):
     ids=["null_usage", "no_usage", "usage"],
 )
 def test_http_200_reply_reads_missing_usage_as_zero_tokens(monkeypatch, body, tokens):
-    import requests
-
-    def post(url, json, headers, timeout):
-        resp = requests.Response()
-        resp.status_code = 200
-        resp._content = body
-        return resp
-
-    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(gateway, "_post", _answer(200, body))
     provider = OpenAICompatProvider("http://localhost:1", "NO_SUCH_KEY_ENV")
     assert provider.generate("m", "prompt", ASSESS_PROFILE) == ("0,1,2", None, *tokens)
+
+
+def _remote(max_attempts=3, base_delay_s=0.0):
+    return ModelHandle(
+        provider_id="remote",
+        model_id="m",
+        provider=OpenAICompatProvider("http://localhost:1/v1", "NO_SUCH_KEY_ENV"),
+        retry=RetryPolicy(base_delay_s=base_delay_s, max_attempts=max_attempts),
+    )
+
+
+@pytest.mark.parametrize(
+    "answer, error, attempts",
+    [
+        ((429, b"slow down"), RateLimitedError, 3),
+        ((503, b"busy"), TransientError, 3),
+        ((408, b""), TransientError, 3),
+        ((409, b""), TransientError, 3),
+        ((ConnectionRefusedError(111, "Connection refused"),), TransientError, 3),
+        ((TimeoutError("timed out"),), TransientError, 3),
+        ((200, b"<html>ok</html>"), TransientError, 3),
+        ((400, b'{"error": {"message": "bad request"}}'), ProviderError, 1),
+        ((400, b'{"error": {"code": "context_length_exceeded"}}'), ProviderError, 1),
+        ((401, b""), ProviderError, 1),
+        ((302, b""), ProviderError, 1),
+        ((307, b""), ProviderError, 1),
+    ],
+    ids=["429", "503", "408", "409", "connection", "timeout", "malformed_200", "400",
+         "context_length_400", "401", "302", "307"],
+)
+def test_a_provider_call_retries_exactly_the_transient_failures(monkeypatch, answer, error,
+                                                                 attempts):
+    post = _answer(*answer)
+    monkeypatch.setattr(gateway, "_post", post)
+    with pytest.raises(ProviderError) as err:
+        complete(_remote(), "hi", ASSESS_PROFILE)
+    assert type(err.value) is error
+    assert isinstance(err.value, TransientError) is (attempts > 1)
+    assert len(post.calls) == attempts
+    assert post.calls[0] == {"model": "m", "messages": [{"role": "user", "content": "hi"}],
+                             "temperature": 0.7, "top_p": 1.0, "max_tokens": 8192}
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_a_redirect_is_returned_not_followed_so_the_key_goes_to_no_other_host(monkeypatch,
+                                                                              status):
+    """The real `_post`, with urllib's HTTP handler answering in place of a socket."""
+    import http.client
+    import io
+    import urllib.request
+    import urllib.response
+
+    sent = []
+
+    def http_open(handler, request):
+        sent.append((request.full_url, request.get_method(), request.get_header("Authorization")))
+        headers = http.client.parse_headers(io.BytesIO(b"Location: http://other.invalid/\r\n\r\n"))
+        reply = urllib.response.addinfourl(io.BytesIO(b"moved"), headers, request.full_url, status)
+        reply.msg = "Moved"
+        return reply
+
+    monkeypatch.setattr(urllib.request.HTTPHandler, "http_open", http_open)
+    monkeypatch.setenv("REMOTE_KEY", "secret")
+    handle = _remote()
+    handle.provider = OpenAICompatProvider("http://localhost:1/v1", "REMOTE_KEY")
+    with pytest.raises(ProviderError, match=f"^HTTP {status}: moved$") as err:
+        complete(handle, "hi", ASSESS_PROFILE)
+    assert not isinstance(err.value, TransientError)
+    assert sent == [("http://localhost:1/v1/chat/completions", "POST", "Bearer secret")]
+
+
+class FakeClock:
+    """Stands in for the `time` module in `gateway`: sleeping only moves the clock."""
+
+    def __init__(self):
+        self.now = 1_700_000_000.0
+        self.sleeps = []
+
+    def time(self):
+        return self.now
+
+    monotonic = time
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def test_backoff_draws_full_jitter_under_the_cap(monkeypatch):
+    clock, draws = FakeClock(), []
+    monkeypatch.setattr(gateway, "time", clock)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: draws.append((lo, hi)) or hi)
+    monkeypatch.setattr(gateway, "_post", _answer(503))
+    with pytest.raises(TransientError, match="^exhausted 9 attempts$"):
+        complete(_remote(max_attempts=9, base_delay_s=1.0), "hi", ASSESS_PROFILE)
+    assert draws == [(0, 2.0 ** n) for n in range(8)]
+    assert clock.sleeps == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0]
+    assert gateway.MAX_RETRY_DELAY_S == 60.0
+
+    monkeypatch.undo()  # the real draw stays within the same bounds
+    clock = FakeClock()
+    monkeypatch.setattr(gateway, "time", clock)
+    monkeypatch.setattr(gateway, "_post", _answer(503))
+    with pytest.raises(TransientError):
+        complete(_remote(max_attempts=9, base_delay_s=1.0), "hi", ASSESS_PROFILE)
+    assert all(0 <= s <= min(2.0 ** n, 60.0) for n, s in enumerate(clock.sleeps))
+    assert len(clock.sleeps) == 8
+
+
+def test_backoff_waits_the_retry_after_of_a_reply_under_the_cap(monkeypatch):
+    from email.utils import formatdate
+
+    clock = FakeClock()
+    # Retry-After as delta-seconds, as an HTTP-date this many seconds on, or unreadable.
+    replies = iter([(429, "7"), (503, "120"), (503, 30), (503, 3600), (503, -3600),
+                    (503, "soon"), (200, None)])
+
+    def post(url, body, headers, timeout):
+        status, after = next(replies)
+        if isinstance(after, int):
+            after = formatdate(clock.now + after, usegmt=True)
+        return status, {"Retry-After": after}, b'{"choices": [{"message": {"content": "done"}}]}'
+
+    monkeypatch.setattr(gateway, "time", clock)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: hi)
+    monkeypatch.setattr(gateway, "_post", post)
+    assert complete(_remote(max_attempts=7, base_delay_s=0.5), "hi", ASSESS_PROFILE).text == "done"
+    assert clock.sleeps == [7.0, 60.0, 30.0, 60.0, 0.0, 16.0]  # "soon": the draw, 0.5 * 2**5

@@ -28,6 +28,19 @@ def test_no_program_file_imports_the_test_suite():
     assert offenders == []
 
 
+def test_nothing_imports_requests():
+    """The package has no runtime dependency: `gateway._post` speaks HTTP through the
+    standard library."""
+    offenders = [
+        f"{path.relative_to(ROOT)}: {module}"
+        for tree in ("src", "tests", "scripts")
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        for module in _imported_modules(path)
+        if module.split(".")[0] == "requests"
+    ]
+    assert offenders == []
+
+
 @pytest.mark.parametrize("module", ["prompts", "records", "tokens"])
 def test_a_leaf_module_imports_nothing_from_the_package_at_run_time(module):
     """`clauses` imports `prompts` and `records`, `gateway` imports `records`

@@ -5,7 +5,7 @@ from policytrace.records import write_atomic
 
 def test_write_atomic_writes_the_chunks_unchanged(tmp_path):
     path = tmp_path / "records.jsonl"
-    write_atomic(path, iter(['{"a": "é\u2028"}\r\n', "", '{"b": 2}\n']))
+    write_atomic({path: iter(['{"a": "é\u2028"}\r\n', "", '{"b": 2}\n'])})
     assert path.read_bytes() == '{"a": "é\u2028"}\r\n{"b": 2}\n'.encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 
@@ -19,6 +19,23 @@ def test_write_atomic_whose_chunks_fail_leaves_the_old_file(tmp_path):
         raise RuntimeError("source failed")
 
     with pytest.raises(RuntimeError, match="source failed"):
-        write_atomic(path, chunks())
+        write_atomic({path: chunks()})
     assert path.read_bytes() == b'{"old": 1}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+def test_write_atomic_replaces_no_file_until_every_file_is_written(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.json"
+    first.write_bytes(b"old a\n")
+
+    def chunks():
+        yield "new b\n"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        write_atomic({first: ["new a\n"], second: chunks()})
+    assert first.read_bytes() == b"old a\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+    write_atomic({first: ["new a\n"], second: ["new b\n"]})
+    assert (first.read_text(), second.read_text()) == ("new a\n", "new b\n")
