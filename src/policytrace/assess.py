@@ -17,14 +17,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, read_jsonl, verdict_tokens
+from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
 from .gateway import ASSESS_PROFILE, ModelHandle, complete, run_ordered
 from .prompts import (  # re-exports StrategyKind and SelectionMode
     DEMO_TEMPLATES, PRT_DEMO_TEMPLATES, DemoBlock, SelectionMode, StrategyKind, TemplateId,
     render, template_hash,
 )
 from .prtgen import AugmentedDataset
-from .records import from_json, read_object, write_atomic
+from .records import from_json, read_object, read_records, write_atomic
 from .select import SelectionResult, Triple, select_random, select_relevant
 
 
@@ -221,16 +221,8 @@ def result_to_obj(result: InstanceResult) -> dict:
 
 def load_results(path: str | Path) -> list[InstanceResult]:
     """The results file's records, in file order; at most one per case."""
-    results: dict[str, InstanceResult] = {}  # by case id
-    for lineno, obj in read_jsonl(Path(path), AssessError):
-        try:
-            result = from_json(InstanceResult, obj)
-        except (KeyError, TypeError, ValueError) as err:
-            raise AssessError(f"{path}:{lineno}: malformed record: {err}") from err
-        if result.case_id in results:
-            raise AssessError(f"{path}:{lineno}: duplicate result for case {result.case_id}")
-        results[result.case_id] = result
-    return list(results.values())
+    return [result for _, result in read_records(
+        Path(path), lambda obj: from_json(InstanceResult, obj), AssessError, "result")]
 
 
 def _manifest_path(results_path: Path) -> Path:

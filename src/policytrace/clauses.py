@@ -49,6 +49,12 @@ class _RegistryEntry:  # one entry of a registry file's "clauses" list
     aliases: list[str] = field(default_factory=list)
 
 
+@dataclass
+class _RegistryFile:
+    policy_id: str
+    clauses: list[_RegistryEntry]
+
+
 _PUNCT_TABLE = str.maketrans("()", "  ", string.punctuation.replace("(", "").replace(")", ""))
 
 
@@ -157,9 +163,9 @@ def load_registry(path: str | Path) -> ClauseRegistry:
     path = Path(path)
     data = read_object(path, "registry", RegistryError)
     try:
-        registry = ClauseRegistry(policy_id=data["policy_id"])
-        for obj in data["clauses"]:
-            entry = from_json(_RegistryEntry, obj)
+        registry_file = from_json(_RegistryFile, data)
+        registry = ClauseRegistry(policy_id=registry_file.policy_id)
+        for entry in registry_file.clauses:
             registry.add(ClauseId(entry.canonical, entry.scheme), entry.title, entry.aliases)
     except KeyError as err:
         raise RegistryError(f"registry {path}: missing key {err}") from err

@@ -1,11 +1,11 @@
 """Operator entry point: manifest-driven runs binding all modules together.
 
-Subcommands: gen, assess, report, export-sft, validate. Configuration comes
-from a JSON file plus flag overrides (flags win). `main` writes the effective
-config of gen, report and export-sft into a command manifest (`<command>.manifest.json`);
-an assess run's manifest records what identifies the run instead (strategy,
-models, seed, pool and template hashes). Exit code 0 means no errors and no
-quarantined/flagged records above the configured thresholds.
+Subcommands: gen, assess, report, export-sft, validate. Configuration comes from a
+JSON file read into a `Config`, plus flag overrides (flags win). `main` writes the
+effective config of gen, report and export-sft into a command manifest
+(`<command>.manifest.json`); an assess run's manifest records what identifies the
+run instead (strategy, models, seed, pool and template hashes). Exit code 0 means
+no errors and no quarantined/flagged records above the configured thresholds.
 
 Each command imports what only it runs when it runs, so `validate` and `gen`
 start without loading `assess`, `select`, `report` and the rest.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import make_dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -31,15 +31,31 @@ from .records import from_json, read_object, write_atomic
 # wraps in `sys.modules`, `sftexport` too when a run never exports.
 from .sftexport import export_sft, split_train_val
 
-DEFAULT_CONFIG = {
-    "k": 3,
-    "seed": 42,
-    "concurrency": 1,
-    "quarantine_threshold": 0.25,
-    "flag_threshold": 0.5,
-}
-# A config file's value of each of these keys must have its default's type.
-_DEFAULTS = make_dataclass("ConfigDefaults", [(k, type(v), v) for k, v in DEFAULT_CONFIG.items()])
+
+@dataclass(frozen=True)
+class Config:
+    """A config file's keys, each with its JSON type and default (None: not set).
+    The corpus and providers files are relative to `base`, the config file's
+    directory; `out_dir`, `cache_dir` and `prt_store` to the working directory."""
+
+    policy_file: Optional[str] = None
+    registry_file: Optional[str] = None
+    dataset_file: Optional[str] = None
+    providers_file: Optional[str] = None
+    policy_id: Optional[str] = None
+    policy_title: Optional[str] = None
+    expert_model: Optional[str] = None
+    learner_model: Optional[str] = None
+    judge_model: Optional[str] = None
+    prt_store: Optional[str] = None
+    cache_dir: Optional[str] = None
+    out_dir: str = "out"
+    k: int = 3
+    seed: int = 42
+    concurrency: int = 1
+    quarantine_threshold: float = 0.25
+    flag_threshold: float = 0.5
+    base: Optional[Path] = field(default=None, metadata={"json": False})
 
 
 # The commands that write `<command>.manifest.json` with their effective config.
@@ -50,41 +66,37 @@ class CliError(ValueError):
     pass
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    config = dict(DEFAULT_CONFIG)
+def _load_config(args: argparse.Namespace) -> Config:
+    config = Config()
     if args.config:
-        config.update(read_object(Path(args.config), "config", CliError))
-        config["_config_dir"] = str(Path(args.config).resolve().parent)
+        path = Path(args.config)
         try:
-            from_json(_DEFAULTS, {key: config[key] for key in DEFAULT_CONFIG})
-        except TypeError as err:
-            raise CliError(f"config {args.config}: {err}") from err
-    for flag in ("seed", "concurrency", "cache_dir", "out_dir"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[flag] = value
-    config.setdefault("out_dir", "out")
-    if config["concurrency"] < 1:
-        raise CliError(f"concurrency must be >= 1, got {config['concurrency']}")
+            config = from_json(Config, read_object(path, "config", CliError),
+                               base=path.resolve().parent)
+        except TypeError as err:  # an unknown key or a wrongly typed value
+            raise CliError(f"config {path}: {err}") from err
+    flags = ("seed", "concurrency", "cache_dir", "out_dir", "k")
+    config = replace(config, **{flag: value for flag in flags
+                                if (value := getattr(args, flag, None)) is not None})
+    if config.concurrency < 1:
+        raise CliError(f"concurrency must be >= 1, got {config.concurrency}")
     return config
 
 
-def _resolve(config: dict, key: str) -> Path:
-    if key not in config:
+def _resolve(config: Config, key: str) -> Path:
+    value = getattr(config, key)
+    if value is None:
         raise CliError(f"config field missing: {key}")
-    path = Path(config[key])
-    if not path.is_absolute() and "_config_dir" in config:
-        path = Path(config["_config_dir"]) / path
-    return path
+    return config.base / value if config.base else Path(value)  # an absolute value stays
 
 
-def _load_handles(config: dict) -> dict[str, ModelHandle]:
-    cache_dir = Path(config["cache_dir"]) if config.get("cache_dir") else None
+def _load_handles(config: Config) -> dict[str, ModelHandle]:
+    cache_dir = Path(config.cache_dir) if config.cache_dir else None
     return load_provider_config(_resolve(config, "providers_file"), cache_dir=cache_dir)
 
 
-def _handle(handles: dict[str, ModelHandle], config: dict, role: str) -> ModelHandle:
-    model_id = config.get(f"{role}_model")
+def _handle(handles: dict[str, ModelHandle], config: Config, role: str) -> ModelHandle:
+    model_id = getattr(config, f"{role}_model")
     if not model_id:
         raise CliError(f"config field missing: {role}_model")
     if model_id not in handles:
@@ -92,38 +104,35 @@ def _handle(handles: dict[str, ModelHandle], config: dict, role: str) -> ModelHa
     return handles[model_id]
 
 
-def _load_corpus(config: dict):
+def _load_corpus(config: Config):
     registry = load_registry(_resolve(config, "registry_file"))
-    policy = load_policy(
-        _resolve(config, "policy_file"),
-        registry,
-        policy_id=config.get("policy_id"),
-        title=config.get("policy_title", ""),
-    )
+    policy = load_policy(_resolve(config, "policy_file"), registry, config.policy_id,
+                         config.policy_title or "")
     dataset = load_dataset(_resolve(config, "dataset_file"), registry)
     return registry, policy, dataset
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
+def _write_manifest(out_dir: Path, command: str, config: Config) -> None:
     from datetime import datetime, timezone
 
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "command": command,
-        "effective_config": {k: v for k, v in config.items() if not k.startswith("_")},
+        "effective_config": {k: v for k, v in vars(config).items()
+                             if v is not None and k != "base"},
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
     write_atomic({out_dir / f"{command}.manifest.json":
                   [json.dumps(payload, indent=2, sort_keys=True) + "\n"]})
 
 
-def cmd_gen(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
+def cmd_gen(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[dict, int]:
     from .prtgen import generate_augmented_dataset, prt_stats, write_prt_store
 
     registry, policy, dataset = _load_corpus(config)
     expert = _handle(_load_handles(config), config, "expert")
 
-    aug, quarantine = generate_augmented_dataset(dataset, policy, expert, config["concurrency"])
+    aug, quarantine = generate_augmented_dataset(dataset, policy, expert, config.concurrency)
     store_path = out_dir / f"{policy.policy_id}_{expert.model_id}.prts.jsonl"
     quarantined = [{"case_id": cid, "reason": err.reason, "detail": str(err)}
                    for cid, err in quarantine]
@@ -145,30 +154,30 @@ def cmd_gen(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict
         }
 
     total = len(aug) + len(quarantine)
-    if total and len(quarantine) / total > config["quarantine_threshold"]:
-        print(f"quarantine fraction exceeds threshold {config['quarantine_threshold']}", file=sys.stderr)
+    if total and len(quarantine) / total > config.quarantine_threshold:
+        print(f"quarantine fraction exceeds threshold {config.quarantine_threshold}", file=sys.stderr)
         return summary, 1
     return summary, 0
 
 
-def cmd_assess(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
+def cmd_assess(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[dict, int]:
     from .assess import Strategy, run_dataset
     from .prtgen import load_prt_store
 
     strategy = Strategy(
         kind=StrategyKind(args.strategy),
         selection=SelectionMode(args.select) if args.select else None,
-        k=args.k if args.k is not None else config["k"],
+        k=config.k,
     )
 
     registry, policy, dataset = _load_corpus(config)
     handles = _load_handles(config)
     learner = _handle(handles, config, "learner")
-    judge = _handle(handles, config, "judge") if config.get("judge_model") else None
+    judge = _handle(handles, config, "judge") if config.judge_model else None
 
     pool = None
     if strategy.needs_pool:
-        store = args.prt_store or config.get("prt_store")
+        store = args.prt_store or config.prt_store
         if not store:
             raise CliError("--prt-store (or config prt_store) required for this strategy")
         pool = load_prt_store(store, dataset)
@@ -181,12 +190,12 @@ def cmd_assess(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[d
         out_dir,
         pool=pool,
         judge=judge,
-        seed=config["seed"],
-        concurrency=config["concurrency"],
+        seed=config.seed,
+        concurrency=config.concurrency,
     )
     for case_id, reason in summary.failure_reasons.items():
         print(f"error: case {case_id}: {reason}", file=sys.stderr)
-    flagged = summary.total and len(summary.flagged_cases) / summary.total > config["flag_threshold"]
+    flagged = summary.total and len(summary.flagged_cases) / summary.total > config.flag_threshold
     return {
         "results": str(results_path),
         "run_id": summary.run_id,
@@ -200,7 +209,7 @@ def cmd_assess(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[d
     }, 1 if summary.failed_cases or flagged else 0
 
 
-def cmd_report(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
+def cmd_report(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[dict, int]:
     from .assess import load_run
     from .report import build_report, write_report
 
@@ -209,24 +218,24 @@ def cmd_report(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[d
     if len(policy_ids) > 1:
         raise CliError(f"mixed-policy inputs rejected: {policy_ids}")
 
-    handles = _load_handles(config) if config.get("providers_file") else {}
+    handles = _load_handles(config) if config.providers_file else {}
     corpus = judge = None
-    if all(k in config for k in ("registry_file", "policy_file", "dataset_file")):
+    if None not in (config.registry_file, config.policy_file, config.dataset_file):
         corpus = _load_corpus(config)  # for clause relevance, by judge if judge_model is set
-        judge = _handle(handles, config, "judge") if config.get("judge_model") else None
+        judge = _handle(handles, config, "judge") if config.judge_model else None
 
-    report = build_report(runs, handles, corpus, judge, config["concurrency"])
+    report = build_report(runs, handles, corpus, judge, config.concurrency)
     write_report(report, out_dir)
     return report, 0
 
 
-def cmd_export_sft(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
+def cmd_export_sft(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[dict, int]:
     from .prtgen import load_prt_store
 
     if not 0 <= args.val_fraction < 1:
         raise CliError(f"invalid_fraction: {args.val_fraction}")
     _registry, policy, dataset = _load_corpus(config)
-    store = args.prt_store or config.get("prt_store")
+    store = args.prt_store or config.prt_store
     if not store:
         raise CliError("--prt-store (or config prt_store) required")
     aug = load_prt_store(store, dataset)
@@ -243,7 +252,7 @@ def cmd_export_sft(args: argparse.Namespace, config: dict, out_dir: Path) -> tup
         n_train, n_val = split_train_val(
             sft_path,
             args.val_fraction,
-            config["seed"],
+            config.seed,
             out_dir / "sft.train.jsonl",
             out_dir / "sft.val.jsonl",
         )
@@ -252,7 +261,7 @@ def cmd_export_sft(args: argparse.Namespace, config: dict, out_dir: Path) -> tup
     return result, 0
 
 
-def cmd_validate(args: argparse.Namespace, config: dict, out_dir: Path) -> tuple[dict, int]:
+def cmd_validate(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[dict, int]:
     registry, policy, dataset = _load_corpus(config)  # refuses a train/test overlap
     return {
         "policy_id": policy.policy_id,
@@ -312,7 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        out_dir = Path(config["out_dir"])
+        out_dir = Path(config.out_dir)
         if args.command in _MANIFEST_COMMANDS:
             _write_manifest(out_dir, args.command, config)
         summary, code = args.func(args, config, out_dir)

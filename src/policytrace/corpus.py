@@ -1,13 +1,8 @@
 """Policy and case dataset loading, validation, and persistence.
 
-Datasets are JSON Lines, one record per line:
+Datasets are JSON Lines, one record per line, read by `records.read_records`:
 {"case_id": str, "case_text": str, "verdict": "COMPLIANT"|"NONCOMPLIANT",
  "clauses": [str], "split": "train"|"test"}
-`read_jsonl` reads them, and the trace store and results files too, one line
-at a time, so its memory follows the longest record and not the file. A line
-ends at "\n" alone (a "\r" before it is JSON whitespace): U+2028, U+2029 and
-U+0085 inside a string, which writers using `ensure_ascii=False` leave raw,
-stay part of their record.
 Split hygiene (no train/test overlap by id or by exact text hash) is enforced
 at load and re-checkable on demand.
 """
@@ -15,16 +10,15 @@ at load and re-checkable on demand.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from .clauses import ClauseId, ClauseRegistry, Scheme, heading_mention, normalize
-from .records import enum_member
+from .records import enum_member, read_records
 from .tokens import estimate_tokens
 
 
@@ -233,100 +227,45 @@ def _record_from_obj(
 ) -> CaseRecord:
     """One case record; `resolved` keeps the gold clause ids of each clause list
     and each clause string seen so far in the load."""
+    if not isinstance(obj, dict):
+        raise CorpusError(f"not a JSON object: {obj!r}")
+    verdict, clauses = obj.get("verdict", ""), obj.get("clauses", [])
+    if not isinstance(verdict, str) or not isinstance(clauses, list):
+        raise CorpusError("verdict must be a string and clauses a list")
+    key = tuple(clauses)
     try:
-        if not isinstance(obj, dict):
-            raise CorpusError(f"not a JSON object: {obj!r}")
-        verdict, clauses = obj.get("verdict", ""), obj.get("clauses", [])
-        if not isinstance(verdict, str) or not isinstance(clauses, list):
-            raise CorpusError("verdict must be a string and clauses a list")
-        key = tuple(clauses)
-        try:
-            gold = resolved[key]
-        except (KeyError, TypeError):  # a list not seen yet, or one holding a list
-            gold = frozenset()
-            for raw in clauses:
-                if not isinstance(raw, str):
-                    raise CorpusError(f"clause entry is not a string: {raw!r}")
-                if raw not in resolved:
-                    ids, unknowns = normalize(raw, registry)
-                    if unknowns:
-                        raise CorpusError(f"unknown clause {unknowns[0]!r}")
-                    resolved[raw] = frozenset(ids)
-                gold |= resolved[raw]
-            resolved[key] = gold
-        case_id, case_text = obj["case_id"], obj["case_text"]
-        if not isinstance(case_id, str):
-            raise CorpusError("case_id must be a string")
-        if not isinstance(case_text, str):
-            raise CorpusError("case_text must be a string")
-        case_text.encode("utf-8")  # raises on a lone surrogate ("\ud800"), which no file can hold
-        try:
-            gold_verdict = enum_member(Verdict, verdict)
-        except ValueError:  # another spelling; `obj["verdict"]` keeps a missing key a KeyError
-            gold_verdict = Verdict.parse(obj["verdict"])
-        return CaseRecord(case_id, case_text, gold_verdict, gold, enum_member(Split, obj["split"]))
-    except (KeyError, ValueError) as err:
-        raise CorpusError(f"malformed record: {err}") from err
-
-
-def jsonl_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
-    """(line number, text without its "\n") of each line of a JSON Lines file, read
-    one line at a time. A line ends at b"\n" alone: no newline translation. A file
-    that cannot be read, or a line that is not UTF-8, is an `error` naming the file
-    (and line)."""
-    lineno = 0
+        gold = resolved[key]
+    except (KeyError, TypeError):  # a list not seen yet, or one holding a list
+        gold = frozenset()
+        for raw in clauses:
+            if not isinstance(raw, str):
+                raise CorpusError(f"clause entry is not a string: {raw!r}")
+            if raw not in resolved:
+                ids, unknowns = normalize(raw, registry)
+                if unknowns:
+                    raise CorpusError(f"unknown clause {unknowns[0]!r}")
+                resolved[raw] = frozenset(ids)
+            gold |= resolved[raw]
+        resolved[key] = gold
+    case_id, case_text = obj["case_id"], obj["case_text"]
+    if not isinstance(case_id, str):
+        raise CorpusError("case_id must be a string")
+    if not isinstance(case_text, str):
+        raise CorpusError("case_text must be a string")
+    case_text.encode("utf-8")  # raises on a lone surrogate ("\ud800"), which no file can hold
     try:
-        with path.open("rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.removesuffix(b"\n").decode("utf-8")
-    except OSError as err:  # missing or unreadable
-        raise error(f"{path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise error(f"{path}:{lineno}: {err}") from err
-
-
-_DECODER = json.JSONDecoder()
-
-
-def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each non-blank line of a JSON Lines file.
-
-    A line is read as `json.loads` reads it: one `raw_decode` that consumes it
-    whole, else `json.loads` itself. Errors name the file (and line) as `error`s.
-    """
-    decode = _DECODER.raw_decode
-    for lineno, line in jsonl_lines(path, error):
-        try:
-            obj, end = decode(line)
-        except ValueError:
-            end = -1
-        if end != len(line):  # leading or trailing whitespace, a BOM, extra data or bad JSON
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as err:
-                raise error(f"{path}:{lineno}: malformed record: {err}") from err
-        yield lineno, obj
+        gold_verdict = enum_member(Verdict, verdict)
+    except ValueError:  # another spelling; `obj["verdict"]` keeps a missing key a KeyError
+        gold_verdict = Verdict.parse(obj["verdict"])
+    return CaseRecord(case_id, case_text, gold_verdict, gold, enum_member(Split, obj["split"]))
 
 
 def load_dataset(path: str | Path, registry: ClauseRegistry) -> Dataset:
     """Load and validate a JSON Lines case record file."""
-    path = Path(path)
-    records: list[CaseRecord] = []
-    seen_ids: set[str] = set()
     resolved: dict[str | tuple[str, ...], frozenset[ClauseId]] = {}
-    for lineno, obj in read_jsonl(path, CorpusError):
-        try:
-            record = _record_from_obj(obj, registry, resolved)
-        except CorpusError as err:
-            raise CorpusError(f"{path}:{lineno}: {err}") from err
-        if record.case_id in seen_ids:
-            raise CorpusError(f"{path}:{lineno}: duplicate_id: {record.case_id!r}")
-        seen_ids.add(record.case_id)
-        records.append(record)
-
-    dataset = Dataset(tuple(records))
+    records = read_records(Path(path), lambda obj: _record_from_obj(obj, registry, resolved),
+                           CorpusError, "record")
+    dataset = Dataset([record for _, record in records])
     report = split_disjointness_check(dataset)
     if not report.ok:
         raise CorpusError(

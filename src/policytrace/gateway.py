@@ -236,6 +236,15 @@ class MockScriptEntry:
     raw_cot: Optional[str] = None
 
 
+@dataclass
+class _ProviderEntry:  # one provider of a providers file
+    provider_id: str
+    base_url: str = ""
+    api_key_env: str = ""
+    script: list[MockScriptEntry] = field(default_factory=list)
+    models: list[dict] = field(default_factory=list)
+
+
 class MockProvider(Provider):
     """Fully offline provider. First matching substring pattern wins, in
     declared order; unmatched prompts fail loudly rather than fabricating
@@ -362,19 +371,15 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
     configs = data if isinstance(data, list) else [data]
     handles: dict[str, ModelHandle] = {}
     try:
-        for config in configs:
-            provider_id = config["provider_id"]
-            if provider_id == "mock":
-                script = [from_json(MockScriptEntry, entry) for entry in config.get("script", [])]
-                provider: Provider = MockProvider(script)
-            else:
-                provider = OpenAICompatProvider(
-                    base_url=config["base_url"],
-                    api_key_env=config["api_key_env"],
-                )
-            for model in config.get("models", []):
-                handle = from_json(ModelHandle, model, provider_id=provider_id, provider=provider,
-                                   cache_dir=cache_dir)
+        for obj in configs:
+            config = from_json(_ProviderEntry, obj)
+            if config.provider_id == "mock":
+                provider: Provider = MockProvider(config.script)
+            else:  # a remote provider names both keys, typed by `_ProviderEntry`
+                provider = OpenAICompatProvider(obj["base_url"], obj["api_key_env"])
+            for model in config.models:
+                handle = from_json(ModelHandle, model, provider_id=config.provider_id,
+                                   provider=provider, cache_dir=cache_dir)
                 handles[handle.model_id] = handle
     except KeyError as err:
         raise ProviderConfigError(f"providers file {path}: missing key {err}") from err

@@ -19,10 +19,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, read_jsonl, verdict_tokens
+from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
 from .gateway import PRT_GEN_PROFILE, ModelHandle, ask_twice, run_ordered
 from .prompts import TemplateId, render
-from .records import from_json, write_atomic
+from .records import from_json, read_records, write_atomic
 
 
 class PRTError(ValueError):
@@ -237,13 +237,10 @@ def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
     Exactly one expert model per store file; every case must be a train case,
     and every record must echo its case's gold verdict.
     """
-    triples: dict[str, Triple] = {}  # by case id
+    triples: list[Triple] = []
     experts: set[str] = set()
-    for lineno, obj in read_jsonl(Path(path), PRTError):
-        try:
-            record = from_json(PRTRecord, obj)
-        except (KeyError, TypeError, ValueError) as err:
-            raise PRTError(f"{path}:{lineno}: malformed record: {err}") from err
+    records = read_records(Path(path), lambda obj: from_json(PRTRecord, obj), PRTError, "trace")
+    for lineno, record in records:
         experts.add(record.expert_model)
         if len(experts) > 1:
             raise PRTError(f"{path}:{lineno}: store mixes expert models: {sorted(experts)}")
@@ -265,7 +262,5 @@ def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:
             raise PRTError(
                 f"{path}:{lineno}: stored trace fails validation ({failure.reason}): {failure}"
             )
-        if record.case_id in triples:
-            raise PRTError(f"{path}:{lineno}: duplicate trace for case {record.case_id}")
-        triples[record.case_id] = (case, case.gold_verdict, record)
-    return AugmentedDataset(tuple(triples.values()))
+        triples.append((case, case.gold_verdict, record))
+    return AugmentedDataset(tuple(triples))

@@ -1,8 +1,14 @@
 """JSON record readers: a file's JSON object, an enum member by value, a dataclass
-from a JSON object; and `write_atomic`, which replaces a file whole: every whole file
-the package writes goes through it, and the results appender of `assess.run_dataset`
-is the one other writer. It imports nothing from the package, so every module may
-import it."""
+from a JSON object, the lines and records of a JSON Lines file; and `write_atomic`,
+which replaces a file whole: every whole file the package writes goes through it, and
+the results appender of `assess.run_dataset` is the one other writer. It imports
+nothing from the package, so every module may import it.
+
+JSON Lines files (datasets, trace stores, results, SFT records) are read one line at
+a time, so memory follows the longest record and not the file. A line ends at "\n"
+alone (a "\r" before it is JSON whitespace): U+2028, U+2029 and U+0085 inside a
+string, which writers using `ensure_ascii=False` leave raw, stay part of their record.
+"""
 
 import dataclasses
 import json
@@ -11,8 +17,8 @@ from enum import Enum
 from functools import partial
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (Any, Callable, Iterable, Mapping, Optional, TypeVar, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union,
+                    get_args, get_origin, get_type_hints)
 
 _T = TypeVar("_T")
 _MEMBERS: dict[type[Enum], dict] = {}
@@ -41,6 +47,65 @@ def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
     if not isinstance(obj, dict):
         raise error(f"{what} {path}: not a JSON object")
     return obj
+
+
+def jsonl_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
+    """(line number, text without its "\n") of each line of a JSON Lines file, read
+    one line at a time. A line ends at b"\n" alone: no newline translation. A file
+    that cannot be read, or a line that is not UTF-8, is an `error` naming the file
+    (and line)."""
+    lineno = 0
+    try:
+        with path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.removesuffix(b"\n").decode("utf-8")
+    except OSError as err:  # missing or unreadable
+        raise error(f"{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}:{lineno}: {err}") from err
+
+
+_DECODER = json.JSONDecoder()
+
+
+def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line of a JSON Lines file.
+
+    A line is read as `json.loads` reads it: one `raw_decode` that consumes it
+    whole, else `json.loads` itself. Errors name the file (and line) as `error`s.
+    """
+    decode = _DECODER.raw_decode
+    for lineno, line in jsonl_lines(path, error):
+        try:
+            obj, end = decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):  # leading or trailing whitespace, a BOM, extra data or bad JSON
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as err:
+                raise error(f"{path}:{lineno}: malformed record: {err}") from err
+        yield lineno, obj
+
+
+def read_records(path: Path, convert: Callable[[object], _T], error: type[ValueError],
+                 noun: str) -> Iterator[tuple[int, _T]]:
+    """(line number, `convert(value)`) of each record of a JSON Lines file, each
+    record having its own `case_id`. A KeyError, TypeError or ValueError of `convert`
+    is the `error` `<path>:<line>: malformed record: <err>`, and a second record of a
+    case `<path>:<line>: duplicate <noun> for case <id>`."""
+    seen: set[str] = set()
+    for lineno, obj in read_jsonl(path, error):
+        try:
+            record = convert(obj)
+        except (KeyError, TypeError, ValueError) as err:
+            raise error(f"{path}:{lineno}: malformed record: {err}") from err
+        if record.case_id in seen:
+            raise error(f"{path}:{lineno}: duplicate {noun} for case {record.case_id}")
+        seen.add(record.case_id)
+        yield lineno, record
 
 
 def write_atomic(files: Mapping[Path, Iterable[str]]) -> None:
@@ -73,7 +138,7 @@ def _spec(name: str, hint: Any) -> Optional[tuple[tuple[type, ...], Optional[Cal
     if get_origin(hint) is list:
         inner = _spec(name, args[0])
         return inner and ((list,), partial(_list_of, name, *inner))
-    if hint in (str, int, float, bool):
+    if hint in (str, int, float, bool, dict):
         return (int, float) if hint is float else (hint,), None
     if isinstance(hint, type) and issubclass(hint, Enum):
         return tuple({type(m.value): 0 for m in hint}), partial(enum_member, hint)

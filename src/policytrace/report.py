@@ -70,8 +70,6 @@ def build_report(
     tested: list[dict] = []
     for i, j in combinations(range(len(runs)), 2):
         shared = sorted(correct[i].keys() & correct[j].keys())
-        if len(shared) < 2:
-            continue
         a = [correct[i][c] for c in shared]
         b = [correct[j][c] for c in shared]
         pair = {"a": rows[i]["run_id"], "b": rows[j]["run_id"]}

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .clauses import ClauseId
-from .corpus import Policy, Split, jsonl_lines
-from .records import write_atomic
+from .corpus import Policy, Split
+from .records import jsonl_lines, write_atomic
 
 if TYPE_CHECKING:  # an annotation only: `validate` loads this module, and needs no prtgen
     from .prtgen import AugmentedDataset

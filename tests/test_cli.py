@@ -11,7 +11,7 @@ import pytest
 
 import policytrace
 from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry
-from mock_corpus import LEARNER_SCRIPT, dataset_jsonl_lines
+from mock_corpus import CASE_TEXTS, LEARNER_SCRIPT, dataset_jsonl_lines
 from policytrace import cli, gateway, prtgen
 from policytrace.clauses import save_registry
 from policytrace.cli import main
@@ -240,6 +240,25 @@ def test_report_records_why_clause_relevance_failed(workdir, capsys):
     assert row["clause_relevance"] == {"error": "KeyError: 'c99'"}
 
 
+def test_report_lists_a_pair_of_runs_over_disjoint_cases_with_its_error(workdir, capsys):
+    corpus, out = workdir
+    for strategy in ("base", "selfrefine"):
+        assert run_cli(
+            "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", strategy
+        ) == 0
+    results = sorted(out.glob("*.results.jsonl"))
+    for path, keep in zip(results, (slice(None, 3), slice(3, None))):  # c01-c03, c04-c06
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        path.write_text("".join(line + "\n" for line in lines[keep]), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "report", *results) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    a, b = (row["run_id"] for row in report["runs"])
+    assert report["comparisons"] == [
+        {"a": a, "b": b, "error": "need at least 2 paired observations"}
+    ]
+
+
 def test_report_rejects_mixed_policy(workdir, capsys, tmp_path):
     corpus, out = workdir
     run_cli(
@@ -323,6 +342,28 @@ def test_gen_reports_a_provider_error_and_exits_2(workdir, capsys):
     assert code == 2  # not 1, which means the quarantine threshold was exceeded
     err = capsys.readouterr().err
     assert err.startswith("error: UnmatchedPromptError: no script pattern matches prompt"), err
+
+
+def test_gen_exits_1_when_the_quarantined_fraction_exceeds_the_threshold(workdir, capsys):
+    corpus, out = workdir
+    providers_path = corpus / "providers.json"
+    providers = json.loads(providers_path.read_text(encoding="utf-8"))
+    # The expert answers t01, one of the six train cases, with a reply that is no trace.
+    providers["script"].insert(0, {"pattern": CASE_TEXTS["t01"], "text": "No numbered steps."})
+    providers_path.write_text(json.dumps(providers), encoding="utf-8")
+    config_path = corpus / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    for threshold, code in ((None, 0), (0.1, 1)):  # 1/6 is under 0.25, the default
+        if threshold is not None:
+            config_path.write_text(json.dumps({**config, "quarantine_threshold": threshold}),
+                                   encoding="utf-8")
+        assert run_cli("--config", config_path, "--out-dir", out, "gen") == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["quarantined"] == 1
+        assert captured.err == ("" if code == 0 else
+                                "quarantine fraction exceeds threshold 0.1\n")
+    (entry,) = json.loads((out / "quarantine.json").read_text(encoding="utf-8"))
+    assert entry["case_id"] == "t01" and entry["reason"] == "format"
 
 
 def _fail_replace(monkeypatch, name):
@@ -471,6 +512,54 @@ def test_a_config_value_of_the_wrong_type_is_an_error(workdir, capsys, key, valu
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: config {config_path}: {key} must be {kind}, got {value!r}\n"
+
+
+def _write_config(corpus, **changes):
+    """Write the mock config with `changes` applied (a value of None drops the key)."""
+    path = corpus / "config.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config.update(changes)
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "gen", "report"])
+@pytest.mark.parametrize(
+    "changes, detail",
+    [
+        ({"judge_model": None, "judge_modle": "mock-judge"}, "unknown key 'judge_modle'"),
+        ({"_comment": "a note"}, "unknown key '_comment'"),
+        ({"cache_dir": 5}, "cache_dir must be str or NoneType, got 5"),
+        ({"providers_file": 5}, "providers_file must be str or NoneType, got 5"),
+        ({"prt_store": 5}, "prt_store must be str or NoneType, got 5"),
+    ],
+    ids=["judge_model_typo", "comment", "cache_dir_int", "providers_file_int", "prt_store_int"],
+)
+def test_a_config_with_an_unknown_key_or_a_wrongly_typed_path_exits_2(
+    workdir, capsys, command, changes, detail
+):
+    corpus, out = workdir
+    config_path = _write_config(corpus, **changes)
+    argv = ["--config", config_path, "--out-dir", out, command]
+    code = run_cli(*argv, *(["x.results.jsonl"] if command == "report" else []))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config {config_path}: {detail}\n"
+    assert not out.exists()  # refused before the command manifest is written
+
+
+def test_the_manifest_holds_the_config_keys_that_are_set_and_the_flags(workdir, capsys):
+    corpus, out = workdir
+    config_path = corpus / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    cache = out / "cache"
+    assert run_cli("--config", config_path, "--out-dir", out, "--cache-dir", cache,
+                   "--seed", 7, "gen") == 0
+    manifest = json.loads((out / "gen.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["effective_config"] == {
+        **config, "seed": 7, "k": 3, "concurrency": 1, "quarantine_threshold": 0.25,
+        "flag_threshold": 0.5, "out_dir": str(out), "cache_dir": str(cache),
+    }
 
 
 def test_export_sft_command(workdir, capsys):
@@ -778,6 +867,30 @@ def test_a_providers_file_with_a_base_url_that_is_not_http_is_an_error(workdir, 
         f"error: providers file {path}: malformed: base_url must be an http or https URL, "
         "got 'file:///etc/hostname'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "filename, changes, command, detail",
+    [
+        ("providers.json", {"provider_id": "remote", "base_url": "http://127.0.0.1:9/v1",
+                            "api_key_env": 5}, "gen", "api_key_env must be str, got 5"),
+        ("providers.json", {"provider_id": 5}, "gen", "provider_id must be str, got 5"),
+        ("registry.json", {"policy_id": None}, "validate", "policy_id must be str, got None"),
+        ("registry.json", {"policy_id": 5}, "validate", "policy_id must be str, got 5"),
+    ],
+    ids=["api_key_env_int", "provider_id_int", "policy_id_null", "policy_id_int"],
+)
+def test_a_providers_or_registry_field_of_the_wrong_type_is_an_error(
+    workdir, capsys, filename, changes, command, detail
+):
+    corpus, out = workdir
+    path = corpus / filename
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data.update(changes)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, command) == 2
+    what = "providers file" if filename == "providers.json" else "registry"
+    assert capsys.readouterr().err == f"error: {what} {path}: malformed: {detail}\n"
 
 
 def _remote_providers(corpus):

@@ -11,10 +11,10 @@ from policytrace.corpus import (
     Verdict,
     load_dataset,
     load_policy,
-    read_jsonl,
     split_counts,
     split_disjointness_check,
 )
+from policytrace.records import read_jsonl
 from conftest import traced_peak
 from mock_corpus import POLICY_TEXT, dataset_jsonl_lines
 
@@ -111,7 +111,7 @@ def test_load_dataset_duplicate_id(tmp_path, registry):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError) as err:
         load_dataset(path, registry=registry)
-    assert "duplicate" in str(err.value)
+    assert str(err.value) == f"{path}:{len(lines)}: duplicate record for case t01"
 
 
 def test_load_dataset_unknown_clause(tmp_path, registry):
@@ -217,6 +217,15 @@ def test_read_jsonl_names_the_line_that_is_not_utf8(tmp_path):
     path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n{"a": 3}\n')
     with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:2: 'utf-8' codec"):
         list(read_jsonl(path, CorpusError))
+
+
+def test_load_policy_refuses_a_registry_that_mixes_schemes(tmp_path, registry):
+    registry.add(ClauseId("Section 164.502", Scheme.SECTION))
+    path = tmp_path / "policy.txt"
+    path.write_text(POLICY_TEXT, encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_policy(path, registry)
+    assert str(err.value) == "registry mixes schemes: ['article', 'section']"
 
 
 def test_split_overlap_detected(tmp_path, registry):

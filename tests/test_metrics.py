@@ -82,6 +82,18 @@ def test_clause_relevance_judge_route(dataset, registry):
     assert report.recall_pct == 100.0
 
 
+def test_clause_relevance_counts_the_extractions_that_fell_back_to_the_regex(dataset, registry):
+    judge = mock_provider({"extract all policy sections": "no clause is named"})
+    results = [
+        make_result("c01", "Relies on Article 1 and Article 3.", C, C),
+        make_result("c02", "Violates Article 2.", N, N),
+    ]
+    report = clause_relevance(results, dataset, registry, judge)
+    assert judge.provider.call_count == 4  # each reply is asked for twice
+    assert report.n_fallback_extractions == 2
+    assert report.exact_match_pct == 100.0  # the regex scan read both citations
+
+
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_clause_relevance_raises_the_first_error_in_result_order(dataset, registry, concurrency):
     no_turns = make_result("c02", "x", N, N)

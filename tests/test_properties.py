@@ -36,7 +36,6 @@ from policytrace.corpus import (
     Verdict,
     _clause_headings,
     _record_from_obj,
-    read_jsonl,
     split_disjointness_check,
     text_hash,
     verdict_tokens,
@@ -55,7 +54,7 @@ from policytrace.prompts import (
 from policytrace.prtgen import (
     AugmentedDataset, PRTRecord, count_words, prt_record_to_obj, prt_stats, validate_prt,
 )
-from policytrace.records import enum_member, from_json
+from policytrace.records import enum_member, from_json, read_jsonl
 from policytrace.select import select_random
 from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
 from policytrace.significance import CostAccuracyPoint
@@ -721,12 +720,12 @@ def test_label_fast_paths_match_the_enum_parsers(verdict, split):
     try:
         record = _record_from_obj(obj, REGISTRY, {})
         read = (record.gold_verdict, record.split)
-    except CorpusError as err:
+    except ValueError as err:
         read = str(err)
     try:
         expected = (Verdict.parse(verdict), Split(split))
     except ValueError as err:
-        expected = f"malformed record: {err}"
+        expected = str(err)
     assert read == expected
     for enum in (Verdict, Split, Scheme):
         for label in (verdict, split):

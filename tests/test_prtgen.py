@@ -210,6 +210,18 @@ def test_store_rejects_mixed_experts(tmp_path, dataset, policy, expert_handle):
     assert "expert" in str(err.value)
 
 
+def test_store_rejects_a_test_split_case(tmp_path, dataset, policy, expert_handle):
+    aug, _ = generate_augmented_dataset(dataset, policy, expert_handle)
+    path = tmp_path / "store.jsonl"
+    write_prt_store(aug, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace('"case_id": "t01"', '"case_id": "c03"')  # both COMPLIANT
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PRTError) as err:
+        load_prt_store(path, dataset)
+    assert str(err.value) == f"{path}:1: case c03 is not in the train split"
+
+
 def test_store_rejects_duplicate_case(tmp_path, dataset, policy, expert_handle):
     aug, _ = generate_augmented_dataset(dataset, policy, expert_handle)
     path = tmp_path / "store.jsonl"

@@ -1,6 +1,30 @@
+from dataclasses import dataclass
+
 import pytest
 
-from policytrace.records import write_atomic
+from policytrace.records import from_json, read_records, write_atomic
+
+
+@dataclass
+class _Case:
+    case_id: str
+    n: int = 0
+
+
+def test_read_records_numbers_the_lines_and_refuses_a_bad_or_repeated_case(tmp_path):
+    path = tmp_path / "records.jsonl"
+    convert = lambda obj: from_json(_Case, obj)  # noqa: E731
+    path.write_text('{"case_id": "a"}\n\n{"case_id": "b", "n": 2}\n{"case_id": "a"}\n',
+                    encoding="utf-8")
+    read = read_records(path, convert, ValueError, "case")
+    assert [next(read), next(read)] == [(1, _Case("a")), (3, _Case("b", 2))]
+    with pytest.raises(ValueError) as err:
+        next(read)
+    assert str(err.value) == f"{path}:4: duplicate case for case a"
+    path.write_text('{"case_id": "c", "n": "1"}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        list(read_records(path, convert, ValueError, "case"))
+    assert str(err.value) == f"{path}:1: malformed record: n must be int, got '1'"
 
 
 def test_write_atomic_writes_the_chunks_unchanged(tmp_path):
