@@ -24,7 +24,7 @@ from .prompts import (  # re-exports StrategyKind and SelectionMode
     render, template_hash,
 )
 from .prtgen import AugmentedDataset
-from .records import from_json, read_object, read_records, write_atomic
+from .records import from_json, read_object, read_records, to_json, write_atomic
 from .select import SelectionResult, Triple, select_random, select_relevant
 
 
@@ -213,12 +213,6 @@ def run_instance(
     )
 
 
-def result_to_obj(result: InstanceResult) -> dict:
-    """The result's fields, and each turn's, in declared order."""
-    verdict = result.parsed_verdict and result.parsed_verdict.value
-    return {**vars(result), "turns": [vars(t) for t in result.turns], "parsed_verdict": verdict}
-
-
 def load_results(path: str | Path) -> list[InstanceResult]:
     """The results file's records, in file order; at most one per case."""
     return [result for _, result in read_records(
@@ -385,7 +379,7 @@ def run_dataset(
             if err is not None:
                 summary.failure_reasons[case.case_id] = f"{type(err).__name__}: {err}"
                 continue
-            fh.write(json.dumps(result_to_obj(result), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(to_json(result), ensure_ascii=False) + "\n")
             fh.flush()
             summary.count(result)
             summary.executed += 1

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .gateway import ASSESS_PROFILE, ModelHandle, ask_twice
 from .prompts import TemplateId, render
-from .records import from_json, read_object, write_atomic
+from .records import from_json, read_object, to_json, write_atomic
 
 
 class Scheme(str, Enum):
@@ -42,7 +42,7 @@ class RegistryError(ValueError):
 
 
 @dataclass
-class _RegistryEntry:  # one entry of a registry file's "clauses" list
+class _RegistryEntry:  # one entry of a registry file's "clauses" list, and of a ClauseRegistry
     canonical: str
     scheme: Scheme
     title: str = ""
@@ -84,10 +84,10 @@ _TRAILING_GROUP_RE = re.compile(r"\s*\([^()]*\)\s*$")
 
 @dataclass
 class ClauseRegistry:
-    """Maps canonical clause ids to titles and known alias spellings."""
+    """Maps canonical clause ids to their entries: title and known alias spellings."""
 
     policy_id: str
-    entries: dict[ClauseId, dict] = field(default_factory=dict)
+    entries: dict[ClauseId, _RegistryEntry] = field(default_factory=dict)
     _alias_index: dict[str, ClauseId] = field(default_factory=dict, repr=False)
 
     def add(self, clause: ClauseId, title: str = "", aliases: Optional[list[str]] = None) -> None:
@@ -102,7 +102,8 @@ class ClauseRegistry:
                 raise RegistryError(
                     f"alias {alias!r} maps to both {existing.canonical!r} and {clause.canonical!r}"
                 )
-        self.entries[clause] = {"title": title, "aliases": sorted(all_aliases)}
+        self.entries[clause] = _RegistryEntry(clause.canonical, clause.scheme, title,
+                                              sorted(all_aliases))
         for alias in all_aliases:
             self._alias_index[_title_key(alias)] = clause
         # derived from the entries: rebuild on next use
@@ -156,10 +157,7 @@ class ClauseRegistry:
 
 
 def load_registry(path: str | Path) -> ClauseRegistry:
-    """Load a registry sidecar file.
-
-    Schema: {"policy_id": str, "clauses": [{"canonical", "scheme", "title", "aliases"}]}
-    """
+    """Load a registry sidecar file, a `_RegistryFile` record."""
     path = Path(path)
     data = read_object(path, "registry", RegistryError)
     try:
@@ -175,18 +173,7 @@ def load_registry(path: str | Path) -> ClauseRegistry:
 
 
 def save_registry(registry: ClauseRegistry, path: str | Path) -> None:
-    payload = {
-        "policy_id": registry.policy_id,
-        "clauses": [
-            {
-                "canonical": c.canonical,
-                "scheme": c.scheme.value,
-                "title": meta["title"],
-                "aliases": meta["aliases"],
-            }
-            for c, meta in registry.entries.items()
-        ],
-    }
+    payload = to_json(_RegistryFile(registry.policy_id, list(registry.entries.values())))
     write_atomic({Path(path): [json.dumps(payload, indent=2) + "\n"]})
 
 
@@ -282,8 +269,7 @@ def _regex_extract(text: str, registry: ClauseRegistry) -> set[ClauseId]:
 
     text_key = _title_key(text)
     for clause in registry.named_entries:
-        meta = registry.entries[clause]
-        for alias in meta["aliases"]:
+        for alias in registry.entries[clause].aliases:
             key = _title_key(alias)
             if key and key in text_key:
                 cited.add(clause)

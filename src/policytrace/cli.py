@@ -24,7 +24,7 @@ from .clauses import load_registry
 from .corpus import load_dataset, load_policy, split_counts
 from .gateway import GatewayError, ModelHandle, load_provider_config
 from .prompts import SelectionMode, StrategyKind
-from .records import from_json, read_object, write_atomic
+from .records import from_json, read_object, to_json, write_atomic
 
 # Kept at module level for the benchmark: its stand-in provider replaces
 # `load_provider_config` here, and `prtbench/tracer.py` finds every module it
@@ -75,11 +75,14 @@ def _load_config(args: argparse.Namespace) -> Config:
                                base=path.resolve().parent)
         except TypeError as err:  # an unknown key or a wrongly typed value
             raise CliError(f"config {path}: {err}") from err
-    flags = ("seed", "concurrency", "cache_dir", "out_dir", "k")
+    flags = ("seed", "concurrency", "cache_dir", "out_dir", "k", "prt_store")
     config = replace(config, **{flag: value for flag in flags
                                 if (value := getattr(args, flag, None)) is not None})
     if config.concurrency < 1:
         raise CliError(f"concurrency must be >= 1, got {config.concurrency}")
+    for key in ("quarantine_threshold", "flag_threshold"):
+        if not 0 <= (value := getattr(config, key)) <= 1:  # NaN too
+            raise CliError(f"{key} must be in [0, 1], got {value}")
     return config
 
 
@@ -118,8 +121,7 @@ def _write_manifest(out_dir: Path, command: str, config: Config) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "command": command,
-        "effective_config": {k: v for k, v in vars(config).items()
-                             if v is not None and k != "base"},
+        "effective_config": {k: v for k, v in to_json(config).items() if v is not None},
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
     write_atomic({out_dir / f"{command}.manifest.json":
@@ -177,10 +179,9 @@ def cmd_assess(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple
 
     pool = None
     if strategy.needs_pool:
-        store = args.prt_store or config.prt_store
-        if not store:
+        if not config.prt_store:
             raise CliError("--prt-store (or config prt_store) required for this strategy")
-        pool = load_prt_store(store, dataset)
+        pool = load_prt_store(config.prt_store, dataset)
 
     results_path, summary = run_dataset(
         dataset,
@@ -235,10 +236,9 @@ def cmd_export_sft(args: argparse.Namespace, config: Config, out_dir: Path) -> t
     if not 0 <= args.val_fraction < 1:
         raise CliError(f"invalid_fraction: {args.val_fraction}")
     _registry, policy, dataset = _load_corpus(config)
-    store = args.prt_store or config.prt_store
-    if not store:
+    if not config.prt_store:
         raise CliError("--prt-store (or config prt_store) required")
-    aug = load_prt_store(store, dataset)
+    aug = load_prt_store(config.prt_store, dataset)
 
     sft_path = out_dir / "sft.jsonl"
     summary = export_sft(aug, policy, sft_path)

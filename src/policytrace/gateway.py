@@ -18,9 +18,10 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import NoneType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
-from .records import from_json, write_atomic
+from .records import from_json, to_json, write_atomic
 from .tokens import Tokenizer, estimate_tokens
 
 
@@ -154,12 +155,10 @@ def _cache_read(cache_dir: Path, key: str) -> Optional[ModelResponse]:
 
 
 def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
-    # An entry is the response's fields in declared order, without cache_hit.
     # Readers only open <key>.json, which write_atomic replaces whole.
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entry = {name: value for name, value in vars(response).items() if name != "cache_hit"}
-    write_atomic({path: [json.dumps(entry, ensure_ascii=False)]})
+    write_atomic({path: [json.dumps(to_json(response), ensure_ascii=False)]})
 
 
 def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResponse:
@@ -351,8 +350,13 @@ class OpenAICompatProvider(Provider):
             reply = json.loads(data)
             message = reply["choices"][0]["message"]
             usage = reply.get("usage") or {}  # some servers send "usage": null
-            return (message.get("content") or "", message.get("reasoning_content"),
-                    usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
+            text, raw_cot = message.get("content"), message.get("reasoning_content")
+            tokens = usage.get("prompt_tokens"), usage.get("completion_tokens")
+            # only what a cache entry reads back: each text str or null, each count int or null
+            if ({type(text), type(raw_cot)} - {str, NoneType}
+                    or {type(tokens[0]), type(tokens[1])} - {int, NoneType}):
+                raise TypeError("a text or count of the wrong type")
+            return text or "", raw_cot, tokens[0] or 0, tokens[1] or 0
         except (ValueError, LookupError, TypeError, AttributeError) as err:
             raise TransientError(f"HTTP {status}: malformed reply: {head}") from err
 
@@ -380,6 +384,8 @@ def load_provider_config(path: str | Path, cache_dir: Optional[Path] = None) -> 
             for model in config.models:
                 handle = from_json(ModelHandle, model, provider_id=config.provider_id,
                                    provider=provider, cache_dir=cache_dir)
+                if handle.model_id in handles:  # else the last would change endpoint and prices
+                    raise ValueError(f"model_id {handle.model_id!r} listed twice")
                 handles[handle.model_id] = handle
     except KeyError as err:
         raise ProviderConfigError(f"providers file {path}: missing key {err}") from err

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
 from .gateway import PRT_GEN_PROFILE, ModelHandle, ask_twice, run_ordered
 from .prompts import TemplateId, render
-from .records import from_json, read_records, write_atomic
+from .records import from_json, read_records, to_json, write_atomic
 
 
 class PRTError(ValueError):
@@ -220,15 +220,11 @@ def prt_stats(records: list[PRTRecord]) -> PRTStats:
     return PRTStats(mu_word=mu_w, sigma_word=sd_w, mu_sent=mu_s, sigma_sent=sd_s, n=n)
 
 
-def prt_record_to_obj(record: PRTRecord) -> dict:
-    return {**vars(record), "echoed_verdict": record.echoed_verdict.value}
-
-
 def write_prt_store(aug: AugmentedDataset, path: str | Path,
                     others: Mapping[Path, Iterable[str]] = MappingProxyType({})) -> None:
     """Write the store after the files of `others`, as one set (see `write_atomic`)."""
-    write_atomic({**others, Path(path): (json.dumps(prt_record_to_obj(prt), ensure_ascii=False)
-                                         + "\n" for _, _, prt in aug.triples)})
+    write_atomic({**others, Path(path): (json.dumps(to_json(prt), ensure_ascii=False) + "\n"
+                                         for _, _, prt in aug.triples)})
 
 
 def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:

@@ -1,8 +1,8 @@
-"""JSON record readers: a file's JSON object, an enum member by value, a dataclass
-from a JSON object, the lines and records of a JSON Lines file; and `write_atomic`,
-which replaces a file whole: every whole file the package writes goes through it, and
-the results appender of `assess.run_dataset` is the one other writer. It imports
-nothing from the package, so every module may import it.
+"""JSON records: a file's JSON object, an enum member by value, a dataclass from a JSON
+object and back (`from_json`, `to_json`), the lines and records of a JSON Lines file; and
+`write_atomic`, which replaces a file whole: every whole file the package writes goes
+through it, and the results appender of `assess.run_dataset` is the one other writer. It
+imports nothing from the package, so every module may import it.
 
 JSON Lines files (datasets, trace stores, results, SFT records) are read one line at
 a time, so memory follows the longest record and not the file. A line ends at "\n"
@@ -15,6 +15,7 @@ import json
 import os
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union,
@@ -22,8 +23,9 @@ from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVa
 
 _T = TypeVar("_T")
 _MEMBERS: dict[type[Enum], dict] = {}
-# class -> (name, exact JSON types, converter or None, required) of each JSON-typed field
-_FIELDS: dict[type, list[tuple[str, tuple[type, ...], Optional[Callable], bool]]] = {}
+# class -> ((name, exact JSON types, reader, writer, required) of each field `_spec` types but
+# those with `metadata={"json": False}`, in order; their names; (name, writer) of each writer)
+_FIELDS: dict[type, tuple[list[tuple], list[str], list[tuple[str, Callable]]]] = {}
 
 
 def enum_member(enum: type[_T], value: object) -> _T:
@@ -129,46 +131,53 @@ def write_atomic(files: Mapping[Path, Iterable[str]]) -> None:
         raise
 
 
-def _spec(name: str, hint: Any) -> Optional[tuple[tuple[type, ...], Optional[Callable]]]:
-    """(exact JSON types, converter or None) of a field; None if JSON holds no such value."""
+def _spec(name: str, hint: Any) -> Optional[tuple]:
+    """(exact JSON types, reader or None, writer or None) of a field; None if JSON holds none."""
     args = get_args(hint)
     if get_origin(hint) in (Union, UnionType) and len(args) == 2 and NoneType in args:
-        inner = _spec(name, args[args[0] is NoneType])  # the converter skips None
-        return inner and ((*inner[0], NoneType), inner[1])
+        inner = _spec(name, args[args[0] is NoneType])  # the reader and writer skip None
+        return inner and ((*inner[0], NoneType), *inner[1:])
     if get_origin(hint) is list:
         inner = _spec(name, args[0])
-        return inner and ((list,), partial(_list_of, name, *inner))
+        return inner and ((list,), partial(_list_of, name, *inner[:2]),
+                          inner[2] and partial(_list_of, name, (), inner[2]))
     if hint in (str, int, float, bool, dict):
-        return (int, float) if hint is float else (hint,), None
+        return (int, float) if hint is float else (hint,), None, None
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return tuple({type(m.value): 0 for m in hint}), partial(enum_member, hint)
-    return ((dict,), partial(from_json, hint)) if dataclasses.is_dataclass(hint) else None
+        return (tuple({type(m.value): 0 for m in hint}), partial(enum_member, hint),
+                attrgetter("value"))
+    return ((dict,), partial(from_json, hint), to_json) if dataclasses.is_dataclass(hint) else None
 
 
 def _list_of(name: str, types: tuple, convert: Optional[Callable], values: list) -> list:
-    if any(type(value) not in types for value in values):
+    if types and any(type(value) not in types for value in values):  # () checks nothing
         raise TypeError(f"{name} must be list of {' or '.join(t.__name__ for t in types)}, "
                         f"got {values!r}")
     return values if convert is None else [convert(value) for value in values]
 
 
-def from_json(cls: type[_T], obj: object, **given: object) -> _T:
-    """Dataclass `cls` from JSON object `obj` and the fields in `given`. Each key must
-    name a field that `_spec` types (and no `metadata={"json": False}` one) and hold
-    exactly such a value (`true` is no `int`, an `int` is a `float`), else it is a
-    TypeError `<field> must be <types>, got <value!r>`; a missing required field, a KeyError."""
-    fields = _FIELDS.get(cls)
-    if fields is None:
+def _fields(cls: type) -> tuple[list[tuple], list[str], list[tuple[str, Callable]]]:
+    """`_FIELDS[cls]`, built on first use."""
+    if cls not in _FIELDS:
         hints = get_type_hints(cls)
-        fields = _FIELDS[cls] = [
+        fields = [
             (f.name, *spec, f.default is f.default_factory is dataclasses.MISSING)
             for f in dataclasses.fields(cls)
             if f.metadata.get("json", True) and (spec := _spec(f.name, hints[f.name]))
         ]
+        _FIELDS[cls] = fields, [f[0] for f in fields], [(f[0], f[3]) for f in fields if f[3]]
+    return _FIELDS[cls]
+
+
+def from_json(cls: type[_T], obj: object, **given: object) -> _T:
+    """Dataclass `cls` from JSON object `obj` and the fields in `given`. Each key must
+    name a JSON field of `cls` and hold exactly such a value (`true` is no `int`, an
+    `int` is a `float`), else it is a TypeError `<field> must be <types>, got <value!r>`;
+    a missing required field, a KeyError."""
     if type(obj) is not dict:
         raise TypeError(f"{cls.__name__} must be dict, got {obj!r}")
     kwargs = {}
-    for name, types, convert, required in fields:
+    for name, types, convert, _, required in (_FIELDS.get(cls) or _fields(cls))[0]:
         if name not in obj or name in given:  # a given field is never read
             if required and name not in given:
                 raise KeyError(name)
@@ -181,3 +190,20 @@ def from_json(cls: type[_T], obj: object, **given: object) -> _T:
     if len(kwargs) != len(obj):
         raise TypeError(f"unknown key {next(k for k in obj if k not in kwargs)!r}")
     return cls(**kwargs, **given)
+
+
+def to_json(record: object) -> dict:
+    """The JSON object that `from_json` reads dataclass `record` back from: its JSON fields in
+    order, an enum member as its value, nested records likewise. What needs no conversion is
+    the record's own object, not a copy: a list of strings, and the attribute dict itself of a
+    record whose attributes are all JSON fields that need none (for serialising, not keeping)."""
+    _, names, converted = _FIELDS.get(type(record)) or _fields(type(record))
+    obj = vars(record)  # a dataclass's __init__ sets its fields in declared order
+    if len(obj) != len(names):  # attributes that are not JSON fields
+        obj = {name: obj[name] for name in names}
+    elif converted:
+        obj = obj.copy()
+    for name, write in converted:
+        if (value := obj[name]) is not None:
+            obj[name] = write(value)
+    return obj

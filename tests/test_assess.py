@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -16,8 +17,8 @@ from policytrace.assess import (
     run_dataset,
     run_instance,
 )
-from policytrace.corpus import Verdict
-from policytrace.gateway import mock_provider
+from policytrace.corpus import CaseRecord, Dataset, Split, Verdict
+from policytrace.gateway import ModelHandle, Provider, mock_provider
 from policytrace.prtgen import generate_augmented_dataset
 
 C = Verdict.COMPLIANT
@@ -404,3 +405,25 @@ def test_run_dataset_hashes_the_pool_once(tmp_path, monkeypatch, dataset, policy
     _, summary = run_dataset(dataset, policy, strategy, learner_handle, tmp_path, pool=pool)
     assert summary.executed == len(dataset.test) == 6
     assert len(calls) == 1
+
+
+def test_results_line_golden(tmp_path, policy):
+    # Pins a results line's bytes: the result's fields and each turn's in declared order,
+    # the verdict by its value, non-ASCII text raw.
+    prompts = []
+
+    class Fixed(Provider):
+        def generate(self, model_id, prompt, cfg):
+            prompts.append(prompt)
+            return "Análisis — Final Judgment: NONCOMPLIANT ✓", "naïve", 7, 3
+
+    case = CaseRecord("caso-ñ", "Un caso.", Verdict.NONCOMPLIANT, frozenset(), Split.TEST)
+    learner = ModelHandle("p", "m", supports_raw_cot=True, provider=Fixed())
+    path, _ = run_dataset(Dataset((case,)), policy, Strategy(StrategyKind.BASE), learner, tmp_path)
+    prompt_hash = hashlib.sha256(prompts[0].encode("utf-8")).hexdigest()
+    assert path.read_text(encoding="utf-8") == (
+        '{"case_id": "caso-ñ", "strategy": "base", "turns": [{"template_id": "base", '
+        f'"prompt_hash": "{prompt_hash}", "response_text": "Análisis — Final Judgment: '
+        'NONCOMPLIANT ✓", "raw_cot": "naïve", "prompt_tokens": 7, "completion_tokens": 3}], '
+        '"parsed_verdict": "NONCOMPLIANT", "correct": true, "flags": []}\n'
+    )

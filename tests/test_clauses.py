@@ -116,6 +116,42 @@ def test_a_citation_names_a_clause_only_by_its_whole_number(canonical, text):
     assert extract_cited_clauses(f"This falls under {text}.", registry).cited == set()
 
 
+def test_saved_registry_golden(tmp_path):
+    # Pins a registry file's bytes: the entries' fields in declared order, the scheme by
+    # its value, non-ASCII text escaped; and the file reads back as the same entries.
+    registry = ClauseRegistry(policy_id="política")
+    registry.add(cid(5), title="Lawfulness", aliases=["Art. 5"])
+    registry.add(ClauseId("Derecho de acceso", Scheme.NAMED), title="Derecho de acceso",
+                 aliases=["Acceso ✓"])
+    path = tmp_path / "registry.json"
+    save_registry(registry, path)
+    assert path.read_text(encoding="utf-8") == """{
+  "policy_id": "pol\\u00edtica",
+  "clauses": [
+    {
+      "canonical": "Article 5",
+      "scheme": "article",
+      "title": "Lawfulness",
+      "aliases": [
+        "Art. 5",
+        "Article 5"
+      ]
+    },
+    {
+      "canonical": "Derecho de acceso",
+      "scheme": "named",
+      "title": "Derecho de acceso",
+      "aliases": [
+        "Acceso \\u2713",
+        "Derecho de acceso"
+      ]
+    }
+  ]
+}
+"""
+    assert load_registry(path).entries == registry.entries
+
+
 def test_registry_round_trip(registry, tmp_path):
     path = tmp_path / "reg.json"
     save_registry(registry, path)

@@ -893,6 +893,48 @@ def test_a_providers_or_registry_field_of_the_wrong_type_is_an_error(
     assert capsys.readouterr().err == f"error: {what} {path}: malformed: {detail}\n"
 
 
+def test_a_model_listed_twice_in_the_providers_file_exits_2(workdir, capsys):
+    # Two mock providers both list `m`, priced 1.0 and then 9.0: neither price may win.
+    corpus, out = workdir
+    path = corpus / "providers.json"
+    providers = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps([
+        {**providers, "models": [{"model_id": "m", "price_in_usd_per_1m": price}]}
+        for price in (1.0, 9.0)
+    ]), encoding="utf-8")
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "gen") == 2
+    assert capsys.readouterr().err == (
+        f"error: providers file {path}: malformed: model_id 'm' listed twice\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["quarantine_threshold", "flag_threshold"])
+@pytest.mark.parametrize("value, shown", [(-1, "-1"), (1.5, "1.5"), (float("nan"), "nan")],
+                         ids=["negative", "above_1", "nan"])
+def test_a_threshold_outside_0_1_exits_2_before_any_output(workdir, capsys, key, value, shown):
+    corpus, out = workdir
+    config_path = corpus / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps({**config, key: value}), encoding="utf-8")  # NaN as NaN
+    assert run_cli("--config", config_path, "--out-dir", out, "gen") == 2
+    assert capsys.readouterr().err == f"error: {key} must be in [0, 1], got {shown}\n"
+    assert not out.exists()
+
+
+def test_the_prt_store_flag_overrides_the_config_and_export_sft_records_it(workdir, capsys):
+    corpus, out = workdir
+    store = _gen(corpus, out)
+    config_path = corpus / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps({**config, "prt_store": "no/such/store.jsonl"}),
+                           encoding="utf-8")
+    for command in (["assess", "--strategy", "fewshot", "--prt-store", store],
+                    ["export-sft", "--prt-store", store]):
+        assert run_cli("--config", config_path, "--out-dir", out, *command) == 0, command
+    manifest = json.loads((out / "export-sft.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["effective_config"]["prt_store"] == str(store)
+
+
 def _remote_providers(corpus):
     """Point the providers file at an OpenAI-compatible endpoint; return its mock
     script as a provider, for a `gateway._post` stand-in to answer with."""

@@ -502,13 +502,50 @@ def test_http_200_reply_reads_missing_usage_as_zero_tokens(monkeypatch, body, to
     assert provider.generate("m", "prompt", ASSESS_PROFILE) == ("0,1,2", None, *tokens)
 
 
-def _remote(max_attempts=3, base_delay_s=0.0):
+def _remote(max_attempts=3, base_delay_s=0.0, **fields):
     return ModelHandle(
         provider_id="remote",
         model_id="m",
         provider=OpenAICompatProvider("http://localhost:1/v1", "NO_SUCH_KEY_ENV"),
         retry=RetryPolicy(base_delay_s=base_delay_s, max_attempts=max_attempts),
+        **fields,
     )
+
+
+def test_a_null_token_count_reads_as_zero_and_its_cache_entry_reads_back(monkeypatch, tmp_path):
+    post = _answer(200, b'{"choices": [{"message": {"content": "ok"}}], '
+                        b'"usage": {"prompt_tokens": null, "completion_tokens": 3}}')
+    monkeypatch.setattr(gateway, "_post", post)
+    handle = _remote(cache_dir=tmp_path)
+    first = complete(handle, "hi", ASSESS_PROFILE)
+    assert (first.prompt_tokens, first.completion_tokens) == (0, 3)
+    again = complete(handle, "hi", ASSESS_PROFILE)  # the cache entry, read back
+    assert again == ModelResponse(**{**vars(first), "cache_hit": True})
+    assert len(post.calls) == 1
+
+
+@pytest.mark.parametrize(
+    "message, usage",
+    [
+        ({"content": 5}, {}),
+        ({"content": ["ok"]}, {}),
+        ({"content": "ok", "reasoning_content": ["step 1"]}, {}),
+        ({"content": "ok"}, {"prompt_tokens": "7"}),
+        ({"content": "ok"}, {"prompt_tokens": True}),
+        ({"content": "ok"}, {"completion_tokens": 3.0}),
+    ],
+    ids=["content_int", "content_list", "reasoning_list", "count_str", "count_bool",
+         "count_float"],
+)
+def test_a_200_reply_that_no_cache_entry_could_hold_is_retried(monkeypatch, tmp_path, message,
+                                                               usage):
+    post = _answer(200, json.dumps({"choices": [{"message": message}], "usage": usage}).encode())
+    monkeypatch.setattr(gateway, "_post", post)
+    with pytest.raises(TransientError, match="^exhausted 3 attempts$") as err:
+        complete(_remote(supports_raw_cot=True, cache_dir=tmp_path), "hi", ASSESS_PROFILE)
+    assert str(err.value.__cause__).startswith("HTTP 200: malformed reply: ")
+    assert len(post.calls) == 3
+    assert list(tmp_path.iterdir()) == []  # no entry written
 
 
 @pytest.mark.parametrize(

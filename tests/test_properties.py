@@ -8,9 +8,10 @@ import re
 import statistics
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,15 @@ from policytrace.clauses import (
     ClauseId,
     ClauseRegistry,
     Scheme,
+    _RegistryEntry,
+    _RegistryFile,
     _expand_numbered_mentions,
     _title_key,
     extract_cited_clauses,
     normalize,
 )
-from policytrace.assess import InstanceResult, Turn, parse_verdict, result_to_obj
+from policytrace.assess import InstanceResult, Turn, parse_verdict
+from policytrace.cli import Config
 from policytrace.corpus import (
     CaseRecord,
     CorpusError,
@@ -52,9 +56,10 @@ from policytrace.prompts import (
     render,
 )
 from policytrace.prtgen import (
-    AugmentedDataset, PRTRecord, count_words, prt_record_to_obj, prt_stats, validate_prt,
+    AugmentedDataset, PRTRecord, count_words, prt_stats, validate_prt,
 )
-from policytrace.records import enum_member, from_json, read_jsonl
+from policytrace.gateway import ModelResponse
+from policytrace.records import enum_member, from_json, read_jsonl, to_json
 from policytrace.select import select_random
 from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
 from policytrace.significance import CostAccuracyPoint
@@ -773,21 +778,36 @@ def _instance_results(draw):
     )
 
 
-@settings(max_examples=50, derandomize=True)
-@given(_instance_results())
-def test_a_results_record_reads_back_as_it_was_written(result):
-    obj = json.loads(json.dumps(result_to_obj(result)))
-    assert from_json(InstanceResult, obj) == result
-
-
-@settings(max_examples=50, derandomize=True)
-@given(
-    st.builds(
+# Every record the program writes and reads back: a results line, a trace-store line,
+# a cache entry, a registry file and a config (whose manifest copy is `to_json`'s).
+_WRITTEN_RECORDS = {
+    InstanceResult: _instance_results(),
+    PRTRecord: st.builds(
         PRTRecord, _FIELD_TEXT, _FIELD_TEXT, st.text(min_size=1, max_size=40),
         st.sampled_from(Verdict), st.integers(min_value=1), st.integers(min_value=1),
         _FIELD_TEXT, _FIELD_TEXT,
-    )
-)
-def test_a_store_record_reads_back_as_it_was_written(record):
-    obj = json.loads(json.dumps(prt_record_to_obj(record)))
-    assert from_json(PRTRecord, obj) == record
+    ),
+    ModelResponse: st.builds(
+        ModelResponse, _FIELD_TEXT, st.none() | _FIELD_TEXT, _COUNTS, _COUNTS, _COUNTS
+    ),
+    _RegistryFile: st.builds(_RegistryFile, _FIELD_TEXT, st.lists(st.builds(
+        _RegistryEntry, _FIELD_TEXT, st.sampled_from(Scheme), _FIELD_TEXT,
+        st.lists(_FIELD_TEXT, max_size=3),
+    ), max_size=3)),
+    Config: st.builds(
+        Config,
+        **{f.name: st.none() | _FIELD_TEXT for f in fields(Config)
+           if f.default is None and f.name != "base"},
+        out_dir=_FIELD_TEXT, k=st.integers(), seed=st.integers(), concurrency=st.integers(),
+        quarantine_threshold=st.floats(allow_nan=False),
+        flag_threshold=st.floats(allow_nan=False),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(_WRITTEN_RECORDS), ids=lambda cls: cls.__name__)
+@settings(max_examples=50, derandomize=True)
+@given(data=st.data())
+def test_a_written_record_reads_back_as_it_was(cls, data):
+    record = data.draw(_WRITTEN_RECORDS[cls])
+    assert from_json(cls, json.loads(json.dumps(to_json(record)))) == record

@@ -1,10 +1,12 @@
 import pytest
 
 from mock_corpus import COMPLIANT_TRACE, NONCOMPLIANT_TRACE
-from policytrace.corpus import Verdict
+from policytrace.corpus import CaseRecord, Split, Verdict
 from policytrace.gateway import MockScriptEntry, UnmatchedPromptError, mock_provider
 from policytrace.prtgen import (
+    AugmentedDataset,
     PRTError,
+    PRTRecord,
     count_sentences,
     count_words,
     generate_augmented_dataset,
@@ -180,6 +182,21 @@ def test_store_round_trip(tmp_path, dataset, policy, expert_handle):
     loaded = load_prt_store(path, dataset)
     assert loaded.triples == aug.triples
     assert loaded.content_hash == aug.content_hash
+
+
+def test_store_line_golden(tmp_path):
+    # Pins a trace-store line's bytes: the record's fields in declared order, the verdict
+    # by its value, non-ASCII text raw.
+    case = CaseRecord("caso-ñ", "Un caso.", C, frozenset(), Split.TRAIN)
+    prt = PRTRecord("caso-ñ", "mock-expert", "1. Análisis ✓\n2. Final: COMPLIANT", C, 6, 2,
+                    "ab" * 32, "2026-01-01T00:00:00+00:00")
+    path = tmp_path / "store.jsonl"
+    write_prt_store(AugmentedDataset(((case, C, prt),)), path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"case_id": "caso-ñ", "expert_model": "mock-expert", "prt_text": "1. Análisis ✓\\n2. '
+        'Final: COMPLIANT", "echoed_verdict": "COMPLIANT", "word_count": 6, "sentence_count": 2, '
+        f'"prompt_hash": "{"ab" * 32}", "created_at": "2026-01-01T00:00:00+00:00"}}\n'
+    )
 
 
 def test_store_rejects_tampered_trace(tmp_path, dataset, policy, expert_handle):
