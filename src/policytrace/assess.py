@@ -12,7 +12,7 @@ import json
 import os
 import re
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -223,18 +223,42 @@ def _manifest_path(results_path: Path) -> Path:
     return results_path.with_name(results_path.name.replace(".results.jsonl", ".manifest.json"))
 
 
-def load_run(results_path: Path) -> tuple[dict, list[InstanceResult]]:
-    """A run's manifest, checked for the keys `report` reads, and its results."""
+@dataclass
+class RunManifest:
+    """What identifies a run's results; a resume refuses one that differs but in `started_at`."""
+    run_id: str
+    policy_id: str
+    strategy: str
+    learner_model: str
+    judge_model: Optional[str]
+    seed: int
+    k: int
+    pool_hash: Optional[str]
+    template_hashes: dict  # template id -> hash
+    started_at: str = field(compare=False)
+
+
+def _read_manifest(path: Path) -> RunManifest:
+    try:
+        return from_json(RunManifest, read_object(path, "manifest", AssessError))
+    except KeyError as err:
+        raise AssessError(f"manifest {path}: missing key {err}") from err
+    except TypeError as err:  # an unknown key or a wrongly typed value
+        raise AssessError(f"manifest {path}: malformed: {err}") from err
+
+
+def load_run(results_path: Path) -> tuple[RunManifest, list[InstanceResult]]:
+    """A run's manifest and its results, of which there must be at least one."""
     if not results_path.name.endswith(".results.jsonl"):
         raise AssessError(f"{results_path} is not a <run_id>.results.jsonl results file")
     manifest_path = _manifest_path(results_path)
     if not manifest_path.exists():
         raise AssessError(f"manifest not found next to results: {manifest_path}")
-    manifest = read_object(manifest_path, "manifest", AssessError)
-    missing = sorted({"learner_model", "policy_id", "run_id", "strategy"} - manifest.keys())
-    if missing:
-        raise AssessError(f"manifest {manifest_path}: missing {', '.join(missing)}")
-    return manifest, load_results(results_path)
+    manifest = _read_manifest(manifest_path)
+    results = load_results(results_path)
+    if not results:
+        raise AssessError(f"{results_path}: no results")
+    return manifest, results
 
 
 @dataclass
@@ -263,29 +287,6 @@ class RunSummary:
     def accuracy_pct(self) -> float:
         done = self.total - len(self.failed_cases)
         return 100.0 * self.correct / done if done else 0.0
-
-
-def _manifest(
-    run_id: str,
-    policy: Policy,
-    strategy: Strategy,
-    learner: ModelHandle,
-    judge: Optional[ModelHandle],
-    seed: int,
-    pool: Optional[AugmentedDataset],
-) -> dict:
-    return {
-        "run_id": run_id,
-        "policy_id": policy.policy_id,
-        "strategy": strategy.label(),
-        "learner_model": learner.model_id,
-        "judge_model": judge.model_id if judge else None,
-        "seed": seed,
-        "k": strategy.k,
-        "pool_hash": pool.content_hash if pool else None,
-        "template_hashes": {t.value: template_hash(t) for t in TemplateId},
-        "started_at": datetime.now(timezone.utc).isoformat(),
-    }
 
 
 _TAIL_BLOCK = 1 << 16
@@ -340,21 +341,23 @@ def run_dataset(
     results_path = out_dir / f"{run_id}.results.jsonl"
     manifest_path = _manifest_path(results_path)
 
-    manifest = _manifest(run_id, policy, strategy, learner, judge, seed, pool)
+    manifest = RunManifest(
+        run_id=run_id, policy_id=policy.policy_id, strategy=strategy.label(),
+        learner_model=learner.model_id, judge_model=judge.model_id if judge else None,
+        seed=seed, k=strategy.k, pool_hash=pool.content_hash if pool else None,
+        template_hashes={t.value: template_hash(t) for t in TemplateId},
+        started_at=datetime.now(timezone.utc).isoformat())
     size, end = _whole_lines_end(results_path)
     if end and manifest_path.exists():
-        old = read_object(manifest_path, "manifest", AssessError)
-        differ = sorted(
-            key
-            for key in manifest.keys() | old.keys()
-            if key != "started_at" and manifest.get(key) != old.get(key)
-        )
+        old = _read_manifest(manifest_path)
+        differ = sorted(f.name for f in fields(RunManifest)
+                        if f.compare and getattr(manifest, f.name) != getattr(old, f.name))
         if differ:
             raise AssessError(
                 f"cannot resume {results_path.name}: configuration differs from its "
                 f"manifest in {', '.join(differ)}"
             )
-    write_atomic({manifest_path: [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]})
+    write_atomic({manifest_path: [json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"]})
 
     if end < size:  # a crash left the last record half-written
         os.truncate(results_path, end)

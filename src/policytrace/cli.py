@@ -215,15 +215,23 @@ def cmd_report(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple
     from .report import build_report, write_report
 
     runs = [load_run(Path(path)) for path in args.results]
-    policy_ids = sorted({manifest["policy_id"] for manifest, _ in runs})
+    policy_ids = sorted({manifest.policy_id for manifest, _ in runs})
     if len(policy_ids) > 1:
         raise CliError(f"mixed-policy inputs rejected: {policy_ids}")
+    run_ids: set[str] = set()
+    for manifest, _ in runs:  # else its rows would collide in metrics.csv and pareto.csv
+        if manifest.run_id in run_ids:
+            raise CliError(f"run {manifest.run_id} given twice")
+        run_ids.add(manifest.run_id)
 
-    handles = _load_handles(config) if config.providers_file else {}
-    corpus = judge = None
+    corpus = None
     if None not in (config.registry_file, config.policy_file, config.dataset_file):
         corpus = _load_corpus(config)  # for clause relevance, by judge if judge_model is set
-        judge = _handle(handles, config, "judge") if config.judge_model else None
+        if corpus[1].policy_id != policy_ids[0]:
+            raise CliError(f"runs of policy {policy_ids[0]}, corpus of {corpus[1].policy_id}")
+    use_judge = bool(corpus and config.judge_model)
+    handles = _load_handles(config) if config.providers_file or use_judge else {}
+    judge = _handle(handles, config, "judge") if use_judge else None
 
     report = build_report(runs, handles, corpus, judge, config.concurrency)
     write_report(report, out_dir)

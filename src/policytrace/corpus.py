@@ -179,7 +179,10 @@ def load_policy(
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"policy file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise CorpusError(f"{path}: {err}") from err
     if not text.strip():
         raise CorpusError(f"empty_policy: {path}")
 

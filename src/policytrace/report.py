@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import significance as sig
-from .assess import InstanceResult
+from .assess import InstanceResult, RunManifest
 from .clauses import ClauseRegistry
 from .corpus import Dataset, Policy
 from .gateway import ModelHandle
@@ -20,7 +20,7 @@ from .records import write_atomic
 
 
 def build_report(
-    runs: list[tuple[dict, list[InstanceResult]]],
+    runs: list[tuple[RunManifest, list[InstanceResult]]],
     handles: dict[str, ModelHandle],
     corpus: Optional[tuple[ClauseRegistry, Policy, Dataset]] = None,
     judge: Optional[ModelHandle] = None,
@@ -33,13 +33,13 @@ def build_report(
     """
     rows = []
     for manifest, results in runs:
-        handle = handles.get(manifest["learner_model"])
+        handle = handles.get(manifest.learner_model)
         rows.append(
             {
-                "run_id": manifest["run_id"],
-                "policy_id": manifest["policy_id"],
-                "strategy": manifest["strategy"],
-                "model": manifest["learner_model"],
+                "run_id": manifest.run_id,
+                "policy_id": manifest.policy_id,
+                "strategy": manifest.strategy,
+                "model": manifest.learner_model,
                 "n": len(results),
                 "accuracy_pct": accuracy(results),
                 "cost_usd": sig.run_cost(results, handle) if handle else None,

@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import re
+from datetime import datetime
 
 import pytest
 
 from mock_corpus import EXPERT_SCRIPT
 
+from policytrace import assess
 from policytrace.assess import (
     AssessError,
     SelectionMode,
@@ -19,6 +21,7 @@ from policytrace.assess import (
 )
 from policytrace.corpus import CaseRecord, Dataset, Split, Verdict
 from policytrace.gateway import ModelHandle, Provider, mock_provider
+from policytrace.prompts import TemplateId, template_hash
 from policytrace.prtgen import generate_augmented_dataset
 
 C = Verdict.COMPLIANT
@@ -426,4 +429,32 @@ def test_results_line_golden(tmp_path, policy):
         f'"prompt_hash": "{prompt_hash}", "response_text": "Análisis — Final Judgment: '
         'NONCOMPLIANT ✓", "raw_cot": "naïve", "prompt_tokens": 7, "completion_tokens": 3}], '
         '"parsed_verdict": "NONCOMPLIANT", "correct": true, "flags": []}\n'
+    )
+
+
+def test_run_manifest_golden(tmp_path, policy, monkeypatch):
+    # Pins a run manifest's bytes: keys sorted, two-space indent, None as null, one
+    # trailing newline; `started_at` is fixed by a stand-in clock.
+    class Clock:
+        @staticmethod
+        def now(tz):
+            return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+    monkeypatch.setattr(assess, "datetime", Clock)
+    case = CaseRecord("c", "A case.", Verdict.COMPLIANT, frozenset(), Split.TEST)
+    learner = mock_provider({"": "Final Judgment: COMPLIANT"}, "m")
+    _, summary = run_dataset(Dataset((case,)), policy, Strategy(StrategyKind.BASE), learner,
+                             tmp_path, judge=mock_provider({}, "j"), seed=7)
+    assert summary.executed == 1
+    ids = ("base", "clause_extract", "fewshot", "fewshot_prt", "policy_summarize",
+           "prt_generate", "select_relevant", "selfrefine_critique", "selfrefine_initial",
+           "selfrefine_judgment", "selfrefine_prt_critique_judgment", "selfrefine_prt_initial",
+           "utilization_count")
+    hashes = ",\n".join(f'    "{t}": "{template_hash(TemplateId(t))}"' for t in ids)
+    assert (tmp_path / f"{summary.run_id}.manifest.json").read_text(encoding="utf-8") == (
+        '{\n  "judge_model": "j",\n  "k": 3,\n  "learner_model": "m",\n'
+        '  "policy_id": "synthpol",\n  "pool_hash": null,\n'
+        '  "run_id": "synthpol_base_m_s7",\n  "seed": 7,\n'
+        '  "started_at": "2026-01-02T03:04:05+00:00",\n  "strategy": "base",\n'
+        '  "template_hashes": {\n' + hashes + '\n  }\n}\n'
     )

@@ -297,8 +297,8 @@ def _without(*keys):
 @pytest.mark.parametrize(
     "damage, detail",
     [
-        (_without("learner_model"), ": missing learner_model"),
-        (_without("run_id", "strategy"), ": missing run_id, strategy"),
+        (_without("learner_model"), ": missing key 'learner_model'"),
+        (_without("run_id", "strategy"), ": missing key 'run_id'"),
         (lambda manifest: "{not json", ": Expecting property name"),
     ],
     ids=["missing_key", "missing_keys", "not_json"],
@@ -331,6 +331,78 @@ def test_report_refuses_a_results_file_under_another_name(workdir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {renamed} is not a <run_id>.results.jsonl results file\n", err
+
+
+@pytest.mark.parametrize("copied", [False, True], ids=["same_file", "copy_elsewhere"])
+def test_report_refuses_a_run_given_twice(workdir, capsys, tmp_path, copied):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    (results,) = out.glob("*.results.jsonl")
+    (manifest,) = out.glob("*.manifest.json")
+    twice = results
+    if copied:  # the same run under another directory: one run_id, two files
+        (tmp_path / "copy").mkdir()
+        shutil.copy(manifest, tmp_path / "copy")
+        twice = shutil.copy(results, tmp_path / "copy")
+    capsys.readouterr()
+    code = run_cli("--config", config, "--out-dir", out, "report", results, twice)
+    assert code == 2
+    assert capsys.readouterr().err == "error: run synthpol_base_mock-learner_s42 given twice\n"
+    assert not (out / "report.json").exists()
+
+
+def test_report_refuses_runs_of_another_policy_than_its_corpus(workdir, capsys):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    (results,) = out.glob("*.results.jsonl")
+    _write_config(corpus, policy_id="otherpol")
+    capsys.readouterr()
+    assert run_cli("--config", config, "--out-dir", out, "report", results) == 2
+    assert capsys.readouterr().err == "error: runs of policy synthpol, corpus of otherpol\n"
+    assert not (out / "report.json").exists()  # refused before clause relevance is scored
+
+
+def test_report_refuses_a_results_file_with_no_record(workdir, capsys):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    (results,) = out.glob("*.results.jsonl")
+    results.write_text("\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("--config", config, "--out-dir", out, "report", results) == 2
+    assert capsys.readouterr().err == f"error: {results}: no results\n"
+
+
+@pytest.mark.parametrize("with_corpus", [True, False], ids=["corpus", "no_corpus"])
+def test_report_with_a_judge_and_no_providers_file_names_the_missing_field(
+    workdir, capsys, with_corpus
+):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    (results,) = out.glob("*.results.jsonl")
+    no_corpus = {} if with_corpus else dict.fromkeys(("registry_file", "policy_file"))
+    _write_config(corpus, providers_file=None, **no_corpus)
+    capsys.readouterr()
+    code = run_cli("--config", config, "--out-dir", out, "report", results)
+    if with_corpus:  # the judge would score clause relevance, and no file names its provider
+        assert code == 2
+        assert capsys.readouterr().err == "error: config field missing: providers_file\n"
+    else:  # no clause relevance, so no judge: the report goes on without costs
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["runs"][0]["cost_usd"] is None
+
+
+def test_a_policy_file_that_is_not_utf8_is_an_error_naming_it(workdir, capsys):
+    corpus, out = workdir
+    policy = corpus / "policy.txt"
+    policy.write_bytes(policy.read_bytes() + b"\xff")
+    code = run_cli("--config", corpus / "config.json", "validate")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {policy}: 'utf-8' codec can't decode byte 0xff"), err
 
 
 def test_gen_reports_a_provider_error_and_exits_2(workdir, capsys):

@@ -30,7 +30,7 @@ from policytrace.clauses import (
     extract_cited_clauses,
     normalize,
 )
-from policytrace.assess import InstanceResult, Turn, parse_verdict
+from policytrace.assess import InstanceResult, RunManifest, Turn, parse_verdict
 from policytrace.cli import Config
 from policytrace.corpus import (
     CaseRecord,
@@ -779,7 +779,8 @@ def _instance_results(draw):
 
 
 # Every record the program writes and reads back: a results line, a trace-store line,
-# a cache entry, a registry file and a config (whose manifest copy is `to_json`'s).
+# a cache entry, a registry file, a config (whose manifest copy is `to_json`'s) and a
+# run manifest.
 _WRITTEN_RECORDS = {
     InstanceResult: _instance_results(),
     PRTRecord: st.builds(
@@ -802,6 +803,11 @@ _WRITTEN_RECORDS = {
         quarantine_threshold=st.floats(allow_nan=False),
         flag_threshold=st.floats(allow_nan=False),
     ),
+    RunManifest: st.builds(
+        RunManifest, _FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT,
+        st.none() | _FIELD_TEXT, st.integers(), st.integers(), st.none() | _FIELD_TEXT,
+        st.dictionaries(_FIELD_TEXT, _FIELD_TEXT, max_size=3), _FIELD_TEXT,
+    ),
 }
 
 
@@ -810,4 +816,5 @@ _WRITTEN_RECORDS = {
 @given(data=st.data())
 def test_a_written_record_reads_back_as_it_was(cls, data):
     record = data.draw(_WRITTEN_RECORDS[cls])
-    assert from_json(cls, json.loads(json.dumps(to_json(record)))) == record
+    read = from_json(cls, json.loads(json.dumps(to_json(record))))
+    assert read == record and to_json(read) == to_json(record)  # `==` skips compare=False
