@@ -335,7 +335,6 @@ def run_dataset(
     if strategy.selection is SelectionMode.REL and judge is None:
         raise AssessError("relevance selection requires a judge handle")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_id = f"{policy.policy_id}_{strategy.label()}_{learner.model_id}_s{seed}"
     run_id = re.sub(r"[^A-Za-z0-9._-]+", "-", run_id)
     results_path = out_dir / f"{run_id}.results.jsonl"

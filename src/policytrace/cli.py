@@ -1,11 +1,13 @@
 """Operator entry point: manifest-driven runs binding all modules together.
 
 Subcommands: gen, assess, report, export-sft, validate. Configuration comes from a
-JSON file read into a `Config`, plus flag overrides (flags win). `main` writes the
-effective config of gen, report and export-sft into a command manifest
-(`<command>.manifest.json`); an assess run's manifest records what identifies the
-run instead (strategy, models, seed, pool and template hashes). Exit code 0 means
-no errors and no quarantined/flagged records above the configured thresholds.
+JSON file read into a `Config`, plus flag overrides (flags win). gen, report and
+export-sft each write their outputs and a command manifest (`<command>.manifest.json`,
+the effective config) in one `write_atomic` call once their work has succeeded, so a
+refused or failed command leaves its out dir as it was; an assess run's manifest
+records what identifies the run instead (strategy, models, seed, pool and template
+hashes). Exit code 0 means no errors and no quarantined/flagged records above the
+configured thresholds.
 
 Each command imports what only it runs when it runs, so `validate` and `gen`
 start without loading `assess`, `select`, `report` and the rest.
@@ -24,12 +26,12 @@ from .clauses import load_registry
 from .corpus import load_dataset, load_policy, split_counts
 from .gateway import GatewayError, ModelHandle, load_provider_config
 from .prompts import SelectionMode, StrategyKind
-from .records import from_json, read_object, to_json, write_atomic
+from .records import from_json, read_object, to_json
 
 # Kept at module level for the benchmark: its stand-in provider replaces
 # `load_provider_config` here, and `prtbench/tracer.py` finds every module it
 # wraps in `sys.modules`, `sftexport` too when a run never exports.
-from .sftexport import export_sft, split_train_val
+from .sftexport import export_sft
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,6 @@ class Config:
     quarantine_threshold: float = 0.25
     flag_threshold: float = 0.5
     base: Optional[Path] = field(default=None, metadata={"json": False})
-
-
-# The commands that write `<command>.manifest.json` with their effective config.
-_MANIFEST_COMMANDS = ("gen", "report", "export-sft")
 
 
 class CliError(ValueError):
@@ -115,22 +113,24 @@ def _load_corpus(config: Config):
     return registry, policy, dataset
 
 
-def _write_manifest(out_dir: Path, command: str, config: Config) -> None:
+def _manifest(args: argparse.Namespace, config: Config, out_dir: Path) -> dict[Path, list[str]]:
+    """{path: lines} of the command's manifest, started now, for its writer to write
+    with its outputs."""
     from datetime import datetime, timezone
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "command": command,
+        "command": args.command,
         "effective_config": {k: v for k, v in to_json(config).items() if v is not None},
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
-    write_atomic({out_dir / f"{command}.manifest.json":
-                  [json.dumps(payload, indent=2, sort_keys=True) + "\n"]})
+    return {out_dir / f"{args.command}.manifest.json":
+            [json.dumps(payload, indent=2, sort_keys=True) + "\n"]}
 
 
 def cmd_gen(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[dict, int]:
     from .prtgen import generate_augmented_dataset, prt_stats, write_prt_store
 
+    command_manifest = _manifest(args, config, out_dir)
     registry, policy, dataset = _load_corpus(config)
     expert = _handle(_load_handles(config), config, "expert")
 
@@ -138,8 +138,9 @@ def cmd_gen(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[di
     store_path = out_dir / f"{policy.policy_id}_{expert.model_id}.prts.jsonl"
     quarantined = [{"case_id": cid, "reason": err.reason, "detail": str(err)}
                    for cid, err in quarantine]
-    write_prt_store(aug, store_path,  # quarantine.json first, the store last
-                    {out_dir / "quarantine.json": [json.dumps(quarantined, indent=2) + "\n"]})
+    write_prt_store(aug, store_path,  # the manifest and quarantine.json first, the store last
+                    {**command_manifest,
+                     out_dir / "quarantine.json": [json.dumps(quarantined, indent=2) + "\n"]})
 
     summary: dict = {
         "store": str(store_path),
@@ -214,6 +215,7 @@ def cmd_report(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple
     from .assess import load_run
     from .report import build_report, write_report
 
+    command_manifest = _manifest(args, config, out_dir)
     runs = [load_run(Path(path)) for path in args.results]
     policy_ids = sorted({manifest.policy_id for manifest, _ in runs})
     if len(policy_ids) > 1:
@@ -234,22 +236,22 @@ def cmd_report(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple
     judge = _handle(handles, config, "judge") if use_judge else None
 
     report = build_report(runs, handles, corpus, judge, config.concurrency)
-    write_report(report, out_dir)
+    write_report(report, out_dir, command_manifest)
     return report, 0
 
 
 def cmd_export_sft(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[dict, int]:
     from .prtgen import load_prt_store
 
-    if not 0 <= args.val_fraction < 1:
-        raise CliError(f"invalid_fraction: {args.val_fraction}")
+    command_manifest = _manifest(args, config, out_dir)
     _registry, policy, dataset = _load_corpus(config)
     if not config.prt_store:
         raise CliError("--prt-store (or config prt_store) required")
     aug = load_prt_store(config.prt_store, dataset)
 
     sft_path = out_dir / "sft.jsonl"
-    summary = export_sft(aug, policy, sft_path)
+    summary = export_sft(aug, policy, sft_path, args.val_fraction, config.seed,
+                         command_manifest)
 
     result = {
         "records": summary.n_records,
@@ -257,15 +259,8 @@ def cmd_export_sft(args: argparse.Namespace, config: Config, out_dir: Path) -> t
         "out": str(sft_path),
     }
     if args.val_fraction:
-        n_train, n_val = split_train_val(
-            sft_path,
-            args.val_fraction,
-            config.seed,
-            out_dir / "sft.train.jsonl",
-            out_dir / "sft.val.jsonl",
-        )
-        result["train_records"] = n_train
-        result["val_records"] = n_val
+        result["train_records"] = summary.n_records - summary.n_val
+        result["val_records"] = summary.n_val
     return result, 0
 
 
@@ -322,17 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command: load the config, write the command's manifest if it has one
-    (before any other side effect), run it and print its JSON summary. A refused
-    input, a provider failing past its retries or a failed read or write, the
-    summary's print too, is one `error:` line and exit 2."""
+    """Run one command: load the config, run the command and print its JSON summary.
+    A refused input, a provider failing past its retries or a failed read or write,
+    the summary's print too, is one `error:` line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        out_dir = Path(config.out_dir)
-        if args.command in _MANIFEST_COMMANDS:
-            _write_manifest(out_dir, args.command, config)
-        summary, code = args.func(args, config, out_dir)
+        summary, code = args.func(args, config, Path(config.out_dir))
         print(json.dumps(summary, indent=2))
         return code
     except ValueError as err:

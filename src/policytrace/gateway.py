@@ -157,7 +157,6 @@ def _cache_read(cache_dir: Path, key: str) -> Optional[ModelResponse]:
 def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
     # Readers only open <key>.json, which write_atomic replaces whole.
     path = _cache_path(cache_dir, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic({path: [json.dumps(to_json(response), ensure_ascii=False)]})
 
 

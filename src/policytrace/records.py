@@ -1,7 +1,8 @@
 """JSON records: a file's JSON object, an enum member by value, a dataclass from a JSON
 object and back (`from_json`, `to_json`), the lines and records of a JSON Lines file; and
-`write_atomic`, which replaces a file whole: every whole file the package writes goes
-through it, and the results appender of `assess.run_dataset` is the one other writer. It
+`write_atomic`, which replaces a set of files whole: every whole file the package writes
+goes through it (`gen`, `report` and `export-sft` each write their outputs and manifest in
+one call), and the results appender of `assess.run_dataset` is the one other writer. It
 imports nothing from the package, so every module may import it.
 
 JSON Lines files (datasets, trace stores, results, SFT records) are read one line at
@@ -113,14 +114,16 @@ def read_records(path: Path, convert: Callable[[object], _T], error: type[ValueE
 def write_atomic(files: Mapping[Path, Iterable[str]]) -> None:
     """Write each file's strings, as UTF-8 with no newline translation, to its path.
 
-    They go one at a time to a temp file beside the path; once every file is written, each
-    temp file is renamed onto its path, in order. On any exception, raised by the strings
-    too, the temp files are deleted and each path not yet renamed onto is left as it was.
-    Each writer renames its own temp files, so concurrent writers never tear a file.
+    They go one at a time to a temp file beside the path, its directory made if missing; once
+    every file is written, each temp file is renamed onto its path, in order. On any exception,
+    raised by the strings too, the temp files are deleted and each path not yet renamed onto
+    is left as it was. Each writer renames its own temp files, so concurrent writers never
+    tear a file.
     """
     tmps = {path: path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp") for path in files}
     try:
         for path, chunks in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
             with tmps[path].open("w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
         for path, tmp in tmps.items():

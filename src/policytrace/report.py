@@ -8,7 +8,8 @@ import io
 import json
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from . import significance as sig
 from .assess import InstanceResult, RunManifest
@@ -91,7 +92,9 @@ def build_report(
     return {"runs": rows, "comparisons": comparisons}
 
 
-def write_report(report: dict, out_dir: Path) -> None:
+def write_report(report: dict, out_dir: Path,
+                 others: Mapping[Path, Iterable[str]] = MappingProxyType({})) -> None:
+    """Write pareto.csv, metrics.csv and report.json after `others`, in one `write_atomic`."""
     priced = [r for r in report["runs"] if r["cost_usd"] is not None]
     points = [sig.CostAccuracyPoint(r["run_id"], r["cost_usd"], r["accuracy_pct"]) for r in priced]
     frontier = {p.label for p in sig.pareto_frontier(points)} if points else set()
@@ -101,7 +104,7 @@ def write_report(report: dict, out_dir: Path) -> None:
         "metrics.csv": (["policy_id", "model", "strategy", "n", "accuracy_pct", "cost_usd"],
                         report["runs"]),
     }
-    files = {}
+    files = dict(others)
     for name, (columns, rows) in tables.items():
         text = io.StringIO()
         writer = csv.writer(text)

@@ -13,11 +13,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .clauses import ClauseId
 from .corpus import Policy, Split
-from .records import jsonl_lines, write_atomic
+from .records import write_atomic
 
 if TYPE_CHECKING:  # an annotation only: `validate` loads this module, and needs no prtgen
     from .prtgen import AugmentedDataset
@@ -56,13 +57,19 @@ class ExportSummary:
     n_records: int
     n_full_policy_fallbacks: int
     flagged_case_ids: list[str] = field(default_factory=list)
+    n_val: int = 0  # of the records, those split into val
 
 
-def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path) -> ExportSummary:
-    """Write one instruction-tuning record per triple, in deterministic case order.
-
-    Records are written one line at a time, and `out` is replaced only once all are:
-    a test-split case or an unresolvable clause leaves no partial file."""
+def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path, val_fraction: float = 0.0,
+               seed: int = 0,
+               others: Mapping[Path, Iterable[str]] = MappingProxyType({})) -> ExportSummary:
+    """Write one instruction-tuning record per triple to `out`, in case order, after the files
+    of `others`, as one set (see `write_atomic`). A `val_fraction` in (0, 1) also splits the
+    records (see `split_train_val`) into `sft.train.jsonl` and `sft.val.jsonl` for an `out` of
+    `sft.jsonl`; one outside [0, 1) is refused. Records are built as they are written, all at
+    once for a split; a test-split case or an unresolvable clause writes no file."""
+    if not 0 <= val_fraction < 1:
+        raise SFTExportError(f"invalid_fraction: {val_fraction}")
     fallbacks: list[str] = []
     triples = sorted(aug.triples, key=lambda t: t[0].case_id)
 
@@ -89,29 +96,22 @@ def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path) -> Export
             yield json.dumps(record, ensure_ascii=False) + "\n"
 
     out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic({out: lines()})
-    return ExportSummary(
-        n_records=len(triples),
-        n_full_policy_fallbacks=len(fallbacks),
-        flagged_case_ids=fallbacks,
-    )
+    records, val = lines(), []
+    if val_fraction:
+        records = list(records)
+        train, val = split_train_val(records, val_fraction, seed)
+        others = {**others, out.with_suffix(".train.jsonl"): train,
+                  out.with_suffix(".val.jsonl"): val}
+    write_atomic({**others, out: records})  # `out` last
+    return ExportSummary(n_records=len(triples), n_full_policy_fallbacks=len(fallbacks),
+                         flagged_case_ids=fallbacks, n_val=len(val))
 
 
-def split_train_val(
-    records_path: str | Path,
-    val_fraction: float,
-    seed: int,
-    train_out: str | Path,
-    val_out: str | Path,
-) -> tuple[int, int]:
-    """Seeded disjoint split of an exported record file; fraction 0 keeps
-    everything in train."""
-    if not 0 <= val_fraction < 1:
-        raise SFTExportError(f"invalid_fraction: {val_fraction}")
-    lines = [line + "\n" for _, line in jsonl_lines(Path(records_path), SFTExportError)
-             if line.strip()]
-    random.Random(seed).shuffle(lines)
-    n_val = int(len(lines) * val_fraction)
-    write_atomic({Path(train_out): lines[n_val:], Path(val_out): lines[:n_val]})
-    return len(lines) - n_val, n_val
+def split_train_val(records: list[str], val_fraction: float,
+                    seed: int) -> tuple[list[str], list[str]]:
+    """A seeded disjoint split of record lines into (train, val): the first
+    `int(len(records) * val_fraction)` lines of a shuffled copy are val, the rest train."""
+    shuffled = list(records)
+    random.Random(seed).shuffle(shuffled)
+    n_val = int(len(shuffled) * val_fraction)
+    return shuffled[n_val:], shuffled[:n_val]

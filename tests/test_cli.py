@@ -350,6 +350,7 @@ def test_report_refuses_a_run_given_twice(workdir, capsys, tmp_path, copied):
     assert code == 2
     assert capsys.readouterr().err == "error: run synthpol_base_mock-learner_s42 given twice\n"
     assert not (out / "report.json").exists()
+    assert not (out / "report.manifest.json").exists()
 
 
 def test_report_refuses_runs_of_another_policy_than_its_corpus(workdir, capsys):
@@ -505,12 +506,12 @@ def test_a_report_whose_metrics_write_fails_leaves_the_old_metrics(workdir, caps
 
 def test_a_report_whose_second_file_fails_to_write_leaves_all_three(workdir, capsys,
                                                                     monkeypatch):
-    """`report` replaces pareto.csv, metrics.csv and report.json only once all three
-    are written, so a full disk while writing metrics.csv leaves the old report whole."""
+    """`report` replaces pareto.csv, metrics.csv, report.json and its manifest only once
+    all are written, so a full disk while writing metrics.csv leaves the old report whole."""
     corpus, out = workdir
     argv = _command_argv(corpus, out, "report")
     assert run_cli(*argv) == 0
-    names = ["pareto.csv", "metrics.csv", "report.json"]
+    names = ["pareto.csv", "metrics.csv", "report.json", "report.manifest.json"]
     before = {name: (out / name).read_bytes() for name in names}
     store = _gen(corpus, out)
     assert run_cli(*argv[:4], "assess", "--strategy", "fewshot_prt", "--select", "rand",
@@ -531,6 +532,32 @@ def test_a_report_whose_second_file_fails_to_write_leaves_all_three(workdir, cap
     assert capsys.readouterr().err.startswith("error: OSError: [Errno 28] No space left")
     assert {name: (out / name).read_bytes() for name in names} == before
     assert list(out.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("command, names", [
+    ("gen", ["gen.manifest.json", "quarantine.json", "synthpol_mock-expert.prts.jsonl"]),
+    ("report", ["report.manifest.json", "pareto.csv", "metrics.csv", "report.json"]),
+    ("export-sft", ["export-sft.manifest.json", "sft.train.jsonl", "sft.val.jsonl", "sft.jsonl"]),
+], ids=["gen", "report", "export-sft"])
+def test_a_command_writes_its_outputs_and_its_manifest_in_one_write(workdir, monkeypatch,
+                                                                    command, names):
+    """One `write_atomic` call, once the work has succeeded, holds every file the command
+    writes, so a failed or refused command leaves the out dir as it was."""
+    from policytrace import report, sftexport  # noqa: F401  loaded, so that both are patched
+
+    corpus, out = workdir
+    argv = _command_argv(corpus, out, command)
+    if command == "export-sft":
+        argv += ["--val-fraction", "0.5"]
+    calls = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "write_atomic", None) if name.startswith("policytrace.") else None
+        if real is not None:
+            monkeypatch.setattr(module, "write_atomic",
+                                lambda files, real=real: calls.append([p.name for p in files])
+                                or real(files))
+    assert run_cli(*argv) == 0
+    assert calls == [names]
 
 
 def test_a_failed_summary_print_is_one_error_line_and_exit_2(workdir, capsys, monkeypatch):
@@ -617,7 +644,7 @@ def test_a_config_with_an_unknown_key_or_a_wrongly_typed_path_exits_2(
     code = run_cli(*argv, *(["x.results.jsonl"] if command == "report" else []))
     assert code == 2
     assert capsys.readouterr().err == f"error: config {config_path}: {detail}\n"
-    assert not out.exists()  # refused before the command manifest is written
+    assert not out.exists()  # refused before any write
 
 
 def test_the_manifest_holds_the_config_keys_that_are_set_and_the_flags(workdir, capsys):
@@ -656,6 +683,36 @@ def test_export_sft_command(workdir, capsys):
     assert payload["val_records"] == 3
     assert (out / "sft.jsonl").exists()
     assert (out / "export-sft.manifest.json").exists()
+
+
+def test_an_export_whose_val_file_fails_to_write_leaves_the_old_export(workdir, capsys,
+                                                                     monkeypatch):
+    """`export-sft` writes sft.jsonl, its split and its manifest as one set, so a full
+    disk while writing sft.val.jsonl leaves the old export whole."""
+    corpus, out = workdir
+    argv = [*_command_argv(corpus, out, "export-sft"), "--val-fraction", "0.5"]
+    assert run_cli(*argv) == 0
+    names = ["sft.jsonl", "sft.train.jsonl", "sft.val.jsonl", "export-sft.manifest.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    store = out / "three.prts.jsonl"  # a smaller store: every file would differ
+    store.write_text("".join(argv[-3].read_text(encoding="utf-8").splitlines(True)[:3]),
+                     encoding="utf-8")
+    capsys.readouterr()
+    real_open = Path.open
+
+    def open_(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if path.name.startswith("sft.val.jsonl.") and path.suffix == ".tmp":
+            fh.write("{")
+            fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_)
+    assert run_cli(*argv[:5], "--prt-store", store, "--val-fraction", "0.5") == 2
+    assert capsys.readouterr().err.startswith("error: OSError: [Errno 28] No space left")
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert list(out.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "1", "-0.5", "nan"])

@@ -200,33 +200,27 @@ def test_export_holds_one_record_at_a_time(tmp_path, aug, policy):
 
 
 def test_split_train_val(tmp_path, aug, policy):
-    # Records are written with ensure_ascii=False, so these characters reach the file raw.
-    case, verdict, prt = aug.triples[0]
-    odd = replace(prt, prt_text=prt.prt_text.replace("\n", "\u2028\u2029\x85\n", 1))
-    aug = replace(aug, triples=((case, verdict, odd),) + aug.triples[1:])
+    # Records are written with ensure_ascii=False, so these characters reach every file raw.
+    aug = replace(aug, triples=tuple(
+        (case, verdict, replace(prt, prt_text=prt.prt_text.replace("\n", "\u2028\u2029\x85\n", 1)))
+        for case, verdict, prt in aug.triples))
     out = tmp_path / "sft.jsonl"
-    export_sft(aug, policy, out)
-    assert "\u2028\u2029\x85" in out.read_text(encoding="utf-8")
-    n_train, n_val = split_train_val(
-        out, 0.5, seed=3, train_out=tmp_path / "tr.jsonl", val_out=tmp_path / "va.jsonl"
-    )
-    assert n_train == 3 and n_val == 3
-    train_ids = {
-        json.loads(l)["case_id"]
-        for l in (tmp_path / "tr.jsonl").read_text(encoding="utf-8").split("\n") if l
-    }
-    val_ids = {
-        json.loads(l)["case_id"]
-        for l in (tmp_path / "va.jsonl").read_text(encoding="utf-8").split("\n") if l
-    }
+    summary = export_sft(aug, policy, out, val_fraction=0.5, seed=3)
+    assert summary.n_records - summary.n_val == 3 and summary.n_val == 3
+    texts = [(tmp_path / f"sft{part}.jsonl").read_text(encoding="utf-8")
+             for part in ("", ".train", ".val")]
+    assert all("\u2028\u2029\x85" in text for text in texts)
+    records, train, val = ([line + "\n" for line in text.split("\n") if line] for text in texts)
+    assert (train, val) == split_train_val(records, 0.5, 3)
+    assert len(train) == 3 and len(val) == 3
+    train_ids = {json.loads(line)["case_id"] for line in train}
+    val_ids = {json.loads(line)["case_id"] for line in val}
     assert train_ids.isdisjoint(val_ids)
     assert train_ids | val_ids == {c.case_id for c, _, _ in aug.triples}
 
 
 def test_split_train_val_fraction_bounds(tmp_path, aug, policy):
-    out = tmp_path / "sft.jsonl"
-    export_sft(aug, policy, out)
-    with pytest.raises(SFTExportError):
-        split_train_val(out, 1.0, 0, tmp_path / "t", tmp_path / "v")
-    with pytest.raises(SFTExportError):
-        split_train_val(out, -0.1, 0, tmp_path / "t", tmp_path / "v")
+    for fraction in (1.0, -0.1):
+        with pytest.raises(SFTExportError):
+            export_sft(aug, policy, tmp_path / "sft.jsonl", val_fraction=fraction)
+    assert list(tmp_path.glob("sft*")) == []
