@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +24,7 @@ from .prompts import (  # re-exports StrategyKind and SelectionMode
     render, template_hash,
 )
 from .prtgen import AugmentedDataset
-from .records import from_json, read_object, read_records, to_json, write_atomic
+from .records import JsonlSink, from_json, read_object, read_records, to_json, write_atomic
 from .select import SelectionResult, Triple, select_random, select_relevant
 
 
@@ -215,8 +215,8 @@ def run_instance(
 
 def load_results(path: str | Path) -> list[InstanceResult]:
     """The results file's records, in file order; at most one per case."""
-    return [result for _, result in read_records(
-        Path(path), lambda obj: from_json(InstanceResult, obj), AssessError, "result")]
+    return [result for _, result in read_records(Path(path), partial(from_json, InstanceResult),
+                                                 AssessError, "result")]
 
 
 def _manifest_path(results_path: Path) -> Path:
@@ -289,28 +289,6 @@ class RunSummary:
         return 100.0 * self.correct / done if done else 0.0
 
 
-_TAIL_BLOCK = 1 << 16
-
-
-def _whole_lines_end(path: Path) -> tuple[int, int]:
-    """(size, offset just past the last b"\n") of the file at `path`, (0, 0) if it
-    is missing; the tail is read backwards in blocks until a b"\n" turns up."""
-    try:
-        fh = path.open("rb")
-    except FileNotFoundError:
-        return 0, 0
-    with fh:
-        size = pos = fh.seek(0, os.SEEK_END)
-        while pos:
-            start = max(0, pos - _TAIL_BLOCK)
-            fh.seek(start)
-            newline = fh.read(pos - start).rfind(b"\n")
-            if newline >= 0:
-                return size, start + newline + 1
-            pos = start
-    return size, 0
-
-
 def run_dataset(
     dataset: Dataset,
     policy: Policy,
@@ -346,8 +324,8 @@ def run_dataset(
         seed=seed, k=strategy.k, pool_hash=pool.content_hash if pool else None,
         template_hashes={t.value: template_hash(t) for t in TemplateId},
         started_at=datetime.now(timezone.utc).isoformat())
-    size, end = _whole_lines_end(results_path)
-    if end and manifest_path.exists():
+    sink = JsonlSink(results_path)
+    if sink.resumes and manifest_path.exists():
         old = _read_manifest(manifest_path)
         differ = sorted(f.name for f in fields(RunManifest)
                         if f.compare and getattr(manifest, f.name) != getattr(old, f.name))
@@ -358,31 +336,24 @@ def run_dataset(
             )
     write_atomic({manifest_path: [json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"]})
 
-    if end < size:  # a crash left the last record half-written
-        os.truncate(results_path, end)
     test_cases = dataset.test
     summary = RunSummary(run_id=run_id, total=len(test_cases))
     done_ids: set[str] = set()
-    for result in load_results(results_path) if end else []:
-        done_ids.add(result.case_id)
-        summary.count(result)
-    summary.skipped = len(done_ids)
 
-    todo = [c for c in test_cases if c.case_id not in done_ids]
-
-    def _run_one(case: CaseRecord) -> InstanceResult:
-        return run_instance(
-            case, policy, strategy, learner, pool=pool, judge=judge, seed=seed
-        )
-
-    outcomes = closing(run_ordered(_run_one, todo, concurrency))
-    with results_path.open("a", encoding="utf-8") as fh, outcomes as ordered:
-        for case, result, err in ordered:
-            if err is not None:
-                summary.failure_reasons[case.case_id] = f"{type(err).__name__}: {err}"
-                continue
-            fh.write(json.dumps(to_json(result), ensure_ascii=False) + "\n")
-            fh.flush()
+    run_one = partial(run_instance, policy=policy, strategy=strategy, learner=learner,
+                      pool=pool, judge=judge, seed=seed)
+    with sink:
+        for _, result in sink.records(partial(from_json, InstanceResult), AssessError, "result"):
+            done_ids.add(result.case_id)
             summary.count(result)
-            summary.executed += 1
+        summary.skipped = len(done_ids)
+        todo = [c for c in test_cases if c.case_id not in done_ids]
+        with closing(run_ordered(run_one, todo, concurrency)) as ordered:
+            for case, result, err in ordered:
+                if err is not None:
+                    summary.failure_reasons[case.case_id] = f"{type(err).__name__}: {err}"
+                    continue
+                sink.append(result)
+                summary.count(result)
+                summary.executed += 1
     return results_path, summary

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import hashlib
 import json
 import os
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import NoneType
@@ -136,6 +136,8 @@ def cache_key(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> str:
         ensure_ascii=False,
         separators=(",", ":"),
     )
+    import hashlib  # here: `validate` makes no model call, and loads no OpenSSL
+
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -417,17 +419,16 @@ def _settle(
         _item_entries.reset(token)
 
 
-def _write_entries(
-    outcomes: Iterable[tuple[T, Optional[R], Optional[Exception], dict]],
-) -> Iterator[tuple[T, Optional[R], Optional[Exception]]]:
-    for item, result, err, entries in outcomes:
-        try:
-            for (cache_dir, key), response in entries.items():
-                _cache_write(cache_dir, key, response)
-        except Exception as write_err:  # fails the item, as a write inside fn would
-            if err is None:
-                result, err = None, write_err
-        yield item, result, err
+def _written(
+    item: T, result: Optional[R], err: Optional[Exception], entries: dict
+) -> tuple[T, Optional[R], Optional[Exception]]:
+    try:
+        for (cache_dir, key), response in entries.items():
+            _cache_write(cache_dir, key, response)
+    except Exception as write_err:  # fails the item, as a write inside fn would
+        if err is None:
+            result, err = None, write_err
+    return item, result, err
 
 
 def run_ordered(
@@ -436,21 +437,31 @@ def run_ordered(
     """Apply fn to every item, yielding (item, result, None) or (item, None, exc)
     in input order, with at most `concurrency` calls running at once.
 
-    Concurrency 1 runs each call inline on the caller's thread. The cache
-    entries of the model calls fn makes are written on the caller's thread,
-    in call order, before the item is yielded, so disk writes never hold up a
-    worker's next model call; a write that fails fails its item. Closing the
-    generator early cancels the calls that have not started yet, and drops the
-    entries of items that finished but were not yet yielded.
+    Concurrency 1 runs each call inline on the caller's thread. Otherwise at most
+    2 * concurrency items are submitted and not yet yielded, so a slow item holds up
+    a bounded number of finished ones. The cache entries of the model calls fn makes
+    are written on the caller's thread, in call order, before the item is yielded, so
+    disk writes never hold up a worker's next model call; a write that fails fails its
+    item. Closing the generator early cancels the calls that have not started yet, and
+    drops the entries of items that finished but were not yet yielded.
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     settle = functools.partial(_settle, fn)
     if concurrency == 1:
-        yield from _write_entries(map(settle, items))
+        for item in items:
+            yield _written(*settle(item))
         return
 
-    import concurrent.futures  # only threaded runs pay for the import
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for the import
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=concurrency) as executor:
-        yield from _write_entries(executor.map(settle, items))
+    executor, window = ThreadPoolExecutor(max_workers=concurrency), deque()
+    try:
+        for item in items:
+            if len(window) == 2 * concurrency:
+                yield _written(*window.popleft().result())
+            window.append(executor.submit(settle, item))
+        while window:
+            yield _written(*window.popleft().result())
+    finally:
+        executor.shutdown(cancel_futures=True)

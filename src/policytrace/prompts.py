@@ -9,7 +9,6 @@ DemoBlock and number the blocks "CASE 1:", "CASE 2:", ... in given order.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -103,6 +102,8 @@ def placeholders(template_id: TemplateId) -> set[str]:
 
 
 def template_hash(template_id: TemplateId) -> str:
+    import hashlib  # here: `validate` hashes no template, and loads no OpenSSL
+
     return hashlib.sha256(_template_text(template_id).encode("utf-8")).hexdigest()
 
 

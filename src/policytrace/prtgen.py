@@ -9,7 +9,6 @@ failure reason so the drop-out rate stays auditable.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from contextlib import closing
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping, Optional
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
 from .gateway import PRT_GEN_PROFILE, ModelHandle, ask_twice, run_ordered
 from .prompts import TemplateId, render
-from .records import from_json, read_records, to_json, write_atomic
+from .records import from_json, jsonl_line, read_records, to_json, write_atomic
 
 
 class PRTError(ValueError):
@@ -223,8 +222,7 @@ def prt_stats(records: list[PRTRecord]) -> PRTStats:
 def write_prt_store(aug: AugmentedDataset, path: str | Path,
                     others: Mapping[Path, Iterable[str]] = MappingProxyType({})) -> None:
     """Write the store after the files of `others`, as one set (see `write_atomic`)."""
-    write_atomic({**others, Path(path): (json.dumps(to_json(prt), ensure_ascii=False) + "\n"
-                                         for _, _, prt in aug.triples)})
+    write_atomic({**others, Path(path): (jsonl_line(to_json(prt)) for _, _, prt in aug.triples)})
 
 
 def load_prt_store(path: str | Path, dataset: Dataset) -> AugmentedDataset:

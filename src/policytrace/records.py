@@ -1,9 +1,10 @@
 """JSON records: a file's JSON object, an enum member by value, a dataclass from a JSON
-object and back (`from_json`, `to_json`), the lines and records of a JSON Lines file; and
-`write_atomic`, which replaces a set of files whole: every whole file the package writes
-goes through it (`gen`, `report` and `export-sft` each write their outputs and manifest in
-one call), and the results appender of `assess.run_dataset` is the one other writer. It
-imports nothing from the package, so every module may import it.
+object and back (`from_json`, `to_json`), the lines and records of a JSON Lines file and the
+one encoding of such a line (`jsonl_line`); and the package's two writers. `write_atomic`
+replaces a set of files whole: every whole file the package writes goes through it (`gen`,
+`report` and `export-sft` each write their outputs and manifest in one call). `JsonlSink`
+appends records to a file that a crash may have cut, as `assess.run_dataset` does with its
+results. It imports nothing from the package, so every module may import it.
 
 JSON Lines files (datasets, trace stores, results, SFT records) are read one line at
 a time, so memory follows the longest record and not the file. A line ends at "\n"
@@ -52,45 +53,35 @@ def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
     return obj
 
 
-def jsonl_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
-    """(line number, text without its "\n") of each line of a JSON Lines file, read
-    one line at a time. A line ends at b"\n" alone: no newline translation. A file
-    that cannot be read, or a line that is not UTF-8, is an `error` naming the file
-    (and line)."""
-    lineno = 0
-    try:
-        with path.open("rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.removesuffix(b"\n").decode("utf-8")
-    except OSError as err:  # missing or unreadable
-        raise error(f"{path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise error(f"{path}:{lineno}: {err}") from err
-
-
 _DECODER = json.JSONDecoder()
 
 
 def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each non-blank line of a JSON Lines file.
-
-    A line is read as `json.loads` reads it: one `raw_decode` that consumes it
-    whole, else `json.loads` itself. Errors name the file (and line) as `error`s.
-    """
-    decode = _DECODER.raw_decode
-    for lineno, line in jsonl_lines(path, error):
-        try:
-            obj, end = decode(line)
-        except ValueError:
-            end = -1
-        if end != len(line):  # leading or trailing whitespace, a BOM, extra data or bad JSON
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as err:
-                raise error(f"{path}:{lineno}: malformed record: {err}") from err
-        yield lineno, obj
+    """(line number, value) of each non-blank line of a JSON Lines file, read one line at a
+    time. A line ends at b"\n" alone: no newline translation. It is read as `json.loads`
+    reads it: one `raw_decode` that consumes it whole, else `json.loads` itself. A file that
+    cannot be read, or a line that is not UTF-8 or not JSON, is an `error` naming the file
+    (and line)."""
+    decode, lineno = _DECODER.raw_decode, 0
+    try:
+        with path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.removesuffix(b"\n").decode("utf-8")
+                try:
+                    obj, end = decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):  # outer whitespace, a BOM, extra data or bad JSON
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
+                yield lineno, obj
+    except OSError as err:  # missing or unreadable
+        raise error(f"{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}:{lineno}: {err}") from err
+    except ValueError as err:
+        raise error(f"{path}:{lineno}: malformed record: {err}") from err
 
 
 def read_records(path: Path, convert: Callable[[object], _T], error: type[ValueError],
@@ -109,6 +100,46 @@ def read_records(path: Path, convert: Callable[[object], _T], error: type[ValueE
             raise error(f"{path}:{lineno}: duplicate {noun} for case {record.case_id}")
         seen.add(record.case_id)
         yield lineno, record
+
+
+def jsonl_line(obj: object) -> str:
+    """JSON value `obj` as one JSON Lines line, "\n" included: every line the package writes."""
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+class JsonlSink:
+    """An append-only JSON Lines file of records, of which a crash may have left the last
+    line torn (without its "\n"). Making a sink changes nothing: `resumes` says whether the
+    file holds a whole line. Entering it cuts a torn last line off and opens the file to
+    append; inside, `records` reads the whole records back (see `read_records`), and `append`
+    writes each new record as one line and flushes it."""
+
+    def __init__(self, path: Path) -> None:
+        self.path, self._size, self._end = path, 0, 0
+        if path.exists() and (size := path.stat().st_size):
+            import mmap  # only a resume pays for the import
+
+            with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                self._size, self._end = size, mm.rfind(b"\n") + 1
+        self.resumes = self._end > 0
+
+    def __enter__(self) -> "JsonlSink":
+        if self._end < self._size:
+            os.truncate(self.path, self._end)
+        self._fh = self.path.open("a", encoding="utf-8", newline="")
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self._fh.close()
+
+    def records(self, convert: Callable[[object], _T], error: type[ValueError],
+                noun: str) -> Iterator[tuple[int, _T]]:
+        return read_records(self.path, convert, error, noun)
+
+    def append(self, record: object) -> None:
+        """Write dataclass `record` (see `to_json`) as one line, and flush it."""
+        self._fh.write(jsonl_line(to_json(record)))
+        self._fh.flush()
 
 
 def write_atomic(files: Mapping[Path, Iterable[str]]) -> None:

@@ -1,5 +1,5 @@
 """The report over runs of one policy: per-run accuracy, cost and clause relevance,
-and paired t-tests between runs, written as report.json, metrics.csv and pareto.csv."""
+and two-sided paired t-tests between runs, written as report.json, metrics.csv and pareto.csv."""
 
 from __future__ import annotations
 
@@ -30,6 +30,8 @@ def build_report(
     """The report dict over (manifest, results) runs, as `assess.load_run` reads them.
 
     Clause relevance is scored when `corpus` is given, after every run's accuracy.
+    Each pair of runs gets a two-sided paired t-test, so its p-values do not depend on
+    which run is named first; `ahead` names the run with the higher mean (None at t = 0).
     A pair whose test fails is listed, with its error, before the tested pairs.
     """
     rows = []
@@ -80,9 +82,10 @@ def build_report(
         except sig.StatsError as err:
             comparisons.append({**pair, "error": str(err)})
             continue
-        tested.append(
-            {**pair, "n": len(shared), "t": t_res.t, "df": t_res.df, "p_raw": t_res.p, "cohens_d": d}
-        )
+        ahead = pair["a"] if t_res.t > 0 else pair["b"] if t_res.t < 0 else None
+        tested.append({**pair, "n": len(shared), "t": t_res.t, "df": t_res.df,
+                       "p_raw": min(1.0, 2 * sig.t_sf(abs(t_res.t), t_res.df)),
+                       "ahead": ahead, "cohens_d": d})
     if tested:
         p_raw = [pair["p_raw"] for pair in tested]
         for pair, pb, ph in zip(tested, sig.bonferroni(p_raw), sig.holm(p_raw)):

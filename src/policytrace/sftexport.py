@@ -9,7 +9,6 @@ this module has no heading rule of its own.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .clauses import ClauseId
 from .corpus import Policy, Split
-from .records import write_atomic
+from .records import jsonl_line, write_atomic
 
 if TYPE_CHECKING:  # an annotation only: `validate` loads this module, and needs no prtgen
     from .prtgen import AugmentedDataset
@@ -93,7 +92,7 @@ def export_sft(aug: AugmentedDataset, policy: Policy, out: str | Path, val_fract
                 "case_id": case.case_id,
                 "full_policy_fallback": flagged,
             }
-            yield json.dumps(record, ensure_ascii=False) + "\n"
+            yield jsonl_line(record)
 
     out = Path(out)
     records, val = lines(), []

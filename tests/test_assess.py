@@ -3,6 +3,7 @@ import json
 import os
 import re
 from datetime import datetime
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,7 @@ from policytrace.assess import (
     Strategy,
     StrategyKind,
     load_results,
+    load_run,
     parse_verdict,
     run_dataset,
     run_instance,
@@ -207,6 +209,25 @@ def test_unparsed_verdict_flagged(dataset, policy):
     assert "unparsed_verdict" in result.flags
 
 
+def test_run_instance_refuses_relevance_selection_without_a_judge(dataset, policy,
+                                                                  learner_handle, pool):
+    strategy = Strategy(StrategyKind.FEWSHOT_PRT, SelectionMode.REL, k=3)
+    with pytest.raises(AssessError) as err:
+        run_instance(dataset.by_id("c01"), policy, strategy, learner_handle, pool=pool)
+    assert str(err.value) == "relevance selection requires a judge handle"
+
+
+def test_load_run_refuses_results_without_their_manifest(tmp_path, dataset, policy,
+                                                         learner_handle):
+    results_path, summary = run_dataset(dataset, policy, Strategy(StrategyKind.BASE),
+                                        learner_handle, tmp_path)
+    manifest_path = tmp_path / f"{summary.run_id}.manifest.json"
+    manifest_path.unlink()
+    with pytest.raises(AssessError) as err:
+        load_run(results_path)
+    assert str(err.value) == f"manifest not found next to results: {manifest_path}"
+
+
 def test_relevance_selection_uses_judge(dataset, policy, learner_handle, judge_handle, pool):
     result = run_instance(
         dataset.by_id("c01"),
@@ -349,8 +370,7 @@ def test_run_dataset_resumed_summary_counts_match_an_uninterrupted_run(
 def test_run_dataset_resumes_after_a_torn_line_longer_than_a_block(
     tmp_path, dataset, policy, cut_line
 ):
-    # Every record is longer than the 64 KiB blocks in which a resume reads the
-    # file's tail backwards, and so is the torn line.
+    # Every record is longer than 64 KiB, and so is the torn line.
     learner = mock_provider(
         {case.case_text: "word " * 14_000 + "Final Judgment: COMPLIANT" for case in dataset.test}
     )
@@ -366,6 +386,43 @@ def test_run_dataset_resumes_after_a_torn_line_longer_than_a_block(
     assert torn_path.read_bytes() == whole_path.read_bytes()
     assert (resumed.skipped, resumed.executed) == (cut_line, whole.executed - cut_line)
     assert (resumed.correct, resumed.unparsed) == (whole.correct, whole.unparsed)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+@pytest.mark.parametrize("cut_line", [0, 3, 5])
+def test_a_resume_of_a_results_file_cut_mid_record_writes_the_uninterrupted_bytes(
+    tmp_path, dataset, policy, learner_handle, pool, cut_line, concurrency
+):
+    strategy = Strategy(StrategyKind.FEWSHOT_PRT, SelectionMode.RAND, k=3)
+    run = partial(run_dataset, dataset, policy, strategy, learner_handle, pool=pool, seed=7,
+                  concurrency=concurrency)
+    whole_path, whole = run(tmp_path / "a")
+    lines = whole_path.read_bytes().splitlines(keepends=True)
+    torn_path = tmp_path / "b" / whole_path.name
+    torn_path.parent.mkdir()
+    torn_path.write_bytes(b"".join(lines[:cut_line]) + lines[cut_line][:len(lines[cut_line]) // 2])
+
+    _, resumed = run(tmp_path / "b")
+    assert torn_path.read_bytes() == whole_path.read_bytes()
+    assert (resumed.skipped, resumed.executed, resumed.correct) == (
+        cut_line, whole.executed - cut_line, whole.correct)
+
+
+def test_a_refused_resume_leaves_the_results_and_the_manifest_unchanged(
+    tmp_path, dataset, policy, learner_handle
+):
+    results_path, summary = run_dataset(dataset, policy, Strategy(StrategyKind.BASE, k=3),
+                                        learner_handle, tmp_path, seed=42)
+    manifest_path = tmp_path / f"{summary.run_id}.manifest.json"
+    with results_path.open("ab") as fh:
+        fh.write(b'{"case_id": "c07", "stra')  # a torn tail, which the resume would cut off
+    before = results_path.read_bytes(), manifest_path.read_bytes()
+    with pytest.raises(AssessError) as err:
+        run_dataset(dataset, policy, Strategy(StrategyKind.BASE, k=2), learner_handle, tmp_path,
+                    seed=42)
+    assert str(err.value) == (f"cannot resume {results_path.name}: configuration differs "
+                              "from its manifest in k")
+    assert (results_path.read_bytes(), manifest_path.read_bytes()) == before
 
 
 def test_run_dataset_concurrency_matches_sequential(tmp_path, dataset, policy, learner_handle):

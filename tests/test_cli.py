@@ -319,6 +319,15 @@ def test_report_names_a_broken_run_manifest(workdir, capsys, damage, detail):
     assert err.startswith(f"error: manifest {manifest_path}{detail}"), err
 
 
+def test_export_sft_without_a_trace_store_is_one_error_line_and_exit_2(workdir, capsys):
+    corpus, out = workdir
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "export-sft") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --prt-store (or config prt_store) required\n"
+    assert not out.exists()
+
+
 def test_report_refuses_a_results_file_under_another_name(workdir, capsys):
     corpus, out = workdir
     assert run_cli(
@@ -1142,6 +1151,27 @@ def test_importing_cli_does_not_load_the_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_validate_loads_no_openssl(workdir):
+    """`hashlib` and its OpenSSL binding are imported by the functions that hash, and
+    `validate` hashes nothing unless two splits share a case text."""
+    corpus, _ = workdir
+    src = str(Path(policytrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import contextlib, io, sys\n"
+        "from policytrace.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "--config", str(corpus / "config.json"), "validate"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize(

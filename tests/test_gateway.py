@@ -459,6 +459,36 @@ def test_run_ordered_close_cancels_queued_calls():
     assert release.is_set() and set(started) <= {0, 1, 2}
 
 
+@pytest.mark.parametrize("concurrency", [2, 8])
+def test_run_ordered_begins_at_most_twice_its_concurrency_calls_while_the_head_waits(
+    concurrency
+):
+    begun, seen = [], []
+    release = threading.Event()
+
+    def head_waits(i):
+        begun.append(i)
+        if i == 0:
+            release.wait(5)
+        return i
+
+    def release_head():
+        for _ in range(5000):  # wait until the window is full, then a little longer
+            if len(begun) >= 2 * concurrency:
+                break
+            release.wait(0.001)
+        release.wait(0.05)  # a call beyond the window would begin in this time
+        seen.append(len(begun))
+        release.set()
+
+    releaser = threading.Thread(target=release_head)
+    releaser.start()
+    outcomes = list(run_ordered(head_waits, range(10 * concurrency), concurrency))
+    releaser.join(10)
+    assert not releaser.is_alive() and seen == [2 * concurrency]
+    assert [r for _, r, _ in outcomes] == list(range(10 * concurrency))
+
+
 def _answer(outcome, body=b"", headers=None):
     """A `gateway._post` stand-in that answers every call with HTTP status `outcome`,
     or raises `outcome` if it is an exception, and logs the calls' JSON bodies."""

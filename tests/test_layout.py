@@ -95,10 +95,10 @@ def test_only_the_gateway_and_the_cli_catch_gateway_errors():
 
 
 def _writes(call: ast.Call) -> bool:
-    """Whether `call` is a `.write_text`/`.write_bytes`, or an `open`/`.open` whose
-    mode is not a constant or holds `w`, `a`, `x` or `+`."""
+    """Whether `call` is a `.write_text`/`.write_bytes`/`truncate`, or an `open`/`.open`
+    whose mode is not a constant or holds `w`, `a`, `x` or `+`."""
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+    if getattr(func, "attr", None) in ("write_text", "write_bytes", "truncate"):
         return True
     if getattr(func, "id", None) != "open" and getattr(func, "attr", None) != "open":
         return False
@@ -110,8 +110,8 @@ def _writes(call: ast.Call) -> bool:
 
 def test_only_write_atomic_and_the_results_appender_write_files():
     """`records.write_atomic` writes every whole file through a temp file and a
-    rename, and `assess.run_dataset` appends results one record at a time; a
-    writer elsewhere could leave a torn file behind a failed write."""
+    rename, and `records.JsonlSink` cuts a torn last line off a JSON Lines file and
+    appends to it one record at a time (`assess.run_dataset`'s results); a writer
+    elsewhere could leave a torn file behind a failed write."""
     sites = {site for site, call in _program_nodes(ast.Call) if _writes(call)}
-    assert {"records.write_atomic", "assess.run_dataset"} <= sites
-    assert sorted(sites - {"records.write_atomic", "assess.run_dataset"}) == []
+    assert sites == {"records.write_atomic", "records.JsonlSink.__enter__"}

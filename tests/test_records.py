@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from policytrace.records import from_json, read_records, write_atomic
+from policytrace.records import JsonlSink, from_json, jsonl_line, read_records, write_atomic
 
 
 @dataclass
@@ -63,3 +63,37 @@ def test_write_atomic_replaces_no_file_until_every_file_is_written(tmp_path):
 
     write_atomic({first: ["new a\n"], second: ["new b\n"]})
     assert (first.read_text(), second.read_text()) == ("new a\n", "new b\n")
+
+
+def test_jsonl_line_is_one_line_with_non_ascii_text_raw():
+    assert jsonl_line({"a": "é\u2028", "b": [1, None]}) == '{"a": "é\u2028", "b": [1, null]}\n'
+
+
+def test_a_jsonl_sink_changes_nothing_until_entered_then_cuts_a_torn_line_and_appends(tmp_path):
+    path = tmp_path / "records.jsonl"
+    torn = b'{"case_id": "a"}\n{"case_id": "b", "n": 2}\n{"case_id": "c", "n'
+    path.write_bytes(torn)
+    sink = JsonlSink(path)
+    assert sink.resumes and path.read_bytes() == torn
+    with sink:
+        assert path.read_bytes() == torn[:torn.rindex(b"\n") + 1]
+        read = sink.records(lambda obj: from_json(_Case, obj), ValueError, "case")
+        assert list(read) == [(1, _Case("a")), (2, _Case("b", 2))]
+        sink.append(_Case("c", 3))
+        assert path.read_bytes().endswith(b'{"case_id": "b", "n": 2}\n{"case_id": "c", "n": 3}\n')
+    assert sink._fh.closed
+
+
+@pytest.mark.parametrize("held", [None, b"", b'{"case_id": "a", "n'],
+                         ids=["missing", "empty", "torn_only"])
+def test_a_jsonl_sink_over_no_whole_line_does_not_resume_and_starts_the_file_afresh(tmp_path,
+                                                                                     held):
+    path = tmp_path / "records.jsonl"
+    if held is not None:
+        path.write_bytes(held)
+    sink = JsonlSink(path)
+    assert not sink.resumes and path.exists() is (held is not None)
+    with sink:
+        assert list(sink.records(lambda obj: from_json(_Case, obj), ValueError, "case")) == []
+        sink.append(_Case("a"))
+    assert path.read_bytes() == b'{"case_id": "a", "n": 0}\n'
