@@ -10,11 +10,11 @@ from __future__ import annotations
 import re
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .assess import InstanceResult
-from .clauses import ClauseId, ClauseRegistry, extract_cited_clauses
+from .clauses import ClauseId, ClauseRegistry, ExtractionResult, extract_cited_clauses
 from .corpus import Dataset
 from .gateway import ASSESS_PROFILE, ModelHandle, ask_twice, run_ordered
 from .prompts import TemplateId, render
@@ -44,6 +44,91 @@ class ClauseRelevanceReport:
     n_fallback_extractions: int = 0
 
 
+def _refusal(results: list[InstanceResult], dataset: Dataset) -> Optional[Exception]:
+    """The error that refuses `results` before any call: empty input, or the `KeyError` of
+    a case not in `dataset`. None when every result can be scored."""
+    if not results:
+        return MetricsError("empty_input: no results")
+    try:
+        for result in results:
+            dataset.by_id(result.case_id)
+    except KeyError as err:
+        return err
+    return None
+
+
+@dataclass
+class _Tally:
+    """One run's clause relevance, summed one extraction at a time."""
+
+    recalls: list[float] = field(default_factory=list)
+    exact: list[float] = field(default_factory=list)
+    cited_counts: list[int] = field(default_factory=list)
+    incorrect: Counter[ClauseId] = field(default_factory=Counter)
+    fallbacks: int = 0
+
+    def add(self, extraction: ExtractionResult, gold: frozenset[ClauseId]) -> None:
+        if extraction.used_fallback:
+            self.fallbacks += 1
+        cited = extraction.cited
+        self.cited_counts.append(len(cited))
+        if gold:
+            self.recalls.append(len(cited & gold) / len(gold))
+            self.exact.append(1.0 if cited == gold else 0.0)
+            self.incorrect.update(cited - gold)
+
+    def scored(self) -> ClauseRelevanceReport | MetricsError:
+        if not self.recalls:
+            return MetricsError("no_gold_annotations: no record has gold clauses")
+        top_incorrect: Optional[ClauseId] = None
+        if self.incorrect:
+            best = max(self.incorrect.values())
+            top_incorrect = min(c for c, n in self.incorrect.items() if n == best)
+        n = len(self.cited_counts)
+        return ClauseRelevanceReport(
+            mu_cited=sum(self.cited_counts) / n,
+            recall_pct=100.0 * sum(self.recalls) / len(self.recalls),
+            exact_match_pct=100.0 * sum(self.exact) / len(self.exact),
+            top_incorrect_clause=top_incorrect,
+            coverage=len(self.recalls) / n,
+            n_records=n,
+            n_annotated=len(self.recalls),
+            n_fallback_extractions=self.fallbacks,
+        )
+
+
+def clause_relevance_by_run(
+    runs: list[list[InstanceResult]],
+    dataset: Dataset,
+    registry: ClauseRegistry,
+    judge: Optional[ModelHandle] = None,
+    concurrency: int = 1,
+) -> list[ClauseRelevanceReport | Exception]:
+    """`clause_relevance` of each run, or the error that stopped it, in run order.
+
+    Every run's extractions are one `run_ordered` stream, run after run in result order, so
+    up to `concurrency` calls stay in flight across runs. A run that is empty or names a
+    case the dataset lacks is refused before the stream starts and makes no call; after a
+    run's first error in result order, its results whose call has not begun make none.
+    """
+    failed = [_refusal(results, dataset) for results in runs]
+    tallies = [_Tally() for _ in runs]
+
+    def extract(item: tuple[int, InstanceResult]) -> Optional[ExtractionResult]:
+        i, result = item
+        if failed[i]:
+            return None
+        return extract_cited_clauses(result.turns[-1].response_text, registry, judge)
+
+    items = ((i, result) for i, results in enumerate(runs) if not failed[i] for result in results)
+    with closing(run_ordered(extract, items, concurrency)) as stream:
+        for (i, result), extraction, err in stream:
+            failed[i] = failed[i] or err
+            if not failed[i]:
+                tallies[i].add(extraction, dataset.by_id(result.case_id).gold_clauses)
+    return [err or tally.scored() for err, tally in zip(failed, tallies)]
+
+
 def clause_relevance(
     results: list[InstanceResult],
     dataset: Dataset,
@@ -57,52 +142,10 @@ def clause_relevance(
     recall = |C∩G|/|G|, exact match = [C == G]; both macro-averaged.
     Runs up to `concurrency` extractions at once; raises the first error in result order.
     """
-    if not results:
-        raise MetricsError("empty_input: no results")
-
-    recalls: list[float] = []
-    exact: list[float] = []
-    cited_counts: list[int] = []
-    incorrect: Counter[ClauseId] = Counter()
-    fallbacks = 0
-
-    def _extract(result: InstanceResult):
-        return extract_cited_clauses(result.turns[-1].response_text, registry, judge)
-
-    with closing(run_ordered(_extract, results, concurrency)) as ordered:
-        for result, extraction, err in ordered:
-            record = dataset.by_id(result.case_id)
-            if err is not None:
-                raise err
-            if extraction.used_fallback:
-                fallbacks += 1
-            cited = extraction.cited
-            cited_counts.append(len(cited))
-            gold = record.gold_clauses
-            if not gold:
-                continue
-            recalls.append(len(cited & gold) / len(gold))
-            exact.append(1.0 if cited == gold else 0.0)
-            incorrect.update(cited - gold)
-
-    if not recalls:
-        raise MetricsError("no_gold_annotations: no record has gold clauses")
-
-    top_incorrect: Optional[ClauseId] = None
-    if incorrect:
-        best = max(incorrect.values())
-        top_incorrect = min(c for c, n in incorrect.items() if n == best)
-
-    return ClauseRelevanceReport(
-        mu_cited=sum(cited_counts) / len(cited_counts),
-        recall_pct=100.0 * sum(recalls) / len(recalls),
-        exact_match_pct=100.0 * sum(exact) / len(exact),
-        top_incorrect_clause=top_incorrect,
-        coverage=len(recalls) / len(results),
-        n_records=len(results),
-        n_annotated=len(recalls),
-        n_fallback_extractions=fallbacks,
-    )
+    (rel,) = clause_relevance_by_run([results], dataset, registry, judge, concurrency)
+    if isinstance(rel, Exception):
+        raise rel
+    return rel
 
 
 @dataclass

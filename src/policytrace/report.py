@@ -16,7 +16,7 @@ from .assess import InstanceResult, RunManifest
 from .clauses import ClauseRegistry
 from .corpus import Dataset, Policy
 from .gateway import ModelHandle
-from .metrics import accuracy, clause_relevance
+from .metrics import accuracy, clause_relevance_by_run
 from .records import write_atomic
 
 
@@ -29,7 +29,8 @@ def build_report(
 ) -> dict:
     """The report dict over (manifest, results) runs, as `assess.load_run` reads them.
 
-    Clause relevance is scored when `corpus` is given, after every run's accuracy.
+    Clause relevance is scored when `corpus` is given, after every run's accuracy, with
+    every run's judge calls in one stream of up to `concurrency` calls.
     Each pair of runs gets a two-sided paired t-test, so its p-values do not depend on
     which run is named first; `ahead` names the run with the higher mean (None at t = 0).
     A pair whose test fails is listed, with its error, before the tested pairs.
@@ -51,11 +52,11 @@ def build_report(
 
     if corpus is not None:
         registry, _policy, dataset = corpus
-        for (_manifest, results), row in zip(runs, rows):
-            try:
-                rel = clause_relevance(results, dataset, registry, judge, concurrency)
-            except Exception as err:
-                row["clause_relevance"] = {"error": f"{type(err).__name__}: {err}"}
+        scored = clause_relevance_by_run([results for _, results in runs], dataset, registry,
+                                         judge, concurrency)
+        for rel, row in zip(scored, rows):
+            if isinstance(rel, Exception):
+                row["clause_relevance"] = {"error": f"{type(rel).__name__}: {rel}"}
                 continue
             row["clause_relevance"] = {
                 "mu_cited": rel.mu_cited,

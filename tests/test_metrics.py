@@ -4,7 +4,13 @@ from policytrace.assess import InstanceResult, Turn
 from policytrace.clauses import ClauseId, Scheme
 from policytrace.corpus import Verdict
 from policytrace.gateway import mock_provider
-from policytrace.metrics import MetricsError, accuracy, clause_relevance, utilization
+from policytrace.metrics import (
+    MetricsError,
+    accuracy,
+    clause_relevance,
+    clause_relevance_by_run,
+    utilization,
+)
 
 C = Verdict.COMPLIANT
 N = Verdict.NONCOMPLIANT
@@ -102,6 +108,17 @@ def test_clause_relevance_raises_the_first_error_in_result_order(dataset, regist
     results = [make_result("c01", "Article 1.", C, C), no_turns, no_text]
     with pytest.raises(IndexError):
         clause_relevance(results, dataset, registry, concurrency=concurrency)
+
+
+def test_a_runs_first_error_stops_its_calls_but_not_the_next_runs(dataset, registry):
+    judge = mock_provider({"extract all policy sections": "Article 1"})
+    no_turns = make_result("c02", "x", N, N)
+    no_turns.turns = []  # IndexError
+    first = [make_result("c01", "Article 1.", C, C), no_turns, make_result("c03", "x", C, C)]
+    second = [make_result("c03", "Article 1.", C, C)]
+    failed, scored = clause_relevance_by_run([first, second], dataset, registry, judge)
+    assert isinstance(failed, IndexError) and scored.exact_match_pct == 100.0
+    assert judge.provider.call_count == 2  # c01 of the first run, c03 of the second
 
 
 def test_clause_relevance_no_annotations_errors(dataset, registry):
