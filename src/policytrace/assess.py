@@ -25,7 +25,7 @@ from .prompts import (  # re-exports StrategyKind and SelectionMode
 )
 from .prtgen import AugmentedDataset
 from .records import JsonlSink, from_json, read_object, read_records, to_json, write_atomic
-from .select import SelectionResult, Triple, select_random, select_relevant
+from .select import SelectionResult, Triple, _check_k, select_random, select_relevant
 
 
 class AssessError(ValueError):
@@ -312,6 +312,8 @@ def run_dataset(
     """
     if strategy.selection is SelectionMode.REL and judge is None:
         raise AssessError("relevance selection requires a judge handle")
+    if strategy.needs_pool and pool is not None:
+        _check_k(pool, strategy.k)  # else each case would fail alike
     out_dir = Path(out_dir)
     run_id = f"{policy.policy_id}_{strategy.label()}_{learner.model_id}_s{seed}"
     run_id = re.sub(r"[^A-Za-z0-9._-]+", "-", run_id)
@@ -343,7 +345,8 @@ def run_dataset(
     run_one = partial(run_instance, policy=policy, strategy=strategy, learner=learner,
                       pool=pool, judge=judge, seed=seed)
     with sink:
-        for _, result in sink.records(partial(from_json, InstanceResult), AssessError, "result"):
+        for _, result in read_records(results_path, partial(from_json, InstanceResult),
+                                      AssessError, "result"):
             done_ids.add(result.case_id)
             summary.count(result)
         summary.skipped = len(done_ids)

@@ -84,19 +84,22 @@ _TRAILING_GROUP_RE = re.compile(r"\s*\([^()]*\)\s*$")
 
 @dataclass
 class ClauseRegistry:
-    """Maps canonical clause ids to their entries: title and known alias spellings."""
+    """Maps canonical clause ids to their entries (title and known alias spellings), and
+    the `_title_key` of each alias to its clause: the one table every lookup reads."""
 
     policy_id: str
     entries: dict[ClauseId, _RegistryEntry] = field(default_factory=dict)
     _alias_index: dict[str, ClauseId] = field(default_factory=dict, repr=False)
 
     def add(self, clause: ClauseId, title: str = "", aliases: Optional[list[str]] = None) -> None:
+        if clause in self.entries:  # else its old aliases would stay in the index
+            raise RegistryError(f"clause {clause.canonical!r} listed twice")
         all_aliases = set(aliases or [])
         all_aliases.add(clause.canonical)
         if clause.scheme is Scheme.NAMED and title:
             all_aliases.add(title)
-        for alias in all_aliases:
-            key = _title_key(alias)
+        keys = {_title_key(alias): alias for alias in all_aliases}
+        for key, alias in keys.items():
             existing = self._alias_index.get(key)
             if existing is not None and existing != clause:
                 raise RegistryError(
@@ -104,8 +107,7 @@ class ClauseRegistry:
                 )
         self.entries[clause] = _RegistryEntry(clause.canonical, clause.scheme, title,
                                               sorted(all_aliases))
-        for alias in all_aliases:
-            self._alias_index[_title_key(alias)] = clause
+        self._alias_index.update(dict.fromkeys(keys, clause))
         # derived from the entries: rebuild on next use
         self.__dict__.pop("_numbered_memo", None)
         self.__dict__.pop("masterlist", None)
@@ -147,10 +149,6 @@ class ClauseRegistry:
     def masterlist(self) -> str:
         """The canonical ids, comma-joined, as the clause-extraction prompt lists them."""
         return ", ".join(c.canonical for c in self.entries)
-
-    @property
-    def named_entries(self) -> list[ClauseId]:
-        return [c for c in self.entries if c.scheme is Scheme.NAMED]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -259,21 +257,12 @@ class ExtractionResult:
 
 
 def _regex_extract(text: str, registry: ClauseRegistry) -> set[ClauseId]:
-    """Deterministic offline extraction: pattern scan plus named-title search."""
+    """Deterministic offline extraction: pattern scan plus a search for each named alias."""
     mentions, _ = _expand_numbered_mentions(text)
-    cited: set[ClauseId] = set()
-    for mention in mentions:
-        clause = registry._resolve_numbered(mention)
-        if clause is not None:
-            cited.add(clause)
-
+    cited = {registry._resolve_numbered(mention) for mention in mentions} - {None}
     text_key = _title_key(text)
-    for clause in registry.named_entries:
-        for alias in registry.entries[clause].aliases:
-            key = _title_key(alias)
-            if key and key in text_key:
-                cited.add(clause)
-                break
+    cited.update(clause for key, clause in registry._alias_index.items()
+                 if clause.scheme is Scheme.NAMED and key and key in text_key)
     return cited
 
 

@@ -27,6 +27,7 @@ from .corpus import load_dataset, load_policy, split_counts
 from .gateway import GatewayError, ModelHandle, load_provider_config
 from .prompts import SelectionMode, StrategyKind
 from .records import from_json, read_object, to_json
+from .tokens import estimate_tokens
 
 # Kept at module level for the benchmark: its stand-in provider replaces
 # `load_provider_config` here, and `prtbench/tracer.py` finds every module it
@@ -268,7 +269,7 @@ def cmd_validate(args: argparse.Namespace, config: Config, out_dir: Path) -> tup
     registry, policy, dataset = _load_corpus(config)  # refuses a train/test overlap
     return {
         "policy_id": policy.policy_id,
-        "policy_tokens": policy.approx_token_count,
+        "policy_tokens": estimate_tokens(policy.full_text),
         "clauses": len(policy.clause_ids),
         "registry_entries": len(registry),
         "splits": split_counts(dataset),

@@ -18,7 +18,6 @@ from typing import Optional
 
 from .clauses import ClauseId, ClauseRegistry, Scheme, heading_mention, normalize
 from .records import enum_member, read_records
-from .tokens import estimate_tokens
 
 
 class CorpusError(ValueError):
@@ -69,13 +68,10 @@ class Policy:
     full_text: str
     # (0-based line index, clause) of every clause heading, in document order.
     headings: tuple[tuple[int, ClauseId], ...]
-    approx_token_count: int
 
     def __post_init__(self) -> None:
         if not self.full_text:
             raise CorpusError("empty_policy: policy text must be non-empty")
-        if self.approx_token_count < 0:
-            raise CorpusError("approx_token_count must be non-negative")
 
     @property
     def clause_ids(self) -> tuple[ClauseId, ...]:
@@ -190,7 +186,6 @@ def load_policy(
         title=title or (policy_id or registry.policy_id),
         full_text=text,
         headings=_clause_headings(text, registry, path),
-        approx_token_count=estimate_tokens(text),
     )
 
 

@@ -75,12 +75,12 @@ PRT_GEN_PROFILE = SamplingConfig(temperature=0.7, max_new_tokens=2048)
 ASSESS_PROFILE = SamplingConfig(temperature=0.7, max_new_tokens=8192)
 
 MAX_RETRY_DELAY_S = 60.0  # caps every wait between attempts, a server's Retry-After too
+REQUEST_TIMEOUT_S = 120.0  # of each call to a remote provider
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     base_delay_s: float = 1.0
-    factor: float = 2.0
     max_attempts: int = 5
 
 
@@ -166,7 +166,7 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
     """Send one prompt, honoring cache, context window, and retry policy.
 
     Context overflow is never retried; a TransientError is, up to the attempt bound, after
-    its Retry-After or else a full-jitter draw from [0, base_delay_s * factor**n] before retry
+    its Retry-After or else a full-jitter draw from [0, base_delay_s * 2**n] before retry
     n+1, capped at MAX_RETRY_DELAY_S. No cache key is computed for a handle without a
     cache_dir. Inside a run_ordered item, the cache entry is left for run_ordered to write.
     """
@@ -201,7 +201,7 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
                 raise type(err)(f"exhausted {handle.retry.max_attempts} attempts") from err
             wait = err.retry_after_s
             if wait is None:
-                wait = random.uniform(0, handle.retry.base_delay_s * handle.retry.factor ** attempt)
+                wait = random.uniform(0, handle.retry.base_delay_s * 2 ** attempt)
             time.sleep(min(wait, MAX_RETRY_DELAY_S))
     else:
         raise ValueError(f"max_attempts must be >= 1, got {handle.retry.max_attempts}")
@@ -312,12 +312,11 @@ class OpenAICompatProvider(Provider):
     taken from `reasoning_content` when the endpoint exposes it.
     """
 
-    def __init__(self, base_url: str, api_key_env: str, timeout_s: float = 120.0):
+    def __init__(self, base_url: str, api_key_env: str):
         if base_url.partition(":")[0].lower() not in ("http", "https"):
             raise ValueError(f"base_url must be an http or https URL, got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
 
     def generate(self, model_id: str, prompt: str, cfg: SamplingConfig):
         import http.client  # loaded by _post's urllib.request anyway
@@ -336,7 +335,7 @@ class OpenAICompatProvider(Provider):
             status, headers, data = _post(
                 f"{self.base_url}/chat/completions", json.dumps(body).encode("utf-8"),
                 {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
-                self.timeout_s,
+                REQUEST_TIMEOUT_S,
             )
         except (OSError, http.client.HTTPException) as err:  # no reply, or one cut short
             raise TransientError(f"{type(err).__name__}: {err}") from err

@@ -111,8 +111,8 @@ class JsonlSink:
     """An append-only JSON Lines file of records, of which a crash may have left the last
     line torn (without its "\n"). Making a sink changes nothing: `resumes` says whether the
     file holds a whole line. Entering it cuts a torn last line off and opens the file to
-    append; inside, `records` reads the whole records back (see `read_records`), and `append`
-    writes each new record as one line and flushes it."""
+    append, and `append` writes each new record as one line and flushes it. The sink only
+    writes: inside it, its caller reads the whole records back with `read_records`."""
 
     def __init__(self, path: Path) -> None:
         self.path, self._size, self._end = path, 0, 0
@@ -131,10 +131,6 @@ class JsonlSink:
 
     def __exit__(self, *exc: object) -> None:
         self._fh.close()
-
-    def records(self, convert: Callable[[object], _T], error: type[ValueError],
-                noun: str) -> Iterator[tuple[int, _T]]:
-        return read_records(self.path, convert, error, noun)
 
     def append(self, record: object) -> None:
         """Write dataclass `record` (see `to_json`) as one line, and flush it."""

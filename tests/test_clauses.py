@@ -260,14 +260,36 @@ def test_judge_empty_reply_means_no_citations(registry):
     assert not result.used_fallback
 
 
-def test_named_title_substring_extraction():
-    registry = ClauseRegistry(policy_id="ms")
-    clause = ClauseId("Stay in bounds", Scheme.NAMED)
-    registry.add(clause, title="Stay in bounds")
-    result = extract_cited_clauses(
-        "The assistant failed to stay in bounds when asked.", registry
-    )
-    assert result.cited == {clause}
+def _named_registry_file(path):
+    named = [("Stay in bounds", ["keep to limits"]), ("Lawful Basis", ["basis rule", "other name"])]
+    clauses = [{"canonical": title, "scheme": "named", "title": title, "aliases": aliases}
+               for title, aliases in named]
+    path.write_text(json.dumps({"policy_id": "ms", "clauses": clauses}), encoding="utf-8")
+    return path
+
+
+def test_named_title_substring_extraction(tmp_path):
+    # Every alias of a named clause names it, by the judge's reply and by the regex
+    # scan, in a registry built here and in one read from a file.
+    built = ClauseRegistry(policy_id="ms")
+    built.add(ClauseId("Stay in bounds", Scheme.NAMED), title="Stay in bounds")
+    for registry in (built, load_registry(_named_registry_file(tmp_path / "reg.json"))):
+        for clause, entry in registry.entries.items():
+            for alias in entry.aliases:
+                assert normalize(alias, registry) == ([clause], [])
+                text = f"The assistant failed to {alias.lower()} when asked."
+                assert extract_cited_clauses(text, registry).cited == {clause}
+
+
+def test_a_registry_listing_a_clause_twice_is_refused(tmp_path):
+    path = tmp_path / "reg.json"
+    basis = {"canonical": "Lawful Basis", "scheme": "named", "title": "Lawful Basis"}
+    twice = [{**basis, "aliases": ["basis rule"]}, {**basis, "aliases": ["other name"]}]
+    path.write_text(json.dumps({"policy_id": "p", "clauses": twice}), encoding="utf-8")
+    with pytest.raises(RegistryError) as err:
+        load_registry(path)
+    assert str(err.value) == f"registry {path}: malformed: clause 'Lawful Basis' listed twice"
+    assert [p.name for p in tmp_path.iterdir()] == ["reg.json"]
 
 
 def test_unreachable_judge_uses_fallback(registry):

@@ -11,11 +11,12 @@ import pytest
 
 import policytrace
 from conftest import SECTION_POLICY_TEXT, SECTIONS, build_section_registry
-from mock_corpus import CASE_TEXTS, LEARNER_SCRIPT, dataset_jsonl_lines
+from mock_corpus import CASE_TEXTS, LEARNER_SCRIPT, POLICY_TEXT, dataset_jsonl_lines
 from policytrace import cli, gateway, prtgen
 from policytrace.clauses import save_registry
 from policytrace.cli import main
 from policytrace.gateway import MockProvider, MockScriptEntry
+from policytrace.tokens import estimate_tokens
 
 
 def run_cli(*args):
@@ -37,6 +38,7 @@ def test_validate_ok(workdir, capsys):
     assert payload["splits"] == {"train": 6, "test": 6}
     assert payload["disjoint"] is True
     assert payload["clauses"] == 5
+    assert payload["policy_tokens"] == estimate_tokens(POLICY_TEXT)
 
 
 def test_gen_writes_store_and_manifest(workdir, capsys):
@@ -153,6 +155,22 @@ def test_assess_rel_without_a_judge_is_refused_before_the_run_starts(workdir, ca
     assert captured.out == ""
     assert sorted(out.glob("*.results.jsonl")) == []
     assert sorted(p.name for p in out.glob("*.manifest.json")) == ["gen.manifest.json"]
+
+
+@pytest.mark.parametrize("traces, k", [(6, 7), (0, 3)], ids=["k_above_pool", "empty_store"])
+def test_assess_refuses_a_k_out_of_the_pools_range_before_writing_anything(workdir, capsys,
+                                                                           traces, k):
+    corpus, out = workdir
+    store = _gen(corpus, out)
+    lines = store.read_text(encoding="utf-8").splitlines(True)
+    store.write_text("".join(lines[:traces]), encoding="utf-8")  # 0: gen quarantined every case
+    capsys.readouterr()
+    fresh = out.parent / "assess_out"
+    code = run_cli("--config", corpus / "config.json", "--out-dir", fresh, "assess",
+                   "--strategy", "fewshot_prt", "--select", "rand", "--k", k, "--prt-store", store)
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: k_out_of_range: k={k}, pool size {traces}\n")
+    assert not fresh.exists()
 
 
 def test_assess_fewshot_prt_with_store(workdir, capsys):

@@ -77,7 +77,7 @@ def test_a_jsonl_sink_changes_nothing_until_entered_then_cuts_a_torn_line_and_ap
     assert sink.resumes and path.read_bytes() == torn
     with sink:
         assert path.read_bytes() == torn[:torn.rindex(b"\n") + 1]
-        read = sink.records(lambda obj: from_json(_Case, obj), ValueError, "case")
+        read = read_records(path, lambda obj: from_json(_Case, obj), ValueError, "case")
         assert list(read) == [(1, _Case("a")), (2, _Case("b", 2))]
         sink.append(_Case("c", 3))
         assert path.read_bytes().endswith(b'{"case_id": "b", "n": 2}\n{"case_id": "c", "n": 3}\n')
@@ -94,6 +94,6 @@ def test_a_jsonl_sink_over_no_whole_line_does_not_resume_and_starts_the_file_afr
     sink = JsonlSink(path)
     assert not sink.resumes and path.exists() is (held is not None)
     with sink:
-        assert list(sink.records(lambda obj: from_json(_Case, obj), ValueError, "case")) == []
+        assert list(read_records(path, lambda obj: from_json(_Case, obj), ValueError, "case")) == []
         sink.append(_Case("a"))
     assert path.read_bytes() == b'{"case_id": "a", "n": 0}\n'
