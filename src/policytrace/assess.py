@@ -24,7 +24,8 @@ from .prompts import (  # re-exports StrategyKind and SelectionMode
     render, template_hash,
 )
 from .prtgen import AugmentedDataset
-from .records import JsonlSink, from_json, read_object, read_records, to_json, write_atomic
+from .records import (JsonlSink, file_stem, from_json, read_record, read_records, to_json,
+                      write_atomic)
 from .select import SelectionResult, Triple, _check_k, select_random, select_relevant
 
 
@@ -34,7 +35,7 @@ class AssessError(ValueError):
 
 # Each turn renders its template with the policy, the case, the replies so far
 # (the first as `initial_reasoning`, the second as `critique`) and, where the
-# template takes `{demos}`, the case's demos, with traces for PRT_DEMO_TEMPLATES.
+# template takes `{demos}`, the case's demos with traces, which `render` shows or hides.
 TURNS: dict[StrategyKind, tuple[TemplateId, ...]] = {
     StrategyKind.BASE: (TemplateId.BASE,),
     StrategyKind.FEWSHOT: (TemplateId.FEWSHOT,),
@@ -151,17 +152,6 @@ def _select_demos(
     return select_random(pool, strategy.k, case_seed), []
 
 
-def _demo_blocks(triples: list[Triple], with_prt: bool) -> list[DemoBlock]:
-    return [
-        DemoBlock(
-            case_text=case.case_text,
-            verdict=verdict,
-            prt_text=prt.prt_text if with_prt else None,
-        )
-        for case, verdict, prt in triples
-    ]
-
-
 def run_instance(
     case: CaseRecord,
     policy: Policy,
@@ -180,13 +170,14 @@ def run_instance(
         if pool is None:
             raise AssessError(f"{strategy.kind.value} requires a demonstration pool")
         triples, flags = _select_demos(case, strategy, pool, judge, policy, seed)
+    demos = [DemoBlock(demo.case_text, verdict, prt.prt_text) for demo, verdict, prt in triples]
 
     turns: list[Turn] = []
     for template_id in TURNS[strategy.kind]:
         bindings = {"policy": policy.full_text, "case": case.case_text}
         bindings.update(zip(_REPLY_NAMES, (turn.response_text for turn in turns)))
         if template_id in DEMO_TEMPLATES:
-            bindings["demos"] = _demo_blocks(triples, template_id in PRT_DEMO_TEMPLATES)
+            bindings["demos"] = demos
         prompt = render(template_id, bindings, k=strategy.k)
         response = complete(learner, prompt, ASSESS_PROFILE)
         turns.append(
@@ -238,15 +229,6 @@ class RunManifest:
     started_at: str = field(compare=False)
 
 
-def _read_manifest(path: Path) -> RunManifest:
-    try:
-        return from_json(RunManifest, read_object(path, "manifest", AssessError))
-    except KeyError as err:
-        raise AssessError(f"manifest {path}: missing key {err}") from err
-    except TypeError as err:  # an unknown key or a wrongly typed value
-        raise AssessError(f"manifest {path}: malformed: {err}") from err
-
-
 def load_run(results_path: Path) -> tuple[RunManifest, list[InstanceResult]]:
     """A run's manifest and its results, of which there must be at least one."""
     if not results_path.name.endswith(".results.jsonl"):
@@ -254,7 +236,7 @@ def load_run(results_path: Path) -> tuple[RunManifest, list[InstanceResult]]:
     manifest_path = _manifest_path(results_path)
     if not manifest_path.exists():
         raise AssessError(f"manifest not found next to results: {manifest_path}")
-    manifest = _read_manifest(manifest_path)
+    manifest = read_record(manifest_path, RunManifest, "manifest", AssessError)
     results = load_results(results_path)
     if not results:
         raise AssessError(f"{results_path}: no results")
@@ -315,8 +297,7 @@ def run_dataset(
     if strategy.needs_pool and pool is not None:
         _check_k(pool, strategy.k)  # else each case would fail alike
     out_dir = Path(out_dir)
-    run_id = f"{policy.policy_id}_{strategy.label()}_{learner.model_id}_s{seed}"
-    run_id = re.sub(r"[^A-Za-z0-9._-]+", "-", run_id)
+    run_id = file_stem(f"{policy.policy_id}_{strategy.label()}_{learner.model_id}_s{seed}")
     results_path = out_dir / f"{run_id}.results.jsonl"
     manifest_path = _manifest_path(results_path)
 
@@ -328,7 +309,7 @@ def run_dataset(
         started_at=datetime.now(timezone.utc).isoformat())
     sink = JsonlSink(results_path)
     if sink.resumes and manifest_path.exists():
-        old = _read_manifest(manifest_path)
+        old = read_record(manifest_path, RunManifest, "manifest", AssessError)
         differ = sorted(f.name for f in fields(RunManifest)
                         if f.compare and getattr(manifest, f.name) != getattr(old, f.name))
         if differ:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .gateway import ASSESS_PROFILE, ModelHandle, ask_twice
 from .prompts import TemplateId, render
-from .records import from_json, read_object, to_json, write_atomic
+from .records import read_record, to_json, write_atomic
 
 
 class Scheme(str, Enum):
@@ -100,11 +100,13 @@ class ClauseRegistry:
             all_aliases.add(title)
         keys = {_title_key(alias): alias for alias in all_aliases}
         for key, alias in keys.items():
+            if not key:  # it would key every blank line
+                raise RegistryError(f"alias {alias!r} has no letter or digit")
             existing = self._alias_index.get(key)
             if existing is not None and existing != clause:
-                raise RegistryError(
-                    f"alias {alias!r} maps to both {existing.canonical!r} and {clause.canonical!r}"
-                )
+                raise RegistryError(f"alias {alias!r} maps to both {existing.canonical!r} "
+                                    f"({existing.scheme.value}) and {clause.canonical!r} "
+                                    f"({clause.scheme.value})")
         self.entries[clause] = _RegistryEntry(clause.canonical, clause.scheme, title,
                                               sorted(all_aliases))
         self._alias_index.update(dict.fromkeys(keys, clause))
@@ -157,15 +159,12 @@ class ClauseRegistry:
 def load_registry(path: str | Path) -> ClauseRegistry:
     """Load a registry sidecar file, a `_RegistryFile` record."""
     path = Path(path)
-    data = read_object(path, "registry", RegistryError)
+    registry_file = read_record(path, _RegistryFile, "registry", RegistryError)
+    registry = ClauseRegistry(policy_id=registry_file.policy_id)
     try:
-        registry_file = from_json(_RegistryFile, data)
-        registry = ClauseRegistry(policy_id=registry_file.policy_id)
         for entry in registry_file.clauses:
             registry.add(ClauseId(entry.canonical, entry.scheme), entry.title, entry.aliases)
-    except KeyError as err:
-        raise RegistryError(f"registry {path}: missing key {err}") from err
-    except (TypeError, ValueError) as err:  # a type or value the schema refuses
+    except RegistryError as err:
         raise RegistryError(f"registry {path}: malformed: {err}") from err
     return registry
 

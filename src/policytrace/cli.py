@@ -26,7 +26,7 @@ from .clauses import load_registry
 from .corpus import load_dataset, load_policy, split_counts
 from .gateway import GatewayError, ModelHandle, load_provider_config
 from .prompts import SelectionMode, StrategyKind
-from .records import from_json, read_object, to_json
+from .records import file_stem, read_record, to_json
 from .tokens import estimate_tokens
 
 # Kept at module level for the benchmark: its stand-in provider replaces
@@ -69,11 +69,7 @@ def _load_config(args: argparse.Namespace) -> Config:
     config = Config()
     if args.config:
         path = Path(args.config)
-        try:
-            config = from_json(Config, read_object(path, "config", CliError),
-                               base=path.resolve().parent)
-        except TypeError as err:  # an unknown key or a wrongly typed value
-            raise CliError(f"config {path}: {err}") from err
+        config = read_record(path, Config, "config", CliError, base=path.resolve().parent)
     flags = ("seed", "concurrency", "cache_dir", "out_dir", "k", "prt_store")
     config = replace(config, **{flag: value for flag in flags
                                 if (value := getattr(args, flag, None)) is not None})
@@ -136,7 +132,7 @@ def cmd_gen(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple[di
     expert = _handle(_load_handles(config), config, "expert")
 
     aug, quarantine = generate_augmented_dataset(dataset, policy, expert, config.concurrency)
-    store_path = out_dir / f"{policy.policy_id}_{expert.model_id}.prts.jsonl"
+    store_path = out_dir / (file_stem(f"{policy.policy_id}_{expert.model_id}") + ".prts.jsonl")
     quarantined = [{"case_id": cid, "reason": err.reason, "detail": str(err)}
                    for cid, err in quarantine]
     write_prt_store(aug, store_path,  # the manifest and quarantine.json first, the store last

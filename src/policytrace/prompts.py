@@ -62,7 +62,7 @@ class SelectionMode(str, Enum):
     REL = "rel"
 
 
-# Templates that take `{demos}`, and those whose demo blocks carry PRT text.
+# Templates that take `{demos}`, and those whose demos show their PRT text (`format_demos` decides).
 PRT_DEMO_TEMPLATES = frozenset(
     {TemplateId.FEWSHOT_PRT, TemplateId.SELFREFINE_PRT_CRITIQUE_JUDGMENT}
 )
@@ -121,9 +121,7 @@ def format_demos(template_id: TemplateId, demos: list[DemoBlock]) -> str:
                 f"REASONING: {demo.prt_text}\n"
                 f"VERDICT: {demo.verdict.value}"
             )
-        else:
-            if demo.prt_text is not None:
-                raise PromptError(f"demo {i}: prt_text forbidden for {template_id.value}")
+        else:  # a plain demo never shows its trace
             blocks.append(f"CASE {i}: {demo.case_text}\nVERDICT: {demo.verdict.value}")
     return "\n\n".join(blocks)
 

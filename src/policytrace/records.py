@@ -1,10 +1,11 @@
-"""JSON records: a file's JSON object, an enum member by value, a dataclass from a JSON
-object and back (`from_json`, `to_json`), the lines and records of a JSON Lines file and the
-one encoding of such a line (`jsonl_line`); and the package's two writers. `write_atomic`
-replaces a set of files whole: every whole file the package writes goes through it (`gen`,
-`report` and `export-sft` each write their outputs and manifest in one call). `JsonlSink`
-appends records to a file that a crash may have cut, as `assess.run_dataset` does with its
-results. It imports nothing from the package, so every module may import it.
+"""JSON records: a file's one record (`read_record`), an enum member by value, a dataclass
+from a JSON object and back (`from_json`, `to_json`), the lines and records of a JSON Lines
+file and the one encoding of such a line (`jsonl_line`); a file name stem (`file_stem`); and
+the package's two writers. `write_atomic` replaces a set of files whole: every whole file the
+package writes goes through it (`gen`, `report` and `export-sft` each write their outputs and
+manifest in one call). `JsonlSink` appends records to a file that a crash may have cut, as
+`assess.run_dataset` does with its results. It imports nothing from the package, so every
+module may import it.
 
 JSON Lines files (datasets, trace stores, results, SFT records) are read one line at
 a time, so memory follows the longest record and not the file. A line ends at "\n"
@@ -15,6 +16,7 @@ string, which writers using `ensure_ascii=False` leave raw, stay part of their r
 import dataclasses
 import json
 import os
+import re
 from enum import Enum
 from functools import partial
 from operator import attrgetter
@@ -42,15 +44,28 @@ def enum_member(enum: type[_T], value: object) -> _T:
         return enum(value)
 
 
-def read_object(path: Path, what: str, error: type[ValueError]) -> dict:
-    """The JSON object in the file at `path`; anything else is an `error` naming the file."""
+def read_record(path: Path, cls: type[_T], what: str, error: type[ValueError],
+                **given: object) -> _T:
+    """Dataclass `cls` from the JSON object in the file at `path` and the fields in `given`
+    (see `from_json`). Each refusal is an `error` naming the file: `<what> <path>: ` then the
+    reading or JSON error, `not a JSON object`, `missing key '<k>'` or `malformed: <err>`."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise error(f"{what} {path}: {err}") from err
     if not isinstance(obj, dict):
         raise error(f"{what} {path}: not a JSON object")
-    return obj
+    try:
+        return from_json(cls, obj, **given)
+    except KeyError as err:
+        raise error(f"{what} {path}: missing key {err}") from err
+    except (TypeError, ValueError) as err:  # a key, type or value the schema refuses
+        raise error(f"{what} {path}: malformed: {err}") from err
+
+
+def file_stem(name: str) -> str:
+    """`name` with each run of characters outside [A-Za-z0-9._-] as one "-": "org/m" is "org-m"."""
+    return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
 
 _DECODER = json.JSONDecoder()

@@ -35,6 +35,15 @@ def test_alias_collision_rejected():
         registry.add(ClauseId("Article 2", Scheme.ARTICLE), aliases=["lawfulness"])
 
 
+def test_an_alias_collision_names_each_clauses_scheme():
+    registry = ClauseRegistry(policy_id="p")
+    registry.add(ClauseId("Article 5", Scheme.ARTICLE))
+    with pytest.raises(RegistryError) as err:
+        registry.add(ClauseId("Article 5", Scheme.NAMED))
+    assert str(err.value) == (
+        "alias 'Article 5' maps to both 'Article 5' (article) and 'Article 5' (named)")
+
+
 def test_named_scheme_title_is_alias():
     registry = ClauseRegistry(policy_id="p")
     clause = ClauseId("Stay in bounds", Scheme.NAMED)
@@ -290,6 +299,22 @@ def test_a_registry_listing_a_clause_twice_is_refused(tmp_path):
         load_registry(path)
     assert str(err.value) == f"registry {path}: malformed: clause 'Lawful Basis' listed twice"
     assert [p.name for p in tmp_path.iterdir()] == ["reg.json"]
+
+
+def test_an_alias_with_no_letter_or_digit_is_refused(tmp_path):
+    # Its key would be "", the key of every blank line of a named-scheme policy.
+    path = tmp_path / "reg.json"
+    basis = {"canonical": "Lawful Basis", "scheme": "named", "title": "Lawful Basis",
+             "aliases": ["-"]}
+    path.write_text(json.dumps({"policy_id": "p", "clauses": [basis]}), encoding="utf-8")
+    with pytest.raises(RegistryError) as err:
+        load_registry(path)
+    assert str(err.value) == f"registry {path}: malformed: alias '-' has no letter or digit"
+    registry = ClauseRegistry(policy_id="p")
+    with pytest.raises(RegistryError) as err:
+        registry.add(ClauseId("Access", Scheme.NAMED), aliases=[""])
+    assert str(err.value) == "alias '' has no letter or digit"
+    assert registry.resolve("") is None and not registry.entries
 
 
 def test_unreachable_judge_uses_fallback(registry):

@@ -56,6 +56,26 @@ def test_gen_writes_store_and_manifest(workdir, capsys):
     assert quarantine == []
 
 
+@pytest.mark.parametrize("expert, stem", [
+    ("org/expert", "synthpol_org-expert"),
+    ("/../../escaped", "synthpol_-..-..-escaped"),
+], ids=["org_slash_model", "parent_dirs"])
+def test_gen_writes_its_store_directly_in_the_out_dir_whatever_the_expert_id(
+    workdir, capsys, expert, stem
+):
+    corpus, out = workdir
+    for name in ("config.json", "providers.json"):
+        path = corpus / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"mock-expert"', json.dumps(expert)), encoding="utf-8")
+    deep = out / "deep"
+    assert run_cli("--config", corpus / "config.json", "--out-dir", deep, "gen") == 0
+    assert json.loads(capsys.readouterr().out)["store"] == str(deep / f"{stem}.prts.jsonl")
+    assert sorted(p.name for p in deep.iterdir()) == [
+        "gen.manifest.json", "quarantine.json", f"{stem}.prts.jsonl"]
+    assert [p.name for p in out.iterdir()] == ["deep"]
+
+
 def _gen(corpus, out):
     assert run_cli("--config", corpus / "config.json", "--out-dir", out, "gen") == 0
     return out / "synthpol_mock-expert.prts.jsonl"
@@ -637,7 +657,7 @@ def test_a_config_value_of_the_wrong_type_is_an_error(workdir, capsys, key, valu
     code = run_cli("--config", config_path, "validate")
     assert code == 2
     err = capsys.readouterr().err
-    assert err == f"error: config {config_path}: {key} must be {kind}, got {value!r}\n"
+    assert err == f"error: config {config_path}: malformed: {key} must be {kind}, got {value!r}\n"
 
 
 def _write_config(corpus, **changes):
@@ -670,7 +690,7 @@ def test_a_config_with_an_unknown_key_or_a_wrongly_typed_path_exits_2(
     argv = ["--config", config_path, "--out-dir", out, command]
     code = run_cli(*argv, *(["x.results.jsonl"] if command == "report" else []))
     assert code == 2
-    assert capsys.readouterr().err == f"error: config {config_path}: {detail}\n"
+    assert capsys.readouterr().err == f"error: config {config_path}: malformed: {detail}\n"
     assert not out.exists()  # refused before any write
 
 

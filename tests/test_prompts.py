@@ -87,9 +87,12 @@ def test_prt_text_required_for_prt_demos():
         format_demos(TemplateId.FEWSHOT_PRT, DEMOS_PLAIN)
 
 
-def test_prt_text_forbidden_for_plain_demos():
-    with pytest.raises(PromptError):
-        format_demos(TemplateId.FEWSHOT, DEMOS_PRT)
+def test_a_plain_demo_never_shows_its_trace():
+    # `render` alone decides: a caller may pass every demo with its trace.
+    plain = render(TemplateId.FEWSHOT, {"policy": "p", "case": "c", "demos": DEMOS_PLAIN})
+    traced = render(TemplateId.FEWSHOT, {"policy": "p", "case": "c", "demos": DEMOS_PRT})
+    assert traced == plain
+    assert "REASONING:" not in traced
 
 
 def test_demo_numbering_order():
