@@ -7,7 +7,6 @@ case ids, so an interrupted run resumes with only the missing cases.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from contextlib import closing
@@ -24,8 +23,8 @@ from .prompts import (  # re-exports StrategyKind and SelectionMode
     render, template_hash,
 )
 from .prtgen import AugmentedDataset
-from .records import (JsonlSink, file_stem, from_json, read_record, read_records, to_json,
-                      write_atomic)
+from .records import (JsonlSink, file_stem, from_json, hash_seed, read_record, read_records,
+                      sha256_hex, to_json, write_atomic)
 from .select import SelectionResult, Triple, _check_k, select_random, select_relevant
 
 
@@ -146,10 +145,7 @@ def _select_demos(
         )
         return result.triples, result.flags
     # Per-case deterministic draw: mix the case id into the seed.
-    case_seed = int.from_bytes(
-        hashlib.sha256(f"{seed}|{case.case_id}".encode("utf-8")).digest()[:8], "big"
-    )
-    return select_random(pool, strategy.k, case_seed), []
+    return select_random(pool, strategy.k, hash_seed(f"{seed}|{case.case_id}")), []
 
 
 def run_instance(
@@ -183,7 +179,7 @@ def run_instance(
         turns.append(
             Turn(
                 template_id=template_id.value,
-                prompt_hash=hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+                prompt_hash=sha256_hex(prompt),
                 response_text=response.text,
                 raw_cot=response.raw_cot,
                 prompt_tokens=response.prompt_tokens,

@@ -24,10 +24,9 @@ from typing import Optional
 
 from .clauses import load_registry
 from .corpus import load_dataset, load_policy, split_counts
-from .gateway import GatewayError, ModelHandle, load_provider_config
+from .gateway import GatewayError, ModelHandle, estimate_tokens, load_provider_config
 from .prompts import SelectionMode, StrategyKind
 from .records import file_stem, read_record, to_json
-from .tokens import estimate_tokens
 
 # Kept at module level for the benchmark: its stand-in provider replaces
 # `load_provider_config` here, and `prtbench/tracer.py` finds every module it

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .clauses import ClauseId, ClauseRegistry, Scheme, heading_mention, normalize
-from .records import enum_member, read_records
+from .records import enum_member, read_records, sha256_hex
 
 
 class CorpusError(ValueError):
@@ -189,12 +189,6 @@ def load_policy(
     )
 
 
-def text_hash(text: str) -> str:
-    import hashlib  # here: `validate` hashes only a text that two splits share
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class DisjointnessReport:
     shared_case_ids: list[str] = field(default_factory=list)
@@ -217,7 +211,7 @@ def split_disjointness_check(dataset: Dataset) -> DisjointnessReport:
     for r in dataset.test:
         train_id = train_texts.get(r.case_text)
         if train_id is not None:
-            report.shared_text_hashes.append((text_hash(r.case_text), train_id, r.case_id))
+            report.shared_text_hashes.append((sha256_hex(r.case_text), train_id, r.case_id))
     return report
 
 

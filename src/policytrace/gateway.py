@@ -21,8 +21,20 @@ from pathlib import Path
 from types import NoneType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
-from .records import from_json, to_json, write_atomic
-from .tokens import Tokenizer, estimate_tokens
+from .records import from_json, sha256_hex, to_json, write_atomic
+
+BYTES_PER_TOKEN = 4  # the common ratio of BPE vocabularies
+
+
+def estimate_tokens(text: str) -> int:
+    """Approximate BPE token count: ceil(utf8_bytes / 4), 0 for empty text. It is the
+    default `ModelHandle.tokenizer`, which a real BPE tokenizer may replace, and it
+    counts policy sizes and the mock provider's tokens."""
+    if not text:
+        return 0
+    # An ASCII string's length is its UTF-8 byte count, and isascii() reads a flag.
+    n = len(text) if text.isascii() else len(text.encode("utf-8"))
+    return max(1, (n + BYTES_PER_TOKEN - 1) // BYTES_PER_TOKEN)
 
 
 class GatewayError(Exception):
@@ -83,6 +95,10 @@ class RetryPolicy:
     base_delay_s: float = 1.0
     max_attempts: int = 5
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+
 
 @dataclass
 class ModelResponse:
@@ -110,7 +126,7 @@ class ModelHandle:
     price_out_usd_per_1m: float = 0.0
     context_window: int = 131072
     provider: Optional[Provider] = None
-    tokenizer: Tokenizer = estimate_tokens
+    tokenizer: Callable[[str], int] = estimate_tokens
     cache_dir: Optional[Path] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy, metadata={"json": False})
 
@@ -136,9 +152,7 @@ def cache_key(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> str:
         ensure_ascii=False,
         separators=(",", ":"),
     )
-    import hashlib  # here: `validate` makes no model call, and loads no OpenSSL
-
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_hex(payload)
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -166,9 +180,11 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
     """Send one prompt, honoring cache, context window, and retry policy.
 
     Context overflow is never retried; a TransientError is, up to the attempt bound, after
-    its Retry-After or else a full-jitter draw from [0, base_delay_s * 2**n] before retry
-    n+1, capped at MAX_RETRY_DELAY_S. No cache key is computed for a handle without a
-    cache_dir. Inside a run_ordered item, the cache entry is left for run_ordered to write.
+    its Retry-After (0 if unset) plus a full-jitter draw from [0, base_delay_s * 2**n]
+    before retry n+1, capped at MAX_RETRY_DELAY_S: the Retry-After is a floor, and the
+    draw keeps callers told the same one from waking together. No cache key is computed
+    for a handle without a cache_dir. Inside a run_ordered item, the cache entry is left
+    for run_ordered to write.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
@@ -199,12 +215,8 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
         except TransientError as err:
             if attempt + 1 == handle.retry.max_attempts:
                 raise type(err)(f"exhausted {handle.retry.max_attempts} attempts") from err
-            wait = err.retry_after_s
-            if wait is None:
-                wait = random.uniform(0, handle.retry.base_delay_s * 2 ** attempt)
-            time.sleep(min(wait, MAX_RETRY_DELAY_S))
-    else:
-        raise ValueError(f"max_attempts must be >= 1, got {handle.retry.max_attempts}")
+            draw = random.uniform(0, handle.retry.base_delay_s * 2 ** attempt)
+            time.sleep(min((err.retry_after_s or 0) + draw, MAX_RETRY_DELAY_S))
     response = ModelResponse(text, raw_cot if handle.supports_raw_cot else None,
                              prompt_tokens=in_tok, completion_tokens=out_tok,
                              latency_ms=int((time.monotonic() - start) * 1000))

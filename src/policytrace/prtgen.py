@@ -3,12 +3,12 @@
 A trace is accepted only if it is enumerated (at least two "N." lines) and its
 final enumerated line states exactly one verdict token that matches the case's
 gold verdict. Failed generations get one retry, then are quarantined with the
-failure reason so the drop-out rate stays auditable.
+failure reason so the drop-out rate stays auditable; so is a case whose expert
+call still fails after its retries.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from contextlib import closing
 from dataclasses import dataclass
@@ -19,9 +19,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .corpus import CaseRecord, Dataset, Policy, Split, Verdict, verdict_tokens
-from .gateway import PRT_GEN_PROFILE, ModelHandle, ask_twice, run_ordered
+from .gateway import PRT_GEN_PROFILE, ModelHandle, TransientError, ask_twice, run_ordered
 from .prompts import TemplateId, render
-from .records import from_json, jsonl_line, read_records, to_json, write_atomic
+from .records import from_json, jsonl_line, read_records, sha256_hex, to_json, write_atomic
 
 
 class PRTError(ValueError):
@@ -30,13 +30,20 @@ class PRTError(ValueError):
         self.reason = reason  # the quarantine reason, e.g. validate_prt's "format"
 
 
-_ENUM_LINE_RE = re.compile(r"^\s*\d+\.\s*\S")
+_STEP_MARKER_RE = re.compile(r"\d+\.\s*")
+
+
+def _after_marker(stripped: str) -> Optional[str]:
+    """What follows the "N." marker that starts stripped line `stripped`, or None if no
+    marker does: the line is a numbered step when this is not empty."""
+    marker = _STEP_MARKER_RE.match(stripped)
+    return None if marker is None else stripped[marker.end():]
 
 
 def validate_prt(text: str, gold: Verdict) -> Optional[PRTError]:
     """Check trace structure and verdict consistency; None means valid, else
     the error that says why not."""
-    enum_lines = (line for line in reversed(text.splitlines()) if _ENUM_LINE_RE.match(line))
+    enum_lines = (line for line in reversed(text.splitlines()) if _after_marker(line.strip()))
     final = next(enum_lines, None)
     if next(enum_lines, None) is None:  # the scan went back to the first line
         found = 0 if final is None else 1
@@ -59,7 +66,6 @@ def count_words(text: str) -> int:
 
 
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s|$)")
-_ENUM_MARKER_RE = re.compile(r"^\d+\.\s*")
 
 
 def count_sentences(text: str) -> int:
@@ -68,14 +74,9 @@ def count_sentences(text: str) -> int:
     total = 0
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped:
-            continue
-        # Leading enumeration dots ("1.") are markers, not sentence ends.
-        body = _ENUM_MARKER_RE.sub("", stripped)
-        ends = len(_SENTENCE_END_RE.findall(body))
-        if ends == 0 and _ENUM_LINE_RE.match(line):
-            ends = 1
-        total += ends
+        body = _after_marker(stripped)  # leading enumeration dots ("1.") end no sentence
+        ends = len(_SENTENCE_END_RE.findall(stripped if body is None else body))
+        total += ends or bool(body)
     return max(total, 1) if text.strip() else 0
 
 
@@ -118,12 +119,8 @@ class AugmentedDataset:
 
     @cached_property
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for case, verdict, prt in self.triples:
-            h.update(case.case_id.encode("utf-8"))
-            h.update(verdict.value.encode("utf-8"))
-            h.update(prt.prt_text.encode("utf-8"))
-        return h.hexdigest()
+        return sha256_hex("".join(part for case, verdict, prt in self.triples
+                                  for part in (case.case_id, verdict.value, prt.prt_text)))
 
 
 def _build_record(
@@ -154,7 +151,7 @@ def generate_prt(case: CaseRecord, policy: Policy, expert: ModelHandle) -> PRTRe
             "verdict": case.gold_verdict.value,
         },
     )
-    prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    prompt_hash = sha256_hex(prompt)
 
     for reply, err in ask_twice(expert, prompt, PRT_GEN_PROFILE):
         if err is not None:
@@ -175,7 +172,8 @@ def generate_augmented_dataset(
     as (case id, the PRTError that refused it) pairs.
 
     Up to `concurrency` cases are generated at once. Output order follows
-    dataset order either way. Errors other than PRTError propagate.
+    dataset order either way. A TransientError, whose retries are spent, is
+    quarantined as a PRTError with reason "provider"; other errors propagate.
     """
     triples: list[Triple] = []
     quarantine: list[tuple[str, PRTError]] = []
@@ -184,6 +182,8 @@ def generate_augmented_dataset(
     )
     with closing(outcomes) as ordered:
         for case, record, err in ordered:
+            if isinstance(err, TransientError):
+                err = PRTError(f"{type(err).__name__}: {err}", "provider")
             if isinstance(err, PRTError):
                 # dropping the traceback frees the frames that hold the case's prompt
                 quarantine.append((case.case_id, err.with_traceback(None)))

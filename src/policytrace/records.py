@@ -1,11 +1,11 @@
 """JSON records: a file's one record (`read_record`), an enum member by value, a dataclass
 from a JSON object and back (`from_json`, `to_json`), the lines and records of a JSON Lines
-file and the one encoding of such a line (`jsonl_line`); a file name stem (`file_stem`); and
-the package's two writers. `write_atomic` replaces a set of files whole: every whole file the
-package writes goes through it (`gen`, `report` and `export-sft` each write their outputs and
-manifest in one call). `JsonlSink` appends records to a file that a crash may have cut, as
-`assess.run_dataset` does with its results. It imports nothing from the package, so every
-module may import it.
+file and the one encoding of such a line (`jsonl_line`); a file name stem (`file_stem`); a
+text's SHA-256 (`sha256_hex`, `hash_seed`); and the package's two writers. `write_atomic`
+replaces a set of files whole: every whole file the package writes goes through it (`gen`,
+`report` and `export-sft` each write their outputs and manifest in one call). `JsonlSink`
+appends records to a file that a crash may have cut, as `assess.run_dataset` does with its
+results. It imports nothing from the package, so every module may import it.
 
 JSON Lines files (datasets, trace stores, results, SFT records) are read one line at
 a time, so memory follows the longest record and not the file. A line ends at "\n"
@@ -61,6 +61,19 @@ def read_record(path: Path, cls: type[_T], what: str, error: type[ValueError],
         raise error(f"{what} {path}: missing key {err}") from err
     except (TypeError, ValueError) as err:  # a key, type or value the schema refuses
         raise error(f"{what} {path}: malformed: {err}") from err
+
+
+def sha256_hex(text: str) -> str:
+    """The hex SHA-256 of `text`'s UTF-8 bytes: every content hash but a template's."""
+    import hashlib  # here: `validate` hashes only a text two splits share, so loads no OpenSSL
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def hash_seed(text: str) -> int:
+    """The first 8 bytes of `text`'s SHA-256 as a big-endian int: a seed that is the same
+    on every platform."""
+    return int(sha256_hex(text)[:16], 16)
 
 
 def file_stem(name: str) -> str:

@@ -9,7 +9,6 @@ deterministically, flagging any record that needed repair or fallback.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import random
 import re
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from .corpus import CaseRecord
 from .gateway import ASSESS_PROFILE, GatewayError, ModelHandle, ask_twice
 from .prompts import TemplateId, render
 from .prtgen import AugmentedDataset, Triple
+from .records import hash_seed
 
 
 class SelectionError(ValueError):
@@ -46,8 +46,7 @@ def select_random(pool: AugmentedDataset, k: int, seed: int) -> list[Triple]:
     a pure function of pool content, not of object identity or platform.
     """
     _check_k(pool, k)
-    digest = hashlib.sha256(f"{pool.content_hash}|{k}|{seed}".encode("utf-8")).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    rng = random.Random(hash_seed(f"{pool.content_hash}|{k}|{seed}"))
     # j counts free positions: step it past each taken one at or below it, so
     # the draw is the one popping j from a list of the free positions makes.
     taken: list[int] = []

@@ -12,6 +12,7 @@ from mock_corpus import EXPERT_SCRIPT
 from policytrace import assess
 from policytrace.assess import (
     AssessError,
+    RunSummary,
     SelectionMode,
     Strategy,
     StrategyKind,
@@ -25,6 +26,7 @@ from policytrace.corpus import CaseRecord, Dataset, Split, Verdict
 from policytrace.gateway import ModelHandle, Provider, mock_provider
 from policytrace.prompts import TemplateId, template_hash
 from policytrace.prtgen import generate_augmented_dataset
+from policytrace.records import sha256_hex
 
 C = Verdict.COMPLIANT
 N = Verdict.NONCOMPLIANT
@@ -277,6 +279,26 @@ def test_run_dataset_resumes(tmp_path, dataset, policy, learner_handle):
     assert learner_handle.provider.call_count == before  # no new model calls
 
 
+def test_a_resume_refuses_a_manifest_that_differs_only_in_one_template_hash(
+    tmp_path, dataset, policy, learner_handle
+):
+    """A template edited between two runs would mix two prompts in one results file."""
+    strategy = Strategy(StrategyKind.BASE)
+    _, summary = run_dataset(dataset, policy, strategy, learner_handle, tmp_path, seed=42)
+    manifest_path = tmp_path / f"{summary.run_id}.manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["template_hashes"]["base"] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(AssessError, match="differs from its manifest in template_hashes$"):
+        run_dataset(dataset, policy, strategy, learner_handle, tmp_path, seed=42)
+
+
+def test_accuracy_pct_leaves_failed_cases_out_of_its_denominator():
+    summary = RunSummary(run_id="r", total=4, correct=1,
+                         failure_reasons={"c04": "TransientError: exhausted 5 attempts"})
+    assert summary.accuracy_pct == pytest.approx(100 / 3)
+
+
 def test_run_dataset_leaves_the_old_manifest_when_its_write_fails(
     tmp_path, monkeypatch, dataset, policy, learner_handle
 ):
@@ -448,19 +470,15 @@ def test_run_dataset_concurrency_matches_sequential(tmp_path, dataset, policy, l
 
 def test_run_dataset_hashes_the_pool_once(tmp_path, monkeypatch, dataset, policy, learner_handle, pool):
     """The pool's content hash names the run and seeds every draw; it is computed once."""
-    import hashlib
-
     from policytrace import prtgen
 
     calls = []
 
-    class CountingHashlib:
-        @staticmethod
-        def sha256(*args):
-            calls.append(args)
-            return hashlib.sha256(*args)
+    def counting_sha256_hex(text):
+        calls.append(text)
+        return sha256_hex(text)
 
-    monkeypatch.setattr(prtgen, "hashlib", CountingHashlib)
+    monkeypatch.setattr(prtgen, "sha256_hex", counting_sha256_hex)
     strategy = Strategy(StrategyKind.FEWSHOT_PRT, SelectionMode.RAND, k=3)
     _, summary = run_dataset(dataset, policy, strategy, learner_handle, tmp_path, pool=pool)
     assert summary.executed == len(dataset.test) == 6

@@ -15,8 +15,7 @@ from mock_corpus import CASE_TEXTS, LEARNER_SCRIPT, POLICY_TEXT, dataset_jsonl_l
 from policytrace import cli, gateway, prtgen
 from policytrace.clauses import save_registry
 from policytrace.cli import main
-from policytrace.gateway import MockProvider, MockScriptEntry
-from policytrace.tokens import estimate_tokens
+from policytrace.gateway import MockProvider, MockScriptEntry, estimate_tokens
 
 
 def run_cli(*args):
@@ -473,7 +472,8 @@ def test_gen_exits_1_when_the_quarantined_fraction_exceeds_the_threshold(workdir
     providers_path.write_text(json.dumps(providers), encoding="utf-8")
     config_path = corpus / "config.json"
     config = json.loads(config_path.read_text(encoding="utf-8"))
-    for threshold, code in ((None, 0), (0.1, 1)):  # 1/6 is under 0.25, the default
+    # 1/6 is under 0.25, the default, and not above 1/6 itself
+    for threshold, code in ((None, 0), (1 / 6, 0), (0.1, 1)):
         if threshold is not None:
             config_path.write_text(json.dumps({**config, "quarantine_threshold": threshold}),
                                    encoding="utf-8")
@@ -484,6 +484,35 @@ def test_gen_exits_1_when_the_quarantined_fraction_exceeds_the_threshold(workdir
                                 "quarantine fraction exceeds threshold 0.1\n")
     (entry,) = json.loads((out / "quarantine.json").read_text(encoding="utf-8"))
     assert entry["case_id"] == "t01" and entry["reason"] == "format"
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_gen_quarantines_a_case_whose_expert_call_fails_after_its_retries(
+    workdir, capsys, monkeypatch, concurrency
+):
+    corpus, out = workdir
+    answer = _answer_as(_remote_providers(corpus), 0)
+
+    def post(url, body, headers, timeout):  # t01, one of the six train cases, never gets through
+        if CASE_TEXTS["t01"] in json.loads(body)["messages"][0]["content"]:
+            return 503, {"Retry-After": "0"}, b"busy"
+        return answer(url, body, headers, timeout)
+
+    monkeypatch.setattr(gateway, "_post", post)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: 0.0)  # no backoff sleep
+    config_path = corpus / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    for threshold, code in ((None, 0), (0.1, 1)):  # 1/6 is under 0.25, the default
+        if threshold is not None:
+            config_path.write_text(json.dumps({**config, "quarantine_threshold": threshold}),
+                                   encoding="utf-8")
+        assert run_cli("--config", config_path, "--out-dir", out, "--concurrency", concurrency,
+                       "gen") == code
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["generated"], summary["quarantined"]) == (5, 1)
+        assert json.loads((out / "quarantine.json").read_text(encoding="utf-8")) == [
+            {"case_id": "t01", "reason": "provider",
+             "detail": "TransientError: exhausted 5 attempts"}]
 
 
 def _fail_replace(monkeypatch, name):
@@ -1148,6 +1177,7 @@ def test_assess_retries_a_provider_that_answers_every_third_call_with_503(
 ):
     corpus, _ = workdir
     script = _remote_providers(corpus)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: 0.0)  # no backoff sleep
     runs = {}
     for busy_every in (0, 3):
         post = _answer_as(script, busy_every)

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import stat
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,13 @@ def test_context_overflow_not_retried():
     with pytest.raises(ContextOverflowError):
         complete(handle, "p" * 500, SamplingConfig(max_new_tokens=99))
     assert calls == []  # rejected before any provider call
+
+
+def test_a_prompt_that_fills_the_context_window_exactly_is_sent():
+    handle = mock_provider({"p": "ok"}, context_window=100)
+    assert complete(handle, "p" * 40, SamplingConfig(max_new_tokens=90)).text == "ok"  # 10 + 90
+    with pytest.raises(ContextOverflowError):
+        complete(handle, "p" * 41, SamplingConfig(max_new_tokens=90))  # 11 + 90
 
 
 def test_rate_limit_retry_then_success():
@@ -610,6 +618,14 @@ def test_a_provider_call_retries_exactly_the_transient_failures(monkeypatch, ans
                              "temperature": 0.7, "top_p": 1.0, "max_tokens": 8192}
 
 
+@pytest.mark.parametrize("seed", [None, 0, 7])
+def test_a_remote_call_sends_the_seed_only_when_it_is_set(monkeypatch, seed):
+    post = _answer(200, b'{"choices": [{"message": {"content": "ok"}}]}')
+    monkeypatch.setattr(gateway, "_post", post)
+    complete(_remote(), "hi", SamplingConfig(seed=seed))
+    assert post.calls[0].get("seed", "omitted") == ("omitted" if seed is None else seed)
+
+
 @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
 def test_a_redirect_is_returned_not_followed_so_the_key_goes_to_no_other_host(monkeypatch,
                                                                               status):
@@ -694,4 +710,54 @@ def test_backoff_waits_the_retry_after_of_a_reply_under_the_cap(monkeypatch):
     monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: hi)
     monkeypatch.setattr(gateway, "_post", post)
     assert complete(_remote(max_attempts=7, base_delay_s=0.5), "hi", ASSESS_PROFILE).text == "done"
-    assert clock.sleeps == [7.0, 60.0, 30.0, 60.0, 0.0, 16.0]  # "soon": the draw, 0.5 * 2**5
+    # Each wait is the Retry-After (0 if in the past or unreadable) plus the draw 0.5 * 2**n;
+    # an HTTP-date has whole seconds, so "30 s on" from 7.5 s past the second reads 29.5.
+    assert clock.sleeps == [7.5, 60.0, 31.5, 60.0, 8.0, 16.0]
+
+
+def test_a_retry_after_is_a_floor_under_the_draw_and_the_cap_bounds_both(monkeypatch):
+    clock, draws = FakeClock(), []
+    replies = iter([(429, "0"), (429, "3"), (503, ""), (429, "59"), (200, "")])
+
+    def post(url, body, headers, timeout):
+        status, after = next(replies)
+        return status, {"Retry-After": after}, b'{"choices": [{"message": {"content": "done"}}]}'
+
+    monkeypatch.setattr(gateway, "time", clock)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: draws.append((lo, hi)) or hi / 4)
+    monkeypatch.setattr(gateway, "_post", post)
+    assert complete(_remote(max_attempts=5, base_delay_s=1.0), "hi", ASSESS_PROFILE).text == "done"
+    assert draws == [(0, 1.0), (0, 2.0), (0, 4.0), (0, 8.0)]
+    assert clock.sleeps == [0.25, 3.5, 1.0, 60.0]  # 0 + 1/4, 3 + 2/4, none + 4/4, 59 + 8/4
+
+
+def test_a_retry_policy_refuses_fewer_than_one_attempt():
+    with pytest.raises(ValueError, match="^max_attempts must be >= 1, got 0$"):
+        RetryPolicy(max_attempts=0)
+
+
+def test_a_four_slot_server_answering_429_retry_after_0_loses_no_case_at_c8(monkeypatch):
+    """Workers refused together draw different waits, so they do not collide again at once:
+    with the Retry-After alone as the wait, most of the 64 cases spent their 5 attempts."""
+    lock, in_flight, refused = threading.Lock(), [0], []
+
+    def post(url, body, headers, timeout):
+        with lock:
+            if in_flight[0] == 4:
+                refused.append(url)
+                return 429, {"Retry-After": "0"}, b"busy"
+            in_flight[0] += 1
+        try:
+            time.sleep(0.005)
+            return 200, {}, b'{"choices": [{"message": {"content": "done"}}]}'
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(gateway, "_post", post)
+    handle = _remote(max_attempts=5, base_delay_s=0.05)
+    outcomes = list(run_ordered(lambda i: complete(handle, f"case {i}", ASSESS_PROFILE).text,
+                                range(64), 8))
+    assert [i for i, _, err in outcomes if err is not None] == []
+    assert [text for _, text, _ in outcomes] == ["done"] * 64
+    assert refused  # the server's limit was reached

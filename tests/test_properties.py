@@ -41,7 +41,6 @@ from policytrace.corpus import (
     _clause_headings,
     _record_from_obj,
     split_disjointness_check,
-    text_hash,
     verdict_tokens,
 )
 from policytrace.prompts import (
@@ -56,14 +55,13 @@ from policytrace.prompts import (
     render,
 )
 from policytrace.prtgen import (
-    AugmentedDataset, PRTRecord, count_words, prt_stats, validate_prt,
+    AugmentedDataset, PRTRecord, count_sentences, count_words, prt_stats, validate_prt,
 )
-from policytrace.gateway import ModelResponse
-from policytrace.records import enum_member, from_json, read_jsonl, to_json
+from policytrace.gateway import ModelResponse, estimate_tokens
+from policytrace.records import enum_member, from_json, read_jsonl, sha256_hex, to_json
 from policytrace.select import select_random
 from policytrace.significance import StatsError, bonferroni, cohens_d, holm, pareto_frontier
 from policytrace.significance import CostAccuracyPoint
-from policytrace.tokens import estimate_tokens
 
 REGISTRY = build_registry()
 
@@ -527,6 +525,57 @@ def test_validate_prt_states_the_parsed_verdict(words, sep):
         assert (validate_prt(trace, gold) is None) == (gold is stated)
 
 
+# The reference: the numbered-step rule as two regexes, one for a step line, one for its marker.
+_REF_STEP_LINE_RE = re.compile(r"^\s*\d+\.\s*\S")
+_REF_STEP_MARKER_RE = re.compile(r"^\d+\.\s*")
+
+
+def _ref_count_sentences(text):
+    total = 0
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped:
+            continue
+        body = _REF_STEP_MARKER_RE.sub("", stripped)
+        ends = len(re.findall(r"[.!?]+(?=\s|$)", body))
+        if ends == 0 and _REF_STEP_LINE_RE.match(line):
+            ends = 1
+        total += ends
+    return max(total, 1) if text.strip() else 0
+
+
+def _ref_refusal(text, gold):
+    """The reason `validate_prt` gave for refusing `text`, or None."""
+    steps = [line for line in text.splitlines() if _REF_STEP_LINE_RE.match(line)]
+    if len(steps) < 2:
+        return "format"
+    stated = {verdict for _, verdict in verdict_tokens(steps[-1])}
+    if len(stated) != 1:
+        return "ambiguous" if stated else "missing_verdict"
+    return None if stated.pop() is gold else "verdict_mismatch"
+
+
+# Lines that may look like steps: digits of other scripts, a superscript that is no \d, and
+# spaces and line breaks that `str.splitlines`, `str.strip` and `\s` may or may not agree on.
+_SPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u3000", "\xa0"])
+_STEP_LINE = st.tuples(
+    _SPACE, st.sampled_from(["", "1", "12", "٣", "١٢", "²"]), st.sampled_from(["", ".", ".."]),
+    _SPACE, st.lists(st.sampled_from(["a", ".", "!", "?", " ", "\t", "\u3000", " COMPLIANT",
+                                      " NONCOMPLIANT"]), max_size=5).map("".join),
+    _SPACE, st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\x1d", ""]),
+).map("".join)
+_STEP_TEXT = st.lists(_STEP_LINE, max_size=6).map("".join)
+
+
+@given(_STEP_TEXT)
+@settings(max_examples=300)
+def test_the_numbered_step_rule_matches_the_two_regexes_it_replaced(text):
+    for gold in Verdict:
+        refusal = validate_prt(text, gold)
+        assert (refusal and refusal.reason) == _ref_refusal(text, gold)
+    assert count_sentences(text) == _ref_count_sentences(text)
+
+
 _GROWN_TITLES = ["Stay in Bounds", "Record Keeping"]
 _CITATION_PIECES = [
     "Article 1", "Articles 2 and 5", "article 3(a)", "Article 4, 6", "Section 164.502",
@@ -630,11 +679,11 @@ def test_render_matches_the_re_sub_renderer(case):
 def _hashed_disjointness(dataset):
     """The check as it was: both splits hashed, the last train id per hash kept."""
     ids = sorted({r.case_id for r in dataset.train} & {r.case_id for r in dataset.test})
-    train_hashes = {text_hash(r.case_text): r.case_id for r in dataset.train}
+    train_hashes = {sha256_hex(r.case_text): r.case_id for r in dataset.train}
     shared = [
-        (text_hash(r.case_text), train_hashes[text_hash(r.case_text)], r.case_id)
+        (sha256_hex(r.case_text), train_hashes[sha256_hex(r.case_text)], r.case_id)
         for r in dataset.test
-        if text_hash(r.case_text) in train_hashes
+        if sha256_hex(r.case_text) in train_hashes
     ]
     return ids, shared
 

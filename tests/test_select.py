@@ -171,8 +171,9 @@ def _scripted_judge(*replies):
         (["no numbers, sorry", "3,4,5"], ["t04", "t05", "t06"], []),
         ([ProviderError("down"), "5, 4, 3, 2, 1"], ["t06", "t05", "t04"], ["indices_repaired"]),
         ([ProviderError("down"), "0,1,2"], ["t01", "t02", "t03"], []),
+        (["0, 0, 1, 2", "3,4,5"], ["t04", "t05", "t06"], []),  # k distinct, and a duplicate
     ],
-    ids=["garbage_then_clean", "error_then_unclean", "error_then_clean"],
+    ids=["garbage_then_clean", "error_then_unclean", "error_then_clean", "duplicate_then_clean"],
 )
 def test_select_relevant_takes_or_repairs_the_second_reply(pool, dataset, replies, ids, flags):
     judge = _scripted_judge(*replies)

@@ -219,6 +219,12 @@ def test_split_train_val(tmp_path, aug, policy):
     assert train_ids | val_ids == {c.case_id for c, _, _ in aug.triples}
 
 
+def test_split_train_val_floors_the_val_count():
+    train, val = split_train_val(list("abcde"), 0.3, seed=0)  # 1.5 val records: 1, not 2
+    assert len(val) == 1 and len(train) == 4
+    assert sorted(train + val) == list("abcde")
+
+
 def test_split_train_val_fraction_bounds(tmp_path, aug, policy):
     for fraction in (1.0, -0.1):
         with pytest.raises(SFTExportError):
