@@ -100,6 +100,8 @@ class InstanceResult:
     flags: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if not self.turns:
+            raise AssessError("turns must be non-empty")
         if (self.correct is None) is not (self.parsed_verdict is None):
             raise AssessError(f"correct must be None iff parsed_verdict is, got {self.correct!r}")
 
@@ -284,7 +286,8 @@ def run_dataset(
     dataset order even when instances execute in parallel, and each record
     is flushed as it is written. A resume first cuts off a last record left
     half-written by a crash, and refuses to mix records made under a
-    different manifest (anything but `started_at`). The results file is
+    different manifest (anything but `started_at`), or a record of a case
+    that is not a test case of the dataset. The results file is
     read once, on resume only; the summary counts the records it held plus
     each record written, and keeps none of them.
     """
@@ -316,6 +319,7 @@ def run_dataset(
     write_atomic({manifest_path: [json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"]})
 
     test_cases = dataset.test
+    test_ids = {case.case_id for case in test_cases}
     summary = RunSummary(run_id=run_id, total=len(test_cases))
     done_ids: set[str] = set()
 
@@ -324,6 +328,9 @@ def run_dataset(
     with sink:
         for _, result in read_records(results_path, partial(from_json, InstanceResult),
                                       AssessError, "result"):
+            if result.case_id not in test_ids:
+                raise AssessError(f"cannot resume {results_path.name}: case {result.case_id} "
+                                  "is not a test case of the dataset")
             done_ids.add(result.case_id)
             summary.count(result)
         summary.skipped = len(done_ids)

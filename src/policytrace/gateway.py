@@ -125,9 +125,9 @@ class ModelHandle:
     price_in_usd_per_1m: float = 0.0
     price_out_usd_per_1m: float = 0.0
     context_window: int = 131072
-    provider: Optional[Provider] = None
-    tokenizer: Callable[[str], int] = estimate_tokens
-    cache_dir: Optional[Path] = None
+    provider: Optional[Provider] = field(default=None, metadata={"json": False})
+    tokenizer: Callable[[str], int] = field(default=estimate_tokens, metadata={"json": False})
+    cache_dir: Optional[Path] = field(default=None, metadata={"json": False})
     retry: RetryPolicy = field(default_factory=RetryPolicy, metadata={"json": False})
 
     def __post_init__(self) -> None:
@@ -246,6 +246,10 @@ class MockScriptEntry:
     pattern: str
     text: str
     raw_cot: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for text in (self.pattern, self.text, self.raw_cot or ""):
+            text.encode("utf-8")  # refuses a lone surrogate: no UTF-8 output could hold it
 
 
 @dataclass
@@ -368,6 +372,7 @@ class OpenAICompatProvider(Provider):
             if ({type(text), type(raw_cot)} - {str, NoneType}
                     or {type(tokens[0]), type(tokens[1])} - {int, NoneType}):
                 raise TypeError("a text or count of the wrong type")
+            f"{text}{raw_cot}".encode("utf-8")  # a lone surrogate: no UTF-8 output could hold it
             return text or "", raw_cot, tokens[0] or 0, tokens[1] or 0
         except (ValueError, LookupError, TypeError, AttributeError) as err:
             raise TransientError(f"HTTP {status}: malformed reply: {head}") from err

@@ -6,6 +6,8 @@ replaces a set of files whole: every whole file the package writes goes through 
 `report` and `export-sft` each write their outputs and manifest in one call). `JsonlSink`
 appends records to a file that a crash may have cut, as `assess.run_dataset` does with its
 results. It imports nothing from the package, so every module may import it.
+A record's JSON holds each field not marked `metadata={"json": False}`; a field of a type
+JSON cannot hold (see `_spec`) is a TypeError naming it, never a field left out.
 
 JSON Lines files (datasets, trace stores, results, SFT records) are read one line at
 a time, so memory follows the longest record and not the file. A line ends at "\n"
@@ -17,7 +19,7 @@ import dataclasses
 import json
 import os
 import re
-from enum import Enum
+from enum import Enum, EnumMeta
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -27,8 +29,8 @@ from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVa
 
 _T = TypeVar("_T")
 _MEMBERS: dict[type[Enum], dict] = {}
-# class -> ((name, exact JSON types, reader, writer, required) of each field `_spec` types but
-# those with `metadata={"json": False}`, in order; their names; (name, writer) of each writer)
+# class -> ((name, exact JSON types, reader, writer, required) of each field but those with
+# `metadata={"json": False}`, in order; their names; (name, writer) of each writer)
 _FIELDS: dict[type, tuple[list[tuple], list[str], list[tuple[str, Callable]]]] = {}
 
 
@@ -189,22 +191,24 @@ def write_atomic(files: Mapping[Path, Iterable[str]]) -> None:
         raise
 
 
-def _spec(name: str, hint: Any) -> Optional[tuple]:
-    """(exact JSON types, reader or None, writer or None) of a field; None if JSON holds none."""
+def _spec(name: str, hint: Any) -> tuple:
+    """(exact JSON types, reader or None, writer or None) of field `name`, else a TypeError."""
     args = get_args(hint)
     if get_origin(hint) in (Union, UnionType) and len(args) == 2 and NoneType in args:
         inner = _spec(name, args[args[0] is NoneType])  # the reader and writer skip None
-        return inner and ((*inner[0], NoneType), *inner[1:])
+        return (*inner[0], NoneType), *inner[1:]
     if get_origin(hint) is list:
         inner = _spec(name, args[0])
-        return inner and ((list,), partial(_list_of, name, *inner[:2]),
-                          inner[2] and partial(_list_of, name, (), inner[2]))
+        return ((list,), partial(_list_of, name, *inner[:2]),
+                inner[2] and partial(_list_of, name, (), inner[2]))
     if hint in (str, int, float, bool, dict):
         return (int, float) if hint is float else (hint,), None, None
-    if isinstance(hint, type) and issubclass(hint, Enum):
+    if isinstance(hint, EnumMeta):
         return (tuple({type(m.value): 0 for m in hint}), partial(enum_member, hint),
                 attrgetter("value"))
-    return ((dict,), partial(from_json, hint), to_json) if dataclasses.is_dataclass(hint) else None
+    if dataclasses.is_dataclass(hint):
+        return (dict,), partial(from_json, hint), to_json
+    raise TypeError(f"field {name}: JSON holds no {hint!r}; mark it metadata={{'json': False}}")
 
 
 def _list_of(name: str, types: tuple, convert: Optional[Callable], values: list) -> list:
@@ -218,11 +222,9 @@ def _fields(cls: type) -> tuple[list[tuple], list[str], list[tuple[str, Callable
     """`_FIELDS[cls]`, built on first use."""
     if cls not in _FIELDS:
         hints = get_type_hints(cls)
-        fields = [
-            (f.name, *spec, f.default is f.default_factory is dataclasses.MISSING)
-            for f in dataclasses.fields(cls)
-            if f.metadata.get("json", True) and (spec := _spec(f.name, hints[f.name]))
-        ]
+        fields = [(f.name, *_spec(f.name, hints[f.name]),
+                   f.default is f.default_factory is dataclasses.MISSING)
+                  for f in dataclasses.fields(cls) if f.metadata.get("json", True)]
         _FIELDS[cls] = fields, [f[0] for f in fields], [(f[0], f[3]) for f in fields if f[3]]
     return _FIELDS[cls]
 

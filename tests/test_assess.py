@@ -447,6 +447,39 @@ def test_a_refused_resume_leaves_the_results_and_the_manifest_unchanged(
     assert (results_path.read_bytes(), manifest_path.read_bytes()) == before
 
 
+def test_a_resume_refuses_a_results_file_holding_a_case_outside_the_test_split(
+    tmp_path, dataset, policy, learner_handle
+):
+    strategy = Strategy(StrategyKind.BASE)
+    results_path, _ = run_dataset(dataset, policy, strategy, learner_handle, tmp_path, seed=42)
+    first = json.loads(results_path.read_text(encoding="utf-8").splitlines()[0])
+    with results_path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**first, "case_id": "zz-not-a-case"}) + "\n")
+    before, calls = results_path.read_bytes(), learner_handle.provider.call_count
+    with pytest.raises(AssessError) as err:
+        run_dataset(dataset, policy, strategy, learner_handle, tmp_path, seed=42)
+    assert str(err.value) == (f"cannot resume {results_path.name}: case zz-not-a-case is not a "
+                              "test case of the dataset")
+    assert results_path.read_bytes() == before
+    assert learner_handle.provider.call_count == calls
+
+
+def test_a_result_with_no_turns_is_refused_by_the_report_and_the_resume(
+    tmp_path, dataset, policy, learner_handle
+):
+    strategy = Strategy(StrategyKind.BASE)
+    results_path, _ = run_dataset(dataset, policy, strategy, learner_handle, tmp_path, seed=42)
+    first = json.loads(results_path.read_text(encoding="utf-8").splitlines()[0])
+    results_path.write_text(json.dumps({**first, "turns": []}) + "\n", encoding="utf-8")
+    message = f"{results_path}:1: malformed record: turns must be non-empty"
+    with pytest.raises(AssessError) as err:
+        load_run(results_path)
+    assert str(err.value) == message
+    with pytest.raises(AssessError) as err:
+        run_dataset(dataset, policy, strategy, learner_handle, tmp_path, seed=42)
+    assert str(err.value) == message
+
+
 def test_run_dataset_concurrency_matches_sequential(tmp_path, dataset, policy, learner_handle):
     strategy = Strategy(StrategyKind.FEWSHOT_PRT, SelectionMode.RAND, k=3)
     expert = mock_provider(EXPERT_SCRIPT)

@@ -1194,6 +1194,71 @@ def test_assess_retries_a_provider_that_answers_every_third_call_with_503(
     assert busy.count(200) == len(clean)  # each 503 cost one more call, and nothing else
 
 
+@pytest.mark.parametrize("message", [{"content": "Final Judgment: \ud800"},
+                                     {"content": "Final Judgment: COMPLIANT",
+                                      "reasoning_content": "\udfff"}],
+                         ids=["content", "reasoning_content"])
+def test_assess_retries_a_reply_that_utf8_cannot_encode_and_writes_every_other_case(
+    workdir, capsys, monkeypatch, message
+):
+    corpus, out = workdir
+    answer, calls = _answer_as(_remote_providers(corpus), 0), []
+
+    def post(url, body, headers, timeout):  # c03's replies hold a lone surrogate: valid JSON
+        if CASE_TEXTS["c03"] in json.loads(body)["messages"][0]["content"]:
+            calls.append(url)
+            return 200, {}, json.dumps({"choices": [{"message": message}]}).encode("utf-8")
+        return answer(url, body, headers, timeout)
+
+    monkeypatch.setattr(gateway, "_post", post)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: 0.0)  # no backoff sleep
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "--concurrency", 2,
+                   "assess", "--strategy", "base") == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["failed_cases"] == ["c03"] and len(calls) == 5
+    assert captured.err == "error: case c03: TransientError: exhausted 5 attempts\n"
+    [results] = out.glob("*.results.jsonl")
+    assert [json.loads(line)["case_id"] for line in results.read_text("utf-8").splitlines()] == [
+        "c01", "c02", "c04", "c05", "c06"]
+
+
+def test_gen_quarantines_a_case_whose_expert_reply_utf8_cannot_encode(workdir, capsys,
+                                                                       monkeypatch):
+    corpus, out = workdir
+    answer = _answer_as(_remote_providers(corpus), 0)
+
+    def post(url, body, headers, timeout):  # t01's trace ends in a lone surrogate: valid JSON
+        status, reply_headers, reply = answer(url, body, headers, timeout)
+        if CASE_TEXTS["t01"] in json.loads(body)["messages"][0]["content"]:
+            reply = json.loads(reply)
+            reply["choices"][0]["message"]["content"] += "\ud800"
+            reply = json.dumps(reply).encode("utf-8")
+        return status, reply_headers, reply
+
+    monkeypatch.setattr(gateway, "_post", post)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: 0.0)  # no backoff sleep
+    assert run_cli("--config", corpus / "config.json", "--out-dir", out, "gen") == 0
+    assert json.loads(capsys.readouterr().out)["quarantined"] == 1
+    assert json.loads((out / "quarantine.json").read_text(encoding="utf-8")) == [
+        {"case_id": "t01", "reason": "provider", "detail": "TransientError: exhausted 5 attempts"}]
+
+
+def test_assess_resume_refuses_a_case_outside_the_test_split(workdir, capsys):
+    corpus, out = workdir
+    config = corpus / "config.json"
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 0
+    [results] = out.glob("*.results.jsonl")
+    first = json.loads(results.read_text(encoding="utf-8").splitlines()[0])
+    with results.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**first, "case_id": "zz-not-a-case"}) + "\n")
+    before = results.read_bytes()
+    capsys.readouterr()
+    assert run_cli("--config", config, "--out-dir", out, "assess", "--strategy", "base") == 2
+    assert capsys.readouterr().err == (f"error: cannot resume {results.name}: case "
+                                       "zz-not-a-case is not a test case of the dataset\n")
+    assert results.read_bytes() == before
+
+
 def test_validate_refuses_a_case_text_shared_across_splits(workdir, capsys):
     corpus, out = workdir
     cases = corpus / "cases.jsonl"

@@ -346,10 +346,17 @@ def test_load_provider_config_mock(tmp_path):
         ("script", "pattern", 5, "pattern must be str, got 5"),
         ("models", "price_in_usd_per_1m", -1, "prices must be >= 0"),
         ("models", "model_id", "", "model_id must be non-empty"),
+        ("script", "pattern", "\ud800",
+         "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+        ("script", "text", "po\udfffng",
+         "'utf-8' codec can't encode character '\\udfff' in position 2: surrogates not allowed"),
+        ("script", "raw_cot", "\udc80",
+         "'utf-8' codec can't encode character '\\udc80' in position 0: surrogates not allowed"),
     ],
     ids=["flag-string", "flag-int", "window-string", "window-float", "window-bool",
          "price-string", "price-null", "model-unknown-key", "script-pattern-int",
-         "price-negative", "model-id-empty"],
+         "price-negative", "model-id-empty", "script-pattern-surrogate",
+         "script-text-surrogate", "script-raw-cot-surrogate"],
 )
 def test_a_model_option_of_the_wrong_type_is_an_error(tmp_path, entry, key, value, detail):
     import json
@@ -514,8 +521,11 @@ def _answer(outcome, body=b"", headers=None):
 
 @pytest.mark.parametrize(
     "body",
-    [b"<html>bad gateway</html>", b"{}", b'{"choices": []}', b'{"choices": [{"message": null}]}'],
-    ids=["not_json", "no_choices", "empty_choices", "null_message"],
+    [b"<html>bad gateway</html>", b"{}", b'{"choices": []}', b'{"choices": [{"message": null}]}',
+     b'{"choices": [{"message": {"content": "Final Judgment: \\ud800"}}]}',
+     b'{"choices": [{"message": {"content": "ok", "reasoning_content": "\\udfff"}}]}'],
+    ids=["not_json", "no_choices", "empty_choices", "null_message", "surrogate_content",
+         "surrogate_reasoning_content"],
 )
 def test_malformed_http_200_reply_is_a_provider_error(monkeypatch, body):
     monkeypatch.setattr(gateway, "_post", _answer(200, body))
@@ -736,16 +746,19 @@ def test_a_retry_policy_refuses_fewer_than_one_attempt():
         RetryPolicy(max_attempts=0)
 
 
-def test_a_four_slot_server_answering_429_retry_after_0_loses_no_case_at_c8(monkeypatch):
+@pytest.mark.parametrize("busy_headers", [{"Retry-After": "0"}, {}],
+                         ids=["retry_after_0", "no_retry_after"])
+def test_a_four_slot_server_answering_429_loses_no_case_at_c8(monkeypatch, busy_headers):
     """Workers refused together draw different waits, so they do not collide again at once:
-    with the Retry-After alone as the wait, most of the 64 cases spent their 5 attempts."""
+    with the Retry-After alone as the wait, most of the 64 cases spent their 5 attempts. An
+    absent Retry-After is a floor of 0, as "0" is."""
     lock, in_flight, refused = threading.Lock(), [0], []
 
     def post(url, body, headers, timeout):
         with lock:
             if in_flight[0] == 4:
                 refused.append(url)
-                return 429, {"Retry-After": "0"}, b"busy"
+                return 429, busy_headers, b"busy"
             in_flight[0] += 1
         try:
             time.sleep(0.005)

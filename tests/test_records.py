@@ -1,14 +1,58 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from policytrace.records import JsonlSink, from_json, jsonl_line, read_records, write_atomic
+from policytrace import records
+from policytrace.assess import InstanceResult, RunManifest, Turn
+from policytrace.clauses import _RegistryEntry, _RegistryFile
+from policytrace.cli import Config
+from policytrace.gateway import MockScriptEntry, ModelHandle, ModelResponse, _ProviderEntry
+from policytrace.prtgen import PRTRecord
+from policytrace.records import (JsonlSink, from_json, jsonl_line, read_records, to_json,
+                                 write_atomic)
 
 
 @dataclass
 class _Case:
     case_id: str
     n: int = 0
+
+
+@pytest.mark.parametrize("hint, named", [
+    (tuple[str, ...], "tuple[str, ...]"), (set[str], "set[str]"), (Path, repr(Path)),
+    (Optional[Path], repr(Path)), (list[tuple[str, str]], "tuple[str, str]"),
+], ids=["tuple", "set", "path", "optional-path", "list-of-tuple"])
+def test_a_field_of_a_type_json_cannot_hold_is_refused_by_name_not_left_out(hint, named):
+    tagged = make_dataclass("Tagged", [("a", str), ("tags", hint, field(default=None))])
+    message = f"field tags: JSON holds no {named}; mark it metadata={{'json': False}}"
+    with pytest.raises(TypeError) as err:
+        to_json(tagged("x"))
+    assert str(err.value) == message
+    with pytest.raises(TypeError) as err:
+        from_json(tagged, {"a": "x", "tags": ["t1"]})
+    assert str(err.value) == message
+
+
+def test_a_marked_field_is_left_out_of_the_json_and_may_be_given():
+    marked = make_dataclass("Marked", [
+        ("a", str), ("where", Optional[Path], field(default=None, metadata={"json": False}))])
+    assert to_json(marked("x", Path("p"))) == {"a": "x"}
+    assert from_json(marked, {"a": "x"}, where=Path("p")) == marked("x", Path("p"))
+    with pytest.raises(TypeError, match="^unknown key 'where'$"):
+        from_json(marked, {"a": "x", "where": "p"})
+
+
+def test_the_fields_left_out_of_every_record_in_use_are_the_six_marked_ones():
+    in_use = [Config, RunManifest, InstanceResult, Turn, PRTRecord, ModelResponse, ModelHandle,
+              _ProviderEntry, MockScriptEntry, _RegistryFile, _RegistryEntry]
+    left_out = {f"{cls.__name__}.{f.name}" for cls in in_use for f in fields(cls)
+                if f.name not in records._fields(cls)[1]}
+    assert left_out == {"Config.base", "ModelResponse.cache_hit", "ModelHandle.provider",
+                        "ModelHandle.tokenizer", "ModelHandle.cache_dir", "ModelHandle.retry"}
+    assert left_out == {f"{cls.__name__}.{f.name}" for cls in in_use for f in fields(cls)
+                        if f.metadata.get("json") is False}
 
 
 def test_read_records_numbers_the_lines_and_refuses_a_bad_or_repeated_case(tmp_path):

@@ -30,8 +30,8 @@ def _manifest(run_id: str) -> RunManifest:
 
 
 def _run(run_id: str, correct: list[bool]) -> tuple[RunManifest, list[InstanceResult]]:
-    results = [InstanceResult(f"c{i:03d}", run_id, [], Verdict.COMPLIANT, ok)
-               for i, ok in enumerate(correct)]
+    results = [InstanceResult(f"c{i:03d}", run_id, [Turn("base", "h", "")], Verdict.COMPLIANT,
+                              ok) for i, ok in enumerate(correct)]
     return _manifest(run_id), results
 
 
