@@ -227,6 +227,12 @@ def cmd_report(args: argparse.Namespace, config: Config, out_dir: Path) -> tuple
         corpus = _load_corpus(config)  # for clause relevance, by judge if judge_model is set
         if corpus[1].policy_id != policy_ids[0]:
             raise CliError(f"runs of policy {policy_ids[0]}, corpus of {corpus[1].policy_id}")
+        test_ids = {case.case_id for case in corpus[2].test}
+        for manifest, results in runs:  # else `n`, accuracy and cost would count the case
+            foreign = next((r.case_id for r in results if r.case_id not in test_ids), None)
+            if foreign is not None:
+                raise CliError(f"run {manifest.run_id}: case {foreign} is not a test case "
+                               "of the dataset")
     use_judge = bool(corpus and config.judge_model)
     handles = _load_handles(config) if config.providers_file or use_judge else {}
     judge = _handle(handles, config, "judge") if use_judge else None

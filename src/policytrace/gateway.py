@@ -5,15 +5,21 @@ on disk, raw chain-of-thought capture, a deterministic scripted mock provider
 for offline runs and tests, and the ordered executor that fans per-case model
 work out over worker threads; its concurrency bounds the model calls in flight,
 and it writes the cache entries of those calls on the caller's thread.
+
+A process lists each cache directory once, at its first lookup there, and adds each
+entry it writes, so a miss opens no file. An entry that another process writes after
+that listing is not read: the call is made, and its entry replaces the other one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import json
 import os
 import random
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -159,6 +165,25 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / key[:2] / f"{key}.json"
 
 
+_CACHED: dict[Path, set[str]] = {}  # cache dir -> the keys of its entries, listed or written
+_CACHED_LOCK = threading.Lock()
+
+
+def _cached_keys(cache_dir: Path) -> set[str]:
+    """The keys of `cache_dir`'s entries: listed at the process's first call for it (its
+    two-character shards' `.json` names), then added to by each `_cache_write`."""
+    if (keys := _CACHED.get(cache_dir)) is None:
+        with _CACHED_LOCK:  # concurrent first lookups list the directory once
+            if (keys := _CACHED.get(cache_dir)) is None:
+                keys = set()
+                with contextlib.suppress(FileNotFoundError), os.scandir(cache_dir) as shards:
+                    for shard in (s for s in shards if len(s.name) == 2 and s.is_dir()):
+                        with os.scandir(shard) as entries:
+                            keys.update(e.name[:-5] for e in entries if e.name.endswith(".json"))
+                _CACHED[cache_dir] = keys
+    return keys
+
+
 def _cache_read(cache_dir: Path, key: str) -> Optional[ModelResponse]:
     path = _cache_path(cache_dir, key)
     try:
@@ -174,6 +199,7 @@ def _cache_write(cache_dir: Path, key: str, response: ModelResponse) -> None:
     # Readers only open <key>.json, which write_atomic replaces whole.
     path = _cache_path(cache_dir, key)
     write_atomic({path: [json.dumps(to_json(response), ensure_ascii=False)]})
+    _cached_keys(cache_dir).add(key)
 
 
 def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResponse:
@@ -203,9 +229,10 @@ def complete(handle: ModelHandle, prompt: str, cfg: SamplingConfig) -> ModelResp
         entries = _item_entries.get()
         if entries is not None and (handle.cache_dir, key) in entries:
             return replace(entries[handle.cache_dir, key], cache_hit=True)
-        cached = _cache_read(handle.cache_dir, key)
-        if cached is not None:
-            return cached
+        if key in _cached_keys(handle.cache_dir):
+            cached = _cache_read(handle.cache_dir, key)  # None if deleted since the listing
+            if cached is not None:
+                return cached
 
     for attempt in range(handle.retry.max_attempts):
         try:

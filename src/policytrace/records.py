@@ -50,7 +50,8 @@ def read_record(path: Path, cls: type[_T], what: str, error: type[ValueError],
                 **given: object) -> _T:
     """Dataclass `cls` from the JSON object in the file at `path` and the fields in `given`
     (see `from_json`). Each refusal is an `error` naming the file: `<what> <path>: ` then the
-    reading or JSON error, `not a JSON object`, `missing key '<k>'` or `malformed: <err>`."""
+    reading or JSON error, `not a JSON object`, `missing key '<k>'` or `malformed: <err>`, a
+    string that UTF-8 cannot encode (a lone surrogate escape) among the last."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
@@ -58,6 +59,7 @@ def read_record(path: Path, cls: type[_T], what: str, error: type[ValueError],
     if not isinstance(obj, dict):
         raise error(f"{what} {path}: not a JSON object")
     try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")  # no UTF-8 output holds a surrogate
         return from_json(cls, obj, **given)
     except KeyError as err:
         raise error(f"{what} {path}: missing key {err}") from err

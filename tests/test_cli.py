@@ -269,12 +269,31 @@ def test_report_records_why_clause_relevance_failed(workdir, capsys):
         "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
     ) == 0
     (results,) = out.glob("*.results.jsonl")
-    lines = results.read_text(encoding="utf-8").splitlines()
-    lines[0] = lines[0].replace('"case_id": "c01"', '"case_id": "c99"')
-    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (corpus / "cases.jsonl").write_text(  # no case has gold clauses to score against
+        "".join(json.dumps({**json.loads(line), "clauses": []}) + "\n"
+                for line in dataset_jsonl_lines()), encoding="utf-8")
     assert run_cli("--config", corpus / "config.json", "--out-dir", out, "report", results) == 0
     (row,) = json.loads((out / "report.json").read_text(encoding="utf-8"))["runs"]
-    assert row["clause_relevance"] == {"error": "KeyError: 'c99'"}
+    assert row["clause_relevance"] == {
+        "error": "MetricsError: no_gold_annotations: no record has gold clauses"}
+
+
+def test_report_refuses_a_case_outside_the_test_split_and_writes_nothing(workdir, capsys):
+    corpus, out = workdir
+    assert run_cli(
+        "--config", corpus / "config.json", "--out-dir", out, "assess", "--strategy", "base"
+    ) == 0
+    (results,) = out.glob("*.results.jsonl")
+    lines = results.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace('"case_id": "c01"', '"case_id": "t01"')  # a train case
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    report_out = out / "report"
+    assert run_cli("--config", corpus / "config.json", "--out-dir", report_out,
+                   "report", results) == 2
+    assert capsys.readouterr().err == (
+        "error: run synthpol_base_mock-learner_s42: case t01 is not a test case of the dataset\n")
+    assert not report_out.exists()
 
 
 def test_report_lists_a_pair_of_runs_over_disjoint_cases_with_its_error(workdir, capsys):
@@ -1096,6 +1115,26 @@ def test_a_providers_or_registry_field_of_the_wrong_type_is_an_error(
     assert run_cli("--config", corpus / "config.json", "--out-dir", out, command) == 2
     what = "providers file" if filename == "providers.json" else "registry"
     assert capsys.readouterr().err == f"error: {what} {path}: malformed: {detail}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "gen", "assess"])
+@pytest.mark.parametrize("filename, what", [("config.json", "config"),
+                                            ("registry.json", "registry")])
+def test_a_config_or_registry_string_that_utf8_cannot_encode_exits_2_before_any_work(
+    workdir, capsys, filename, what, command
+):
+    corpus, out = workdir
+    path = corpus / filename
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["policy_id"] = "synth\ud800pol"  # a lone surrogate: valid JSON, no UTF-8 text
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["--config", corpus / "config.json", "--out-dir", out, command]
+    assert run_cli(*argv, *(["--strategy", "base"] if command == "assess" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {path}: malformed: 'utf-8' codec can't encode "
+                          "character '\\ud800' in position "), err
+    assert err.endswith(": surrogates not allowed\n"), err
+    assert not out.exists()
 
 
 def test_a_model_listed_twice_in_the_providers_file_exits_2(workdir, capsys):

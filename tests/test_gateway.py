@@ -217,12 +217,108 @@ def test_complete_without_cache_dir_computes_no_key(monkeypatch, concurrency):
     def no_key(*args):
         raise AssertionError("cache_key called without a cache_dir")
 
+    def no_listing(*args):
+        raise AssertionError("a cache directory listed without a cache_dir")
+
     monkeypatch.setattr(gateway, "cache_key", no_key)
+    monkeypatch.setattr(gateway, "_cached_keys", no_listing)
     handle = mock_provider({"": "x"})
     assert complete(handle, "ping", ASSESS_PROFILE).text == "x"
     call = lambda prompt: complete(handle, prompt, ASSESS_PROFILE).text  # noqa: E731
     outcomes = list(run_ordered(call, ["a", "b", "c"], concurrency))
     assert outcomes == [("a", "x", None), ("b", "x", None), ("c", "x", None)]
+
+
+def _entry_path(cache_dir, handle, prompt):
+    key = cache_key(handle, prompt, ASSESS_PROFILE)
+    return cache_dir / key[:2] / f"{key}.json"
+
+
+def _put_entry(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"text": text}), encoding="utf-8")
+
+
+def test_an_entry_on_disk_before_the_first_lookup_is_a_hit(tmp_path):
+    handle = mock_provider({"q": "fresh"}, cache_dir=tmp_path)
+    _put_entry(_entry_path(tmp_path, handle, "q"), "stored")
+    response = complete(handle, "q", ASSESS_PROFILE)
+    assert (response.text, response.cache_hit) == ("stored", True)
+    assert handle.provider.call_count == 0
+
+
+def test_an_entry_written_by_another_process_after_the_listing_is_not_read(tmp_path):
+    handle = mock_provider({"q": "fresh"}, cache_dir=tmp_path)
+    complete(handle, "q0", ASSESS_PROFILE)  # the first lookup lists the directory
+    path = _entry_path(tmp_path, handle, "q1")
+    _put_entry(path, "stored")
+    response = complete(handle, "q1", ASSESS_PROFILE)
+    assert (response.text, response.cache_hit) == ("fresh", False)
+    assert handle.provider.call_count == 2
+    assert _cache_read(tmp_path, path.stem).text == "fresh"  # the call's entry replaced it
+
+
+def test_an_indexed_entry_deleted_behind_the_gateways_back_is_a_call_not_an_error(tmp_path):
+    handle = mock_provider({"q": "fresh"}, cache_dir=tmp_path)
+    complete(handle, "q", ASSESS_PROFILE)
+    path = _entry_path(tmp_path, handle, "q")
+    path.unlink()
+    response = complete(handle, "q", ASSESS_PROFILE)
+    assert (response.text, response.cache_hit) == ("fresh", False)
+    assert handle.provider.call_count == 2
+    assert complete(handle, "q", ASSESS_PROFILE).cache_hit and path.exists()
+
+
+def test_an_indexed_malformed_entry_is_an_error_naming_it(tmp_path):
+    handle = mock_provider({"q": "fresh"}, cache_dir=tmp_path)
+    path = _entry_path(tmp_path, handle, "q")
+    path.parent.mkdir()
+    path.write_text('{"text": 5}', encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        complete(handle, "q", ASSESS_PROFILE)
+    assert str(err.value) == f"cache entry {path}: malformed: text must be str, got 5"
+    assert handle.provider.call_count == 0
+
+
+def test_a_cold_miss_opens_no_file(tmp_path, monkeypatch):
+    handle = mock_provider({"q": "fresh"}, cache_dir=tmp_path)
+    _put_entry(_entry_path(tmp_path, handle, "q0"), "stored")
+    read = gateway._cache_read
+
+    def read_listed(cache_dir, key):
+        if key not in gateway._CACHED[cache_dir]:
+            raise AssertionError(f"opened {key}, which the listing does not hold")
+        return read(cache_dir, key)
+
+    monkeypatch.setattr(gateway, "_cache_read", read_listed)
+    assert [complete(handle, p, ASSESS_PROFILE).text for p in ("q0", "q1", "q1")] == [
+        "stored", "fresh", "fresh"]
+    assert handle.provider.call_count == 1
+
+
+def test_eight_workers_making_the_first_lookup_at_once_list_the_directory_once(
+        tmp_path, monkeypatch):
+    handle = mock_provider({"q": "fresh"}, cache_dir=tmp_path)
+    for prompt in ("s0", "s1"):
+        _put_entry(_entry_path(tmp_path, handle, prompt), "stored")
+    shards = {p.parent.name for p in tmp_path.rglob("*.json")}
+    scandir, listed = os.scandir, []
+
+    def slow_scandir(path):
+        listed.append(Path(path))
+        time.sleep(0.02)  # the other workers reach the listing meanwhile
+        return scandir(path)
+
+    monkeypatch.setattr(gateway.os, "scandir", slow_scandir)
+    barrier = threading.Barrier(8)
+
+    def ask(i):
+        barrier.wait(10)
+        return complete(handle, f"q{i}", ASSESS_PROFILE).text
+
+    outcomes = list(run_ordered(ask, range(8), 8))
+    assert outcomes == [(i, "fresh", None) for i in range(8)]
+    assert sorted(listed) == sorted([tmp_path] + [tmp_path / s for s in shards])
 
 
 def test_disk_cache_round_trip(tmp_path):
